@@ -292,32 +292,39 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
+	// Snapshot every family's series under the lock: a scrape that
+	// overlaps the creation of a new label series must not read the series
+	// map while Registry.metric writes it. Values are read atomically after.
+	type seriesRef struct {
+		key string
+		s   *series
 	}
-	sort.Strings(names)
-	// Snapshot series lists under the lock; values are read atomically after.
-	fams := make([]*family, len(names))
-	for i, name := range names {
-		fams[i] = r.families[name]
+	type famSnap struct {
+		f      *family
+		series []seriesRef
+	}
+	r.mu.Lock()
+	fams := make([]famSnap, 0, len(r.families))
+	for _, f := range r.families {
+		snap := famSnap{f: f, series: make([]seriesRef, 0, len(f.series))}
+		for k, s := range f.series {
+			snap.series = append(snap.series, seriesRef{k, s})
+		}
+		fams = append(fams, snap)
 	}
 	r.mu.Unlock()
+	sort.Slice(fams, func(i, j int) bool { return fams[i].f.name < fams[j].f.name })
 
 	var b strings.Builder
-	for _, f := range fams {
+	for _, snap := range fams {
+		f := snap.f
 		if f.help != "" {
 			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, f.help)
 		}
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.typ)
-		keys := make([]string, 0, len(f.series))
-		for k := range f.series {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			s := f.series[k]
+		sort.Slice(snap.series, func(i, j int) bool { return snap.series[i].key < snap.series[j].key })
+		for _, ref := range snap.series {
+			k, s := ref.key, ref.s
 			switch v := s.value.(type) {
 			case *Counter:
 				fmt.Fprintf(&b, "%s%s %s\n", f.name, k, formatFloat(v.Value()))

@@ -105,9 +105,11 @@ type Ontology struct {
 	// {Name} interpolation.
 	Lexicons map[string][]string
 
-	// rulesOnce guards the lazily-built, shared matching-rule set (Rules).
+	// rulesOnce guards the lazily-built, shared matching-rule set (Rules)
+	// and the literal automaton over it (Literals).
 	rulesOnce sync.Once
 	rules     []Rule
+	literals  *LiteralIndex
 }
 
 // ObjectSet returns the named object set, or nil.

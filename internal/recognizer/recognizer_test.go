@@ -193,7 +193,7 @@ func TestRecognizeParallelMatchesSequential(t *testing.T) {
 	tree := tagtree.Parse(sb.String())
 	rules := ont.Rules()
 
-	// Reference: the same single-goroutine scan the small-document path uses.
+	// Reference: the oracle, chunk by chunk on one goroutine.
 	var chunks []tagtree.Event
 	for _, ev := range tree.SubtreeEvents(tree.Root) {
 		if ev.Kind == tagtree.EventText {
@@ -202,7 +202,7 @@ func TestRecognizeParallelMatchesSequential(t *testing.T) {
 	}
 	var want []Entry
 	for _, ev := range chunks {
-		want = scanChunk(want, rules, ev)
+		want = oracleChunk(want, rules, ev)
 	}
 
 	got := Recognize(ont, tree, tree.Root)
