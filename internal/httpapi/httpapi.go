@@ -115,8 +115,13 @@ type Config struct {
 type server struct {
 	cfg      Config
 	cache    *resultCache
+	onts     *ontology.Cache
 	inflight chan struct{} // nil when shedding is off; else a semaphore
 }
+
+// ontologyCacheBytes bounds the inline DSL ontology sources a handler keeps
+// parsed, with their compiled rules, across requests.
+const ontologyCacheBytes = 1 << 20
 
 // NewHandler returns the full service handler: the routing table wrapped in
 // load shedding + request timeout (for /v1/ routes) and request-logging +
@@ -218,6 +223,7 @@ func NewServeMux() *http.ServeMux {
 }
 
 func newMux(s server) *http.ServeMux {
+	s.onts = &ontology.Cache{MaxBytes: ontologyCacheBytes}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/discover", s.handleDiscover)
 	mux.HandleFunc("POST /v1/discover/batch", s.handleDiscoverBatch)
@@ -307,23 +313,6 @@ func decode(w http.ResponseWriter, r *http.Request) (*request, bool) {
 		return nil, false
 	}
 	return &req, true
-}
-
-// resolveOntology turns the envelope's ontology field into a parsed
-// ontology; empty means nil (OM declines).
-func (req *request) resolveOntology() (*ontology.Ontology, error) {
-	if req.Ontology == "" {
-		return nil, nil
-	}
-	if ont := ontology.Builtin(req.Ontology); ont != nil {
-		return ont, nil
-	}
-	ont, err := ontology.Parse(req.Ontology)
-	if err != nil {
-		return nil, fmt.Errorf("ontology is neither built-in (%v) nor valid DSL: %w",
-			ontology.BuiltinNames(), err)
-	}
-	return ont, nil
 }
 
 // discoverResponse mirrors core.Result in wire-friendly form.
@@ -540,7 +529,7 @@ func (s server) runDiscover(ctx context.Context, mode, doc string, req *request,
 			return nil, core.Options{}, pipelineError(err)
 		}
 	}
-	ont, err := req.resolveOntology()
+	ont, err := s.onts.Resolve(req.Ontology)
 	if err != nil {
 		return nil, core.Options{}, &apiError{http.StatusBadRequest, err}
 	}
@@ -636,7 +625,7 @@ func (s server) handleRecords(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, errors.New("html is required"))
 		return
 	}
-	ont, err := req.resolveOntology()
+	ont, err := s.onts.Resolve(req.Ontology)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -675,7 +664,7 @@ func (s server) handleExtract(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, errors.New("ontology is required for extraction"))
 		return
 	}
-	ont, err := req.resolveOntology()
+	ont, err := s.onts.Resolve(req.Ontology)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -711,7 +700,7 @@ func (s server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, errors.New("html and ontology are required"))
 		return
 	}
-	ont, err := req.resolveOntology()
+	ont, err := s.onts.Resolve(req.Ontology)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ontology"
 	"repro/internal/paperdoc"
 )
 
@@ -317,5 +318,33 @@ func TestBodyLimit(t *testing.T) {
 	}
 	if msg := str(t, body["error"]); !strings.Contains(msg, "exceeds") {
 		t.Errorf("error message %q does not mention the limit", msg)
+	}
+}
+
+// TestInlineDSLParsedOnce: a handler keeps inline DSL ontologies parsed
+// across requests, so a repeated one costs what a built-in name does
+// rather than a fresh parse and rule compile (thousands of allocations)
+// on every result-cache miss.
+func TestInlineDSLParsedOnce(t *testing.T) {
+	h := NewHandler(Config{})
+	allocs := func(ont string) float64 {
+		body, err := json.Marshal(map[string]string{"html": paperdoc.Figure2, "ontology": ont})
+		if err != nil {
+			t.Fatal(err)
+		}
+		serve := func() {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/discover", bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status = %d: %s", rec.Code, rec.Body)
+			}
+		}
+		serve() // the first request parses the ontology
+		return testing.AllocsPerRun(5, serve)
+	}
+	builtin, inline := allocs("obituary"), allocs(ontology.ObituarySrc)
+	if inline > builtin+100 {
+		t.Errorf("repeated inline DSL request: %.0f allocs, built-in name %.0f: the ontology is parsed per request",
+			inline, builtin)
 	}
 }

@@ -41,7 +41,7 @@ func (s server) handleWrapperLearn(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, errors.New("samples are required"))
 		return
 	}
-	ont, err := (&request{Ontology: req.Ontology}).resolveOntology()
+	ont, err := s.onts.Resolve(req.Ontology)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
@@ -73,7 +73,7 @@ func (s server) handleWrapperApply(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, errors.New("wrapper and html are required"))
 		return
 	}
-	ont, err := (&request{Ontology: req.Ontology}).resolveOntology()
+	ont, err := s.onts.Resolve(req.Ontology)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return

@@ -141,12 +141,12 @@ type Stats struct {
 // Engine runs bulk discovery; the zero value with a zero Config is usable.
 type Engine struct {
 	cfg  Config
-	onts ontologyCache
+	onts ontology.Cache // unbounded: one run's distinct ontologies
 }
 
 // New returns an engine with the given configuration.
 func New(cfg Config) *Engine {
-	return &Engine{cfg: cfg, onts: ontologyCache{m: make(map[string]ontologyEntry)}}
+	return &Engine{cfg: cfg}
 }
 
 // errTransient marks retryable failures.
@@ -338,7 +338,7 @@ func (e *Engine) process(ctx context.Context, t *Task, retries *atomic.Int64, ar
 		o.Error = fmt.Sprintf("unknown document mode %q", t.Mode)
 		return o
 	}
-	ont, err := e.onts.resolve(t.Ontology)
+	ont, err := e.onts.Resolve(t.Ontology)
 	if err != nil {
 		o.Error = err.Error()
 		return o
@@ -442,44 +442,4 @@ func (e *Engine) counter(name, help string, labels ...string) *obs.Counter {
 
 func (e *Engine) gauge(name, help string) *obs.Gauge {
 	return e.cfg.Metrics.Gauge(name, help)
-}
-
-// ontologyCache memoizes ontology resolution per distinct source string so a
-// million-document corpus sharing one DSL ontology parses it once. Both
-// successes and failures are memoized.
-type ontologyCache struct {
-	mu sync.Mutex
-	m  map[string]ontologyEntry
-}
-
-type ontologyEntry struct {
-	ont *ontology.Ontology
-	err error
-}
-
-// resolve mirrors the HTTP surface's rules: empty disables OM, a built-in
-// name selects it, anything else is parsed as DSL source.
-func (c *ontologyCache) resolve(src string) (*ontology.Ontology, error) {
-	if src == "" {
-		return nil, nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.m == nil {
-		c.m = make(map[string]ontologyEntry)
-	}
-	if e, ok := c.m[src]; ok {
-		return e.ont, e.err
-	}
-	var e ontologyEntry
-	if ont := ontology.Builtin(src); ont != nil {
-		e.ont = ont
-	} else if ont, err := ontology.Parse(src); err == nil {
-		e.ont = ont
-	} else {
-		e.err = fmt.Errorf("ontology is neither built-in (%v) nor valid DSL: %w",
-			ontology.BuiltinNames(), err)
-	}
-	c.m[src] = e
-	return e.ont, e.err
 }
