@@ -105,11 +105,13 @@ type Ontology struct {
 	// {Name} interpolation.
 	Lexicons map[string][]string
 
-	// rulesOnce guards the lazily-built, shared matching-rule set (Rules)
-	// and the literal automaton over it (Literals).
+	// rulesOnce guards the lazily-built, shared matching-rule set (Rules),
+	// the literal automaton over it (Literals) and its scan order
+	// (ScanOrder).
 	rulesOnce sync.Once
 	rules     []Rule
 	literals  *LiteralIndex
+	scanOrder []int
 }
 
 // ObjectSet returns the named object set, or nil.

@@ -63,11 +63,25 @@ func (s *ByteSet) union(o ByteSet) {
 	}
 }
 
+func (s ByteSet) and(o ByteSet) ByteSet {
+	for i := range s {
+		s[i] &= o[i]
+	}
+	return s
+}
+
+func (s ByteSet) andNot(o ByteSet) ByteSet {
+	for i := range s {
+		s[i] &^= o[i]
+	}
+	return s
+}
+
 // ScanPlan is how the recognizer looks for one rule's matches in a chunk of
 // text. It is compiled once per rule from the pattern's regexp/syntax tree
 // (see Rules). For every mode except ScanFallback, the recognizer verifies
-// a candidate start s by running Verify over text[s:WindowEnd(text, s)], or
-// by finding the first of Words at s; either gives the match
+// a candidate start s by running DFA from s, or, for a rule with no DFA,
+// Verify over text[s:WindowEnd(text, s)]; either gives the match
 // FindAllStringIndex reports at s, so advancing past each match and taking
 // the next candidate reproduces FindAllStringIndex exactly
 // (docs/PERFORMANCE.md gives the argument).
@@ -92,13 +106,12 @@ type ScanPlan struct {
 	// Alphabet holds every byte a match can contain, so a match ends at or
 	// before the first byte outside it.
 	Alphabet ByteSet
+	// DFA is the pattern, less the leading \b when WordBoundary is set,
+	// compiled to a leftmost-first automaton; nil when compileDFA gives up.
+	DFA *DFA
 	// Verify is ^(?:pattern), less the leading \b when WordBoundary is
-	// set; nil when Words is set.
+	// set; nil when DFA is set.
 	Verify *regexp.Regexp
-	// Words, when non-nil, is every string the pattern (less a leading \b)
-	// matches, in the order the regexp engine prefers them: the match at a
-	// candidate start is the first word found there, so no regexp runs.
-	Words []string
 }
 
 // WindowEnd returns the end of the verification window for a candidate
@@ -166,10 +179,10 @@ func compilePlan(re *regexp.Regexp) *ScanPlan {
 		MaxWidth:     hi,
 		Alphabet:     alphabet(body),
 	}
-	if words, ok := finiteLang(body); ok {
-		p.Words = words
-	} else if p.Verify, err = regexp.Compile(`^(?:` + body.String() + `)`); err != nil {
-		return fallback
+	if p.DFA = compileDFA(body); p.DFA == nil {
+		if p.Verify, err = regexp.Compile(`^(?:` + body.String() + `)`); err != nil {
+			return fallback
+		}
 	}
 	if anchors, ok := anchorsOf(body); ok && len(anchors) <= maxAnchors {
 		p.Mode, p.Anchors, p.Gates = ScanAnchored, anchors, nil
@@ -529,9 +542,7 @@ next:
 
 // finiteLang returns every string re matches when re is built only from
 // case-sensitive literals, alternation, concatenation and ?, and there are
-// at most maxFinite of them. The words come in leftmost-first preference
-// order: alternatives in order, a greedy ? before its skip, a lazy ??
-// after it, and a concatenation's choices lexicographically.
+// at most maxFinite of them.
 func finiteLang(re *syntax.Regexp) ([]string, bool) {
 	switch re.Op {
 	case syntax.OpLiteral:
@@ -547,9 +558,6 @@ func finiteLang(re *syntax.Regexp) ([]string, bool) {
 		words, ok := finiteLang(re.Sub[0])
 		if !ok || len(words) >= maxFinite {
 			return nil, false
-		}
-		if re.Flags&syntax.NonGreedy != 0 {
-			return appendWords([]string{""}, words...), true
 		}
 		return appendWords(words, ""), true
 	case syntax.OpAlternate:

@@ -98,67 +98,69 @@ func TestGateIsNecessary(t *testing.T) {
 }
 
 // TestBuiltinScanPlans pins every builtin rule's scan plan: its mode, its
-// anchors (literal@offset) and its gates. An ontology edit that sends a
-// rule back to the whole-chunk regexp, or weakens its anchors, fails here
-// instead of silently costing the recognizer its speed.
+// verifier ("dfa" or "regexp"), its anchors (literal@offset) and its gates.
+// An ontology edit that sends a rule back to the whole-chunk regexp or to
+// the regexp verifier, or weakens its anchors, fails here instead of
+// silently costing the recognizer its speed.
 func TestBuiltinScanPlans(t *testing.T) {
 	cases := []struct {
 		ontology, rule string
 		mode           ScanMode
+		verifier       string
 		anchors, gates []string
 	}{
-		{"obituary", "DeathDate/keyword", ScanAnchored, []string{"died on@0", "passed away@0"}, nil},
-		{"obituary", "DeathDate/constant", ScanAnchored, []string{"January @0", "February @0", "March @0", "April @0", "May @0", "June @0", "July @0", "August @0", "September @0", "October @0", "November @0", "December @0"}, nil},
-		{"obituary", "FuneralService/keyword", ScanAnchored, []string{"uneral services@1", "Services will be held@0", "A memorial service@0"}, nil},
-		{"obituary", "Interment/keyword", ScanAnchored, []string{"Interment@0", "Burial@0", "Entombment@0", "remation@1"}, nil},
-		{"obituary", "DeceasedName/constant", ScanFirstByte, nil, nil},
-		{"obituary", "Age/keyword", ScanAnchored, []string{"age @0"}, nil},
-		{"obituary", "Age/constant", ScanFirstByte, nil, nil},
-		{"obituary", "BirthDate/keyword", ScanAnchored, []string{"was born on@0", "was born@0"}, nil},
-		{"obituary", "BirthDate/constant", ScanAnchored, []string{"January @0", "February @0", "March @0", "April @0", "May @0", "June @0", "July @0", "August @0", "September @0", "October @0", "November @0", "December @0"}, nil},
-		{"obituary", "BirthPlace/keyword", ScanAnchored, []string{"born @0"}, nil},
-		{"obituary", "FuneralHome/constant", ScanFirstByte, nil, []string{"MORTUARY", "CHAPEL", "FUNERAL HOME"}},
-		{"obituary", "ViewingTime/keyword", ScanAnchored, []string{"riends may call@1", "isitation@1"}, nil},
-		{"obituary", "Cemetery/constant", ScanFirstByte, nil, []string{"emetery"}},
-		{"obituary", "FuneralDate/keyword", ScanAnchored, []string{"services @0"}, nil},
-		{"obituary", "FuneralDate/constant", ScanAnchored, []string{"January @0", "February @0", "March @0", "April @0", "May @0", "June @0", "July @0", "August @0", "September @0", "October @0", "November @0", "December @0"}, nil},
-		{"obituary", "Relative/keyword", ScanAnchored, []string{"survived by@0", "preceded in death by@0"}, nil},
-		{"obituary", "Spouse/keyword", ScanAnchored, []string{"married@0", "husband@0", "wife@0"}, nil},
-		{"obituary", "Church/keyword", ScanAnchored, []string{"church@0", "parish@0", "ward@0"}, nil},
-		{"carad", "Price/keyword", ScanAnchored, []string{"sking@1", "riced at@1"}, nil},
-		{"carad", "Price/constant", ScanAnchored, []string{"$@0"}, nil},
-		{"carad", "Year/constant", ScanAnchored, []string{"19@0"}, nil},
-		{"carad", "Phone/constant", ScanFirstByte, nil, []string{"-"}},
-		{"carad", "Make/constant", ScanAnchored, []string{"Ford@0", "Chevrolet@0", "Chevy@0", "Toyota@0", "Honda@0", "Dodge@0", "Nissan@0", "Buick@0", "Pontiac@0", "Chrysler@0", "Jeep@0", "Mercury@0", "Oldsmobile@0", "Plymouth@0", "Subaru@0", "Mazda@0", "Volkswagen@0", "BMW@0", "Cadillac@0", "Saturn@0"}, nil},
-		{"carad", "Model/constant", ScanAnchored, []string{"Taurus@0", "Escort@0", "Mustang@0", "Civic@0", "Accord@0", "Corolla@0", "Camry@0", "Cavalier@0", "Corsica@0", "Lumina@0", "Caravan@0", "Neon@0", "Sentra@0", "Altima@0", "LeSabre@0", "Regal@0", "Jetta@0", "Passat@0", "Legacy@0", "Protege@0"}, nil},
-		{"carad", "Mileage/keyword", ScanFirstByte, nil, []string{" miles", " mi.", "low miles"}},
-		{"carad", "Mileage/constant", ScanFirstByte, nil, nil},
-		{"carad", "Color/constant", ScanAnchored, []string{"red@0", "blue@0", "white@0", "black@0", "green@0", "silver@0", "gold@0", "maroon@0", "teal@0", "tan@0", "gray@0", "burgundy@0"}, nil},
-		{"carad", "Transmission/keyword", ScanAnchored, []string{"automatic@0", "5-speed@0", "4-speed@0", "manual@0", "auto trans@0"}, nil},
-		{"carad", "Condition/keyword", ScanAnchored, []string{"excellent condition@0", "good condition@0", "runs great@0", "must sell@0", "like new@0"}, nil},
-		{"carad", "Feature/keyword", ScanAnchored, []string{"A/C@0", "air@0", "power windows@0", "power locks@0", "power steering@0", "CD@0", "cassette@0", "sunroof@0", "leather@0", "cruise@0"}, nil},
-		{"carad", "Seller/keyword", ScanAnchored, []string{"all @1"}, nil},
-		{"jobad", "HowToApply/keyword", ScanAnchored, []string{"end resume@1", "pply to@1", "pply at@1", "pply online@1", "ax resume@1", "EOE@0"}, nil},
-		{"jobad", "ContactEmail/constant", ScanFirstByte, nil, []string{"@"}},
-		{"jobad", "JobCode/constant", ScanAnchored, []string{"Job@0", "Ref@0"}, nil},
-		{"jobad", "JobTitle/constant", ScanAnchored, []string{"Programmer/Analyst@0", "Programmer@0", "Software Engineer@0", "Systems Analyst@0", "System Analyst@0", "Database Administrator@0", "Web Developer@0", "Network Administrator@0", "Project Manager@0", "Help Desk Technician@0"}, nil},
-		{"jobad", "Employer/keyword", ScanFirstByte, nil, []string{" Inc", " Corp", " LLC", " Systems", " Technologies", " Consulting"}},
-		{"jobad", "Salary/keyword", ScanAnchored, []string{"$@0", "salary@0", "DOE@0", "competitive@0"}, nil},
-		{"jobad", "Location/keyword", ScanAnchored, []string{"located in@0", "position in @0"}, nil},
-		{"jobad", "Skill/constant", ScanAnchored, []string{"Java@0", "C@0", "COBOL@0", "SQL@0", "Oracle@0", "Sybase@0", "UNIX@0", "Windows@0", "HTML@0", "Perl@0", "CGI@0", "Visual@0", "PowerBuilder@0", "Informix@0", "DB2@0", "TCP/IP@0", "Novell@0"}, nil},
-		{"jobad", "Experience/keyword", ScanFirstByte, nil, []string{" experience"}},
-		{"jobad", "ContactPhone/constant", ScanFirstByte, nil, []string{"-"}},
-		{"jobad", "Degree/keyword", ScanAnchored, []string{"BS@0", "MS@0", "achelor@1", "aster@1", "degree required@0"}, nil},
-		{"course", "Credits/keyword", ScanFirstByte, nil, []string{" credit hours", " credits", " cr.", " sem. hrs"}},
-		{"course", "Instructor/keyword", ScanAnchored, []string{"Instructor:@0", "Taught by@0"}, nil},
-		{"course", "CourseCode/constant", ScanAnchored, []string{"CS@0", "MATH@0", "PHYS@0", "CHEM@0", "ENGL@0", "HIST@0", "BIOL@0", "ECON@0", "PSYCH@0", "PHIL@0", "STAT@0", "GEOG@0"}, nil},
-		{"course", "CourseTitle/constant", ScanAnchored, []string{"Introduction to @0", "Advanced @0", "Principles of @0", "Topics in @0", "Foundations of @0", "Seminar in @0"}, nil},
-		{"course", "Schedule/keyword", ScanAnchored, []string{"MWF@0", "TTh@0", "MTWThF@0", "Daily at@0"}, nil},
-		{"course", "Room/keyword", ScanAnchored, []string{"Room @0", "Bldg@0"}, nil},
-		{"course", "Prerequisite/keyword", ScanAnchored, []string{"Prerequisites:@0", "Prerequisite:@0"}, nil},
-		{"course", "Enrollment/keyword", ScanAnchored, []string{"limited to @0", "enrollment cap@0"}, nil},
-		{"course", "Term/keyword", ScanAnchored, []string{"Fall@0", "Winter@0", "Spring@0", "Summer@0"}, nil},
-		{"course", "ExamInfo/keyword", ScanAnchored, []string{"final exam@0", "midterm@0"}, nil},
+		{"obituary", "DeathDate/keyword", ScanAnchored, "dfa", []string{"died on@0", "passed away@0"}, nil},
+		{"obituary", "DeathDate/constant", ScanAnchored, "dfa", []string{"January @0", "February @0", "March @0", "April @0", "May @0", "June @0", "July @0", "August @0", "September @0", "October @0", "November @0", "December @0"}, nil},
+		{"obituary", "FuneralService/keyword", ScanAnchored, "dfa", []string{"uneral services@1", "Services will be held@0", "A memorial service@0"}, nil},
+		{"obituary", "Interment/keyword", ScanAnchored, "dfa", []string{"Interment@0", "Burial@0", "Entombment@0", "remation@1"}, nil},
+		{"obituary", "DeceasedName/constant", ScanFirstByte, "dfa", nil, nil},
+		{"obituary", "Age/keyword", ScanAnchored, "dfa", []string{"age @0"}, nil},
+		{"obituary", "Age/constant", ScanFirstByte, "dfa", nil, nil},
+		{"obituary", "BirthDate/keyword", ScanAnchored, "dfa", []string{"was born on@0", "was born@0"}, nil},
+		{"obituary", "BirthDate/constant", ScanAnchored, "dfa", []string{"January @0", "February @0", "March @0", "April @0", "May @0", "June @0", "July @0", "August @0", "September @0", "October @0", "November @0", "December @0"}, nil},
+		{"obituary", "BirthPlace/keyword", ScanAnchored, "dfa", []string{"born @0"}, nil},
+		{"obituary", "FuneralHome/constant", ScanFirstByte, "regexp", nil, []string{"MORTUARY", "CHAPEL", "FUNERAL HOME"}},
+		{"obituary", "ViewingTime/keyword", ScanAnchored, "dfa", []string{"riends may call@1", "isitation@1"}, nil},
+		{"obituary", "Cemetery/constant", ScanFirstByte, "dfa", nil, []string{"emetery"}},
+		{"obituary", "FuneralDate/keyword", ScanAnchored, "regexp", []string{"services @0"}, nil},
+		{"obituary", "FuneralDate/constant", ScanAnchored, "dfa", []string{"January @0", "February @0", "March @0", "April @0", "May @0", "June @0", "July @0", "August @0", "September @0", "October @0", "November @0", "December @0"}, nil},
+		{"obituary", "Relative/keyword", ScanAnchored, "dfa", []string{"survived by@0", "preceded in death by@0"}, nil},
+		{"obituary", "Spouse/keyword", ScanAnchored, "dfa", []string{"married@0", "husband@0", "wife@0"}, nil},
+		{"obituary", "Church/keyword", ScanAnchored, "dfa", []string{"church@0", "parish@0", "ward@0"}, nil},
+		{"carad", "Price/keyword", ScanAnchored, "dfa", []string{"sking@1", "riced at@1"}, nil},
+		{"carad", "Price/constant", ScanAnchored, "dfa", []string{"$@0"}, nil},
+		{"carad", "Year/constant", ScanAnchored, "dfa", []string{"19@0"}, nil},
+		{"carad", "Phone/constant", ScanFirstByte, "dfa", nil, []string{"-"}},
+		{"carad", "Make/constant", ScanAnchored, "dfa", []string{"Ford@0", "Chevrolet@0", "Chevy@0", "Toyota@0", "Honda@0", "Dodge@0", "Nissan@0", "Buick@0", "Pontiac@0", "Chrysler@0", "Jeep@0", "Mercury@0", "Oldsmobile@0", "Plymouth@0", "Subaru@0", "Mazda@0", "Volkswagen@0", "BMW@0", "Cadillac@0", "Saturn@0"}, nil},
+		{"carad", "Model/constant", ScanAnchored, "dfa", []string{"Taurus@0", "Escort@0", "Mustang@0", "Civic@0", "Accord@0", "Corolla@0", "Camry@0", "Cavalier@0", "Corsica@0", "Lumina@0", "Caravan@0", "Neon@0", "Sentra@0", "Altima@0", "LeSabre@0", "Regal@0", "Jetta@0", "Passat@0", "Legacy@0", "Protege@0"}, nil},
+		{"carad", "Mileage/keyword", ScanFirstByte, "dfa", nil, []string{" miles", " mi.", "low miles"}},
+		{"carad", "Mileage/constant", ScanFirstByte, "dfa", nil, nil},
+		{"carad", "Color/constant", ScanAnchored, "dfa", []string{"red@0", "blue@0", "white@0", "black@0", "green@0", "silver@0", "gold@0", "maroon@0", "teal@0", "tan@0", "gray@0", "burgundy@0"}, nil},
+		{"carad", "Transmission/keyword", ScanAnchored, "dfa", []string{"automatic@0", "5-speed@0", "4-speed@0", "manual@0", "auto trans@0"}, nil},
+		{"carad", "Condition/keyword", ScanAnchored, "dfa", []string{"excellent condition@0", "good condition@0", "runs great@0", "must sell@0", "like new@0"}, nil},
+		{"carad", "Feature/keyword", ScanAnchored, "dfa", []string{"A/C@0", "air@0", "power windows@0", "power locks@0", "power steering@0", "CD@0", "cassette@0", "sunroof@0", "leather@0", "cruise@0"}, nil},
+		{"carad", "Seller/keyword", ScanAnchored, "dfa", []string{"all @1"}, nil},
+		{"jobad", "HowToApply/keyword", ScanAnchored, "dfa", []string{"end resume@1", "pply to@1", "pply at@1", "pply online@1", "ax resume@1", "EOE@0"}, nil},
+		{"jobad", "ContactEmail/constant", ScanFirstByte, "dfa", nil, []string{"@"}},
+		{"jobad", "JobCode/constant", ScanAnchored, "dfa", []string{"Job@0", "Ref@0"}, nil},
+		{"jobad", "JobTitle/constant", ScanAnchored, "dfa", []string{"Programmer/Analyst@0", "Programmer@0", "Software Engineer@0", "Systems Analyst@0", "System Analyst@0", "Database Administrator@0", "Web Developer@0", "Network Administrator@0", "Project Manager@0", "Help Desk Technician@0"}, nil},
+		{"jobad", "Employer/keyword", ScanFirstByte, "dfa", nil, []string{" Inc", " Corp", " LLC", " Systems", " Technologies", " Consulting"}},
+		{"jobad", "Salary/keyword", ScanAnchored, "dfa", []string{"$@0", "salary@0", "DOE@0", "competitive@0"}, nil},
+		{"jobad", "Location/keyword", ScanAnchored, "dfa", []string{"located in@0", "position in @0"}, nil},
+		{"jobad", "Skill/constant", ScanAnchored, "dfa", []string{"Java@0", "C@0", "COBOL@0", "SQL@0", "Oracle@0", "Sybase@0", "UNIX@0", "Windows@0", "HTML@0", "Perl@0", "CGI@0", "Visual@0", "PowerBuilder@0", "Informix@0", "DB2@0", "TCP/IP@0", "Novell@0"}, nil},
+		{"jobad", "Experience/keyword", ScanFirstByte, "dfa", nil, []string{" experience"}},
+		{"jobad", "ContactPhone/constant", ScanFirstByte, "dfa", nil, []string{"-"}},
+		{"jobad", "Degree/keyword", ScanAnchored, "dfa", []string{"BS@0", "MS@0", "achelor@1", "aster@1", "degree required@0"}, nil},
+		{"course", "Credits/keyword", ScanFirstByte, "dfa", nil, []string{" credit hours", " credits", " cr.", " sem. hrs"}},
+		{"course", "Instructor/keyword", ScanAnchored, "dfa", []string{"Instructor:@0", "Taught by@0"}, nil},
+		{"course", "CourseCode/constant", ScanAnchored, "dfa", []string{"CS@0", "MATH@0", "PHYS@0", "CHEM@0", "ENGL@0", "HIST@0", "BIOL@0", "ECON@0", "PSYCH@0", "PHIL@0", "STAT@0", "GEOG@0"}, nil},
+		{"course", "CourseTitle/constant", ScanAnchored, "dfa", []string{"Introduction to @0", "Advanced @0", "Principles of @0", "Topics in @0", "Foundations of @0", "Seminar in @0"}, nil},
+		{"course", "Schedule/keyword", ScanAnchored, "dfa", []string{"MWF@0", "TTh@0", "MTWThF@0", "Daily at@0"}, nil},
+		{"course", "Room/keyword", ScanAnchored, "dfa", []string{"Room @0", "Bldg@0"}, nil},
+		{"course", "Prerequisite/keyword", ScanAnchored, "dfa", []string{"Prerequisites:@0", "Prerequisite:@0"}, nil},
+		{"course", "Enrollment/keyword", ScanAnchored, "dfa", []string{"limited to @0", "enrollment cap@0"}, nil},
+		{"course", "Term/keyword", ScanAnchored, "dfa", []string{"Fall@0", "Winter@0", "Spring@0", "Summer@0"}, nil},
+		{"course", "ExamInfo/keyword", ScanAnchored, "dfa", []string{"final exam@0", "midterm@0"}, nil},
 	}
 	var got []string
 	for _, name := range BuiltinNames() {
@@ -184,9 +186,13 @@ func TestBuiltinScanPlans(t *testing.T) {
 		for _, a := range plan.Anchors {
 			anchors = append(anchors, fmt.Sprintf("%s@%d", a.Literal, a.Offset))
 		}
-		if plan.Mode != c.mode || !reflect.DeepEqual(anchors, c.anchors) || !reflect.DeepEqual(plan.Gates, c.gates) {
-			t.Errorf("%s %s: plan %s anchors %q gates %q, want %s anchors %q gates %q",
-				c.ontology, c.rule, plan.Mode, anchors, plan.Gates, c.mode, c.anchors, c.gates)
+		verifier := "regexp"
+		if plan.DFA != nil {
+			verifier = "dfa"
+		}
+		if plan.Mode != c.mode || verifier != c.verifier || !reflect.DeepEqual(anchors, c.anchors) || !reflect.DeepEqual(plan.Gates, c.gates) {
+			t.Errorf("%s %s: plan %s verifier %s anchors %q gates %q, want %s %s anchors %q gates %q",
+				c.ontology, c.rule, plan.Mode, verifier, anchors, plan.Gates, c.mode, c.verifier, c.anchors, c.gates)
 		}
 	}
 }

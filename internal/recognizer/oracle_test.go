@@ -1,9 +1,11 @@
 package recognizer
 
 import (
+	"cmp"
 	"fmt"
 	"regexp"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,7 +16,8 @@ import (
 
 // oracleChunk is the recognizer without scan plans, kept as the reference
 // the plans are checked against: every rule's Pattern over the whole chunk
-// with FindAllStringIndex.
+// with FindAllStringIndex, in rule order, sorted by position, object set
+// and kind, stably.
 func oracleChunk(entries []Entry, rules []ontology.Rule, ev tagtree.Event) []Entry {
 	chunkStart := len(entries)
 	for i := range rules {
@@ -22,7 +25,15 @@ func oracleChunk(entries []Entry, rules []ontology.Rule, ev tagtree.Event) []Ent
 			entries = appendEntry(entries, &rules[i], ev, m[0], m[1])
 		}
 	}
-	sortEntries(entries[chunkStart:])
+	slices.SortStableFunc(entries[chunkStart:], func(a, b Entry) int {
+		if c := cmp.Compare(a.Pos, b.Pos); c != 0 {
+			return c
+		}
+		if c := strings.Compare(a.ObjectSet, b.ObjectSet); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Kind, b.Kind)
+	})
 	return entries
 }
 
@@ -114,6 +125,8 @@ func FuzzScanPlan(f *testing.F) {
 		"CS 142: Introduction to Programming. 3 credit hours, MWF, Room 101, Fall. Instructor: Smith. limited to 30",
 		"café naïve Zoë — “quoted” \xff\xfe invalid \xe2\x82 cut\n second line 19\u00e9 x",
 		"", "a", "aaaa", "_x_ x__x 19 1999 1970s",
+		"ab\xffc abéc ab\xe2\x82c ab_c abc x€y xéy x\xffy x\xe2\x82y xé€y",
+		"abefijmnqruvyz cdghklopstwxab " + strings.Repeat("abcdefghijklmnopqrstuvwxy", 13) + "z",
 	}
 	patterns := []string{
 		// Nullable, case-folded, \b…\b, \B, $, ^ and non-ASCII cases.
@@ -122,6 +135,14 @@ func FuzzScanPlan(f *testing.F) {
 		`café|naïve`, `[é]`, `[^a]b`, `.{0,3}x`, `x.{1,3}`, `(?s)x.y`, `\x{FFFD}`, `é+`,
 		`[A-Z][a-z]+`, `(?:ab|a)(?:c|bcd)`, `a+b|a`, `x*?y`, `(?U)a+`, `[0-9]+(?:,[0-9]{3})*`,
 		`(?:aa|a)(?:a|aa)?`, `a(?:a)??`, `(?U)ab?`, `(?:|a)b`, `was born(?: on)?`,
+		// The DFA's edges: a mid-pattern \b or \B next to non-ASCII runes
+		// and invalid bytes, . over multi-byte runes, lazy quantifiers, a
+		// finite language past maxFinite, and patterns either side of the
+		// states × classes bound.
+		`ab\b.c`, `ab\B.c`, `b\b`, `[a-z]+\b`, `x.y`, `x.{2}y`, `x(?s:.)+y`, `x[^a]{1,2}y`,
+		`x.{0,5}?y`, `[a-z]+?c`, `(?U)x[a-y]+`, `a(?:b|c)??`,
+		`(?:ab|cd)(?:ef|gh)(?:ij|kl)(?:mn|op)(?:qr|st)(?:uv|wx)(?:yz|ab)`,
+		`(?:abcdefghijklmnopqrstuvwxy){11}z`, `(?:abcdefghijklmnopqrstuvwxy){12}z`,
 	}
 	for _, p := range patterns {
 		for _, text := range texts {
@@ -143,15 +164,16 @@ func FuzzScanPlan(f *testing.F) {
 			Name: "A", Frame: ontology.DataFrame{ValuePatterns: []*regexp.Regexp{re}},
 		}}}
 		ev := tagtree.Event{Kind: tagtree.EventText, Text: text}
-		got := scanChunk(nil, ont.Rules(), ont.Literals(), new(chunkScratch), ev)
+		got := scanChunk(nil, ont, new(chunkScratch), ev)
 		want := re.FindAllStringIndex(text, -1)
 		spans := make([][]int, len(got))
 		for i, e := range got {
 			spans[i] = []int{e.Pos, e.End}
 		}
 		if fmt.Sprint(spans) != fmt.Sprint(want) {
-			t.Fatalf("pattern %q (%s plan) on %q:\n got %v\nwant %v",
-				pattern, ont.Rules()[0].Plan.Mode, text, spans, want)
+			p := ont.Rules()[0].Plan
+			t.Fatalf("pattern %q (%s plan, DFA %v) on %q:\n got %v\nwant %v",
+				pattern, p.Mode, p.DFA != nil, text, spans, want)
 		}
 	})
 }

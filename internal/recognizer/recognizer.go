@@ -16,8 +16,8 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/faultinject"
 	"repro/internal/ontology"
@@ -114,9 +114,10 @@ const parallelThreshold = 16 << 10
 // Each rule's matches in a chunk are exactly those of its Pattern's
 // FindAllStringIndex, found by the rule's scan plan (see
 // ontology.ScanPlan): one Aho–Corasick pass over the chunk finds every
-// rule's anchor and gate literals, and the regexp engine runs only at the
-// candidate starts they give, inside a window no wider than the longest
-// possible match. Rules the planner cannot prove safe run over the whole
+// rule's anchor and gate literals, and each candidate start they give is
+// verified by the rule's leftmost-first DFA, or, for a rule without one,
+// by its regexp inside a window no wider than the longest possible match.
+// Rules the planner cannot prove safe run their regexp over the whole
 // chunk. Chunks are independent, so large documents fan out across a
 // bounded worker pool; per-chunk entry lists are sorted locally and
 // concatenated in document order, which leaves the table globally sorted
@@ -134,6 +135,11 @@ func Recognize(ont *ontology.Ontology, tree *tagtree.Tree, n *tagtree.Node) *Tab
 // scanCheckEvery is how many chunks the serial scan processes between
 // context checks.
 const scanCheckEvery = 64
+
+// chunkBatch is how many consecutive chunks a fan-out worker claims at a
+// time: enough that claiming costs little against scanning, few enough
+// that the workers finish close together.
+const chunkBatch = 16
 
 // scanScratch is the transient per-scan state RecognizeContext reuses via a
 // pool: the text-chunk gather list and, for the parallel path, where each
@@ -177,8 +183,6 @@ func (s *scanScratch) release() {
 // error instead of crashing the process, and faults (nil in production)
 // arms the "recognizer/chunk" hook point fired once per scanned chunk.
 func RecognizeContext(ctx context.Context, ont *ontology.Ontology, tree *tagtree.Tree, n *tagtree.Node, faults *faultinject.Set) (*Table, error) {
-	rules, lits := ont.Rules(), ont.Literals()
-
 	scr := scanScratchPool.Get().(*scanScratch)
 	defer scr.release()
 
@@ -198,7 +202,7 @@ func RecognizeContext(ctx context.Context, ont *ontology.Ontology, tree *tagtree
 		workers = len(chunks)
 	}
 	if total < parallelThreshold || workers <= 1 {
-		entries, err := scanSerial(ctx, rules, lits, chunks, faults)
+		entries, err := scanSerial(ctx, ont, chunks, faults)
 		if err != nil {
 			return nil, err
 		}
@@ -207,10 +211,11 @@ func RecognizeContext(ctx context.Context, ont *ontology.Ontology, tree *tagtree
 		return t, nil
 	}
 
-	// Shard the chunk list into contiguous runs, one per worker, so each
-	// worker's output is already in document order. scanCtx carries both
-	// caller cancellation and the fail-fast cancel below, so every worker
-	// and the feeder unblock as soon as anything goes wrong.
+	// Workers claim batches of consecutive chunks from a shared cursor and
+	// record where each chunk's entries lie in their output buffers, so
+	// the table is copied out in chunk order. scanCtx carries both caller
+	// cancellation and the fail-fast cancel below, so every worker stops
+	// at its next batch as soon as anything goes wrong.
 	scanCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -235,8 +240,10 @@ func RecognizeContext(ctx context.Context, ont *ontology.Ontology, tree *tagtree
 		scans[w] = chunkScratchPool.Get().(*chunkScratch)
 		defer scans[w].release()
 	}
-	var wg sync.WaitGroup
-	next := make(chan int)
+	var (
+		wg     sync.WaitGroup
+		cursor atomic.Int64
+	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
@@ -248,11 +255,11 @@ func RecognizeContext(ctx context.Context, ont *ontology.Ontology, tree *tagtree
 			}()
 			cs := scans[w]
 			for {
-				select {
-				case i, ok := <-next:
-					if !ok {
-						return
-					}
+				from := int(cursor.Add(chunkBatch)) - chunkBatch
+				if from >= len(chunks) || scanCtx.Err() != nil {
+					return
+				}
+				for i := from; i < min(from+chunkBatch, len(chunks)); i++ {
 					if faults != nil {
 						if err := faults.FireCtx(scanCtx, "recognizer/chunk"); err != nil {
 							fail(err)
@@ -260,23 +267,12 @@ func RecognizeContext(ctx context.Context, ont *ontology.Ontology, tree *tagtree
 						}
 					}
 					lo := len(cs.out)
-					cs.out = scanChunk(cs.out, rules, lits, cs, chunks[i])
+					cs.out = scanChunk(cs.out, ont, cs, chunks[i])
 					spans[i] = chunkSpan{int32(w), int32(lo), int32(len(cs.out))}
-				case <-scanCtx.Done():
-					return
 				}
 			}
 		}()
 	}
-feed:
-	for i := range chunks {
-		select {
-		case next <- i:
-		case <-scanCtx.Done():
-			break feed
-		}
-	}
-	close(next)
 	wg.Wait()
 	if firstErr != nil {
 		return nil, firstErr
@@ -304,7 +300,7 @@ feed:
 // are in ascending document order and their byte ranges are disjoint, so
 // sorting each chunk's matches locally keeps the concatenation globally
 // sorted.
-func scanSerial(ctx context.Context, rules []ontology.Rule, lits *ontology.LiteralIndex, chunks []tagtree.Event, faults *faultinject.Set) (entries []Entry, err error) {
+func scanSerial(ctx context.Context, ont *ontology.Ontology, chunks []tagtree.Event, faults *faultinject.Set) (entries []Entry, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			entries, err = nil, fmt.Errorf("recognizer: chunk scan panicked: %v", r)
@@ -323,7 +319,7 @@ func scanSerial(ctx context.Context, rules []ontology.Rule, lits *ontology.Liter
 				return nil, err
 			}
 		}
-		cs.out = scanChunk(cs.out, rules, lits, cs, ev)
+		cs.out = scanChunk(cs.out, ont, cs, ev)
 	}
 	if len(cs.out) > 0 {
 		entries = slices.Clone(cs.out)
@@ -366,9 +362,11 @@ func (cs *chunkScratch) release() {
 // chunk, found in three steps: one Aho–Corasick pass over the chunk
 // collects every rule's anchor and gate hits; each rule's hits are sorted
 // into candidate starts; and each candidate at or after the end of the
-// rule's previous match is verified with the anchored regexp on a window
-// that holds any match starting there.
-func scanChunk(entries []Entry, rules []ontology.Rule, lits *ontology.LiteralIndex, cs *chunkScratch, ev tagtree.Event) []Entry {
+// rule's previous match is verified (see matchAt). Rules are scanned in
+// the ontology's scan order, so a stable sort by position alone leaves
+// entries at one position ordered by object set, then kind.
+func scanChunk(entries []Entry, ont *ontology.Ontology, cs *chunkScratch, ev tagtree.Event) []Entry {
+	rules, lits := ont.Rules(), ont.Literals()
 	text := ev.Text
 	if len(cs.hits) < len(rules) {
 		cs.hits = make([][]int32, len(rules))
@@ -387,7 +385,7 @@ func scanChunk(entries []Entry, rules []ontology.Rule, lits *ontology.LiteralInd
 	}
 
 	chunkStart := len(entries)
-	for ri := range rules {
+	for _, ri := range ont.ScanOrder() {
 		r := &rules[ri]
 		p := r.Plan
 		hits := cs.hits[ri]
@@ -459,7 +457,9 @@ func scanChunk(entries []Entry, rules []ontology.Rule, lits *ontology.LiteralInd
 
 // matchAt returns the end of the rule's match starting at s, if there is
 // one: the match FindAllStringIndex reports at s when its search reaches
-// s. Every match is non-empty, so the end lies past s.
+// s. The rule's DFA reads the chunk from s; a rule without one runs its
+// anchored regexp on a window that holds any match starting at s. Every
+// match is non-empty, so the end lies past s.
 func matchAt(p *ontology.ScanPlan, text string, s int) (int, bool) {
 	if !p.First.Has(text[s]) {
 		return 0, false
@@ -467,13 +467,9 @@ func matchAt(p *ontology.ScanPlan, text string, s int) (int, bool) {
 	if p.WordBoundary && (s > 0 && isWordByte(text[s-1])) == isWordByte(text[s]) {
 		return 0, false
 	}
-	if p.Words != nil {
-		for _, w := range p.Words {
-			if strings.HasPrefix(text[s:], w) {
-				return s + len(w), true
-			}
-		}
-		return 0, false
+	if p.DFA != nil {
+		end := p.DFA.Match(text, s)
+		return end, end >= 0
 	}
 	loc := p.Verify.FindStringIndex(text[s:p.WindowEnd(text, s)])
 	if loc == nil {
@@ -499,19 +495,12 @@ func appendEntry(entries []Entry, r *ontology.Rule, ev tagtree.Event, start, end
 	})
 }
 
-// sortEntries orders entries by position, ties broken by object-set name,
-// then kind — the table's canonical order. The sort is stable, so entries
-// equal on all three keep rule order.
+// sortEntries orders one chunk's entries, appended rule by rule in scan
+// order, by position. The sort is stable, so entries at one position stay
+// in scan order: by object-set name, then kind, then rule order — the
+// table's canonical order.
 func sortEntries(entries []Entry) {
-	slices.SortStableFunc(entries, func(a, b Entry) int {
-		if c := cmp.Compare(a.Pos, b.Pos); c != 0 {
-			return c
-		}
-		if c := strings.Compare(a.ObjectSet, b.ObjectSet); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Kind, b.Kind)
-	})
+	slices.SortStableFunc(entries, func(a, b Entry) int { return cmp.Compare(a.Pos, b.Pos) })
 }
 
 // FieldCount returns the number of indicator occurrences for one
