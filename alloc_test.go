@@ -123,7 +123,7 @@ func TestFingerprintDocAllocs(t *testing.T) {
 // arena safety contract: everything a caller keeps from a discovery must be
 // deep-copied out before the arena is released (see docs/PERFORMANCE.md).
 // The wire snapshot taken while the arena was live must be byte-identical to
-// the string path's answer even after the arena has been released,
+// the nil-arena answer even after the arena has been released,
 // re-acquired, and dirtied by parsing a different document.
 func TestArenaReleaseDoesNotCorruptWireResults(t *testing.T) {
 	docs := corpus.TestDocuments()

@@ -202,9 +202,9 @@ func TestConformanceAcrossSurfaces(t *testing.T) {
 	})
 
 	t.Run("ByteArena", func(t *testing.T) {
-		// The byte-level hot path: one arena reused across the whole corpus,
-		// serial heuristics, []byte input. Must be bit-identical to the
-		// string path's answers on every document.
+		// The serving hot path: one arena reused across the whole corpus,
+		// []byte input. Must be bit-identical to the nil-arena answers on
+		// every document.
 		arena := tagtree.AcquireArena()
 		defer arena.Release()
 		for i, d := range docs {

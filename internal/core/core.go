@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/certainty"
@@ -79,14 +78,12 @@ type Options struct {
 	// Required whenever Templates is set and any of mode, ontology, or
 	// separator list can vary between callers sharing the store.
 	TemplateSalt string
-	// Arena, if non-nil, runs parsing and discovery on the byte-level hot
-	// path: tokens, tree nodes, and event buffers come from the arena
-	// (acquire with tagtree.AcquireArena, release when the result has been
-	// copied out), and the heuristics run serially on the caller's
-	// goroutine instead of fanning out — per-request goroutine spawning is
-	// itself a hot-path cost, and an arena caller is already managing
-	// per-request resources. Results are byte-identical to the default
-	// path; see docs/PERFORMANCE.md for the ownership rules.
+	// Arena, if non-nil, is reused memory for the parse: tokens, tree
+	// nodes, and event buffers come from it (acquire with
+	// tagtree.AcquireArena, release when the result has been copied out).
+	// nil parses into a one-shot arena, so the result has heap lifetime.
+	// It changes no result, only where the memory comes from; see
+	// docs/PERFORMANCE.md for the ownership rules.
 	Arena *tagtree.Arena
 }
 
@@ -188,7 +185,7 @@ func Discover(doc string, opts Options) (*Result, error) {
 
 // DiscoverContext is Discover with cancellation: ctx is honored at
 // checkpoints throughout the pipeline — the tag-tree build loop, the
-// recognizer's chunk scan, and the heuristic fan-out — so an HTTP request
+// recognizer's chunk scan, and before each heuristic — so an HTTP request
 // context that expires actually stops the work instead of merely abandoning
 // its result. It returns ctx's error when canceled, and the sentinel limit
 // errors of Options.Limits when the document exceeds a resource bound.
@@ -197,7 +194,7 @@ func DiscoverContext(ctx context.Context, doc string, opts Options) (*Result, er
 	if err := opts.Faults.FireCtx(ctx, "core/parse"); err != nil {
 		return nil, opts.failDocument(err)
 	}
-	tree, err := parseHTML(ctx, doc, opts)
+	tree, err := tagtree.ParseArenaContext(ctx, doc, opts.Limits, opts.Arena, opts.Faults)
 	if err != nil {
 		return nil, opts.failDocument(err)
 	}
@@ -206,22 +203,6 @@ func DiscoverContext(ctx context.Context, doc string, opts Options) (*Result, er
 			"mode", "html", "bytes", strconv.Itoa(len(doc)))
 	}
 	return DiscoverTreeContext(ctx, tree, opts)
-}
-
-// parseHTML routes to the arena (byte-level) parser when one is attached.
-func parseHTML(ctx context.Context, doc string, opts Options) (*tagtree.Tree, error) {
-	if opts.Arena != nil {
-		return tagtree.ParseArenaContext(ctx, doc, opts.Limits, opts.Arena, opts.Faults)
-	}
-	return tagtree.ParseContext(ctx, doc, opts.Limits)
-}
-
-// parseXML is parseHTML with XML tokenization semantics.
-func parseXML(ctx context.Context, doc string, opts Options) (*tagtree.Tree, error) {
-	if opts.Arena != nil {
-		return tagtree.ParseXMLArenaContext(ctx, doc, opts.Limits, opts.Arena, opts.Faults)
-	}
-	return tagtree.ParseXMLContext(ctx, doc, opts.Limits)
 }
 
 // DiscoverBytes runs discovery directly over document bytes without copying
@@ -259,7 +240,7 @@ func DiscoverXMLContext(ctx context.Context, doc string, opts Options) (*Result,
 	if err := opts.Faults.FireCtx(ctx, "core/parse"); err != nil {
 		return nil, opts.failDocument(err)
 	}
-	tree, err := parseXML(ctx, doc, opts)
+	tree, err := tagtree.ParseXMLArenaContext(ctx, doc, opts.Limits, opts.Arena, opts.Faults)
 	if err != nil {
 		return nil, opts.failDocument(err)
 	}
@@ -350,55 +331,15 @@ func DiscoverTreeContext(ctx context.Context, tree *tagtree.Tree, opts Options) 
 		return res, nil
 	}
 
-	// The heuristics share one immutable Context and never write to it, so
-	// they fan out concurrently — one goroutine each, isolated by recover()
-	// so a panicking heuristic is contained in its own slot. Results land
-	// in per-heuristic slots and all observability is filed after the join,
-	// in combination order, keeping trace output deterministic and the
-	// sinks race-free.
+	// The heuristics run in combination order on the caller's goroutine,
+	// each isolated by recover() so a panicking heuristic is contained in
+	// its own slot; each costs a few microseconds, less than a goroutine
+	// handoff. All observability is filed after the loop, keeping trace
+	// output deterministic.
 	hs := opts.heuristics()
 	answers := make([]heuristicAnswer, len(hs))
-	runOne := func(i int, h heuristic.Heuristic) {
-		start := time.Now()
-		defer func() {
-			if r := recover(); r != nil {
-				answers[i] = heuristicAnswer{
-					name: h.Name(), d: time.Since(start),
-					panicked: true, panicMsg: fmt.Sprint(r),
-				}
-			}
-		}()
-		// A canceled context turns the remaining heuristics into
-		// declines; the post-join check below fails the whole call.
-		if ctx.Err() != nil {
-			answers[i] = heuristicAnswer{name: h.Name()}
-			return
-		}
-		if err := opts.Faults.FireCtx(ctx, "core/heuristic/"+h.Name()); err != nil {
-			answers[i] = heuristicAnswer{name: h.Name(), d: time.Since(start),
-				reason: "fault injected"}
-			return
-		}
-		r, ok := h.Rank(hctx)
-		answers[i] = heuristicAnswer{name: h.Name(), d: time.Since(start), r: r, ok: ok}
-	}
-	if opts.Arena != nil {
-		// Byte-level hot path: per-request goroutine spawning is a
-		// measurable cost at arena throughput, and the answers (panic
-		// isolation included) are identical either way, so run in place.
-		for i, h := range hs {
-			runOne(i, h)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for i, h := range hs {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				runOne(i, h)
-			}()
-		}
-		wg.Wait()
+	for i, h := range hs {
+		answers[i] = opts.runHeuristic(ctx, h, hctx)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, opts.failDocument(err)
@@ -557,9 +498,33 @@ func resultFromEntry(e *template.Entry, tree *tagtree.Tree, hfo *tagtree.Node) *
 	return res
 }
 
-// heuristicAnswer is one heuristic's result as collected by the concurrent
-// fan-out, held until the join so observability is filed in a stable order.
-// panicked marks an isolated heuristic panic (panicMsg carries the value).
+// runHeuristic runs one heuristic behind recover(): a panic becomes an
+// answer marked panicked instead of failing the call. A canceled context
+// turns the heuristic into a decline; DiscoverTreeContext's check after the
+// loop then fails the whole call.
+func (o Options) runHeuristic(ctx context.Context, h heuristic.Heuristic, hctx *heuristic.Context) (a heuristicAnswer) {
+	start := time.Now()
+	defer func() {
+		if r := recover(); r != nil {
+			a = heuristicAnswer{
+				name: h.Name(), d: time.Since(start),
+				panicked: true, panicMsg: fmt.Sprint(r),
+			}
+		}
+	}()
+	if ctx.Err() != nil {
+		return heuristicAnswer{name: h.Name()}
+	}
+	if err := o.Faults.FireCtx(ctx, "core/heuristic/"+h.Name()); err != nil {
+		return heuristicAnswer{name: h.Name(), d: time.Since(start), reason: "fault injected"}
+	}
+	r, ok := h.Rank(hctx)
+	return heuristicAnswer{name: h.Name(), d: time.Since(start), r: r, ok: ok}
+}
+
+// heuristicAnswer is one heuristic's result, held until every heuristic has
+// run so observability is filed in a stable order. panicked marks an
+// isolated heuristic panic (panicMsg carries the value).
 type heuristicAnswer struct {
 	name     string
 	d        time.Duration

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/certainty"
+	"repro/internal/corpus"
 	"repro/internal/ontology"
 	"repro/internal/paperdoc"
 	"repro/internal/tagtree"
@@ -337,5 +340,39 @@ func TestDiscoverTreeReuse(t *testing.T) {
 	}
 	if res.Tree != tree {
 		t.Error("result should reference the supplied tree")
+	}
+}
+
+// TestNilArenaResultOutlivesLaterDiscoveries pins the heap lifetime of a
+// nil-arena result: its tree lives in a one-shot arena that is never
+// pooled, so neither later nil-arena discoveries nor pooled-arena parses
+// can reuse its memory. If the one-shot arena ever entered the pool, a
+// later parse would overwrite resA.Tree in place.
+func TestNilArenaResultOutlivesLaterDiscoveries(t *testing.T) {
+	docA := paperdoc.Figure2
+	resA, err := Discover(docA, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	splitA := Split(docA, resA)
+
+	others := corpus.TestDocuments()
+	for i := 0; i < 100; i++ {
+		doc := others[i%len(others)].HTML
+		if _, err := Discover(doc, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		a := tagtree.AcquireArena()
+		if _, err := tagtree.ParseArenaContext(context.Background(), doc, tagtree.Limits{}, a, nil); err != nil {
+			t.Fatal(err)
+		}
+		a.Release()
+	}
+
+	if !reflect.DeepEqual(resA.Tree, tagtree.Parse(docA)) {
+		t.Error("nil-arena result tree changed after later discoveries")
+	}
+	if got := Split(docA, resA); !reflect.DeepEqual(got, splitA) {
+		t.Errorf("Split changed after later discoveries:\n got  %v\n want %v", got, splitA)
 	}
 }

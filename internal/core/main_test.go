@@ -7,6 +7,6 @@ import (
 )
 
 // TestMain fails the package's test run if the pipeline leaks goroutines —
-// the heuristic fan-out and recognizer worker pool must always be joined,
-// even on cancellation and panic paths.
+// the recognizer worker pool must always be joined, even on cancellation
+// and panic paths.
 func TestMain(m *testing.M) { testutil.VerifyTestMain(m) }

@@ -79,10 +79,10 @@ func TestDiscoverMetrics(t *testing.T) {
 	}
 }
 
-// TestDiscoverConcurrentObserved exercises the parallel heuristic fan-out
-// under the race detector: many Discover calls run at once, all feeding one
-// shared metrics registry while each carries its own trace. Span order must
-// stay deterministic per call even though the heuristics run concurrently.
+// TestDiscoverConcurrentObserved exercises concurrent discovery under the
+// race detector: many Discover calls run at once, all feeding one shared
+// metrics registry while each carries its own trace. Span order must stay
+// deterministic per call even though the calls interleave.
 func TestDiscoverConcurrentObserved(t *testing.T) {
 	reg := obs.NewRegistry()
 	ont := ontology.Builtin("obituary")

@@ -9,11 +9,12 @@
 // them; the catalog lives in docs/ROBUSTNESS.md. Current points:
 //
 //	core/parse              before the tag tree is built
-//	htmlparse/arena         at the head of each arena-backed parse, before
-//	                        any arena memory is touched (an armed panic
-//	                        proves a mid-parse failure still repools the
-//	                        dirty arena)
-//	core/heuristic/<NAME>   inside each heuristic's goroutine, before Rank
+//	htmlparse/arena         once per parse, after the tokenizer has filled
+//	                        the arena's slabs and before normalization (an
+//	                        armed panic proves a mid-parse failure still
+//	                        repools the dirty arena)
+//	core/heuristic/<NAME>   inside each heuristic's recover() scope, before
+//	                        Rank
 //	core/combine            before certainty combination
 //	recognizer/chunk        per text chunk scanned by the recognizer
 //	httpapi/discover        at the head of every discover (incl. batch docs)

@@ -14,9 +14,7 @@ import "strings"
 //     anything that must outlive the request.
 //   - Token names and undecoded text are zero-copy views into the input
 //     document; the document must stay immutable while results derived from
-//     it are alive. (The string tokenizer has the same aliasing behavior —
-//     strings.ToLower returns its input unchanged when nothing needs
-//     lowering — so this is not a new hazard.)
+//     it are alive.
 //
 // An Arena is not safe for concurrent use. internal/tagtree's Arena embeds
 // one and manages pooling; most callers want that.
@@ -51,6 +49,17 @@ func NewArena() *Arena {
 	a := &Arena{names: make(map[string]string)}
 	a.visit = a.visitAttr
 	return a
+}
+
+// Tokenize scans a whole HTML document into tokens on a fresh arena, so the
+// result has ordinary heap lifetime.
+func Tokenize(input string) []Token {
+	return NewArena().TokenizeHTML(input)
+}
+
+// TokenizeXML is Tokenize with the XML grammar of Arena.TokenizeXML.
+func TokenizeXML(input string) []Token {
+	return NewArena().TokenizeXML(input)
 }
 
 // reset points the arena at a new document and empties the slabs. Previously
@@ -107,8 +116,8 @@ func (a *Arena) lowerIntern(s string) string {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		if c >= 0x80 {
-			// Non-ASCII attribute keys take the Unicode-aware lowering the
-			// string tokenizer uses, so both paths agree byte for byte.
+			// Non-ASCII attribute keys take strings.ToLower's Unicode-aware
+			// lowering.
 			return a.intern(strings.ToLower(s))
 		}
 		if c >= 'A' && c <= 'Z' {
@@ -144,9 +153,13 @@ func (a *Arena) intern(name string) string {
 	return name
 }
 
-// TokenizeHTML tokenizes doc into the arena's slabs with the exact grammar
-// of Tokenize. The returned slice is the arena's; see the ownership rules on
-// Arena.
+// TokenizeHTML scans an HTML document into the arena's slabs. The returned
+// slice is the arena's; see the ownership rules on Arena.
+//
+// Tag and attribute names are lowercased; character data and attribute
+// values are entity-decoded; the content of raw-text elements (script,
+// style, ...) is one undecoded text token up to the matching end-tag; a '<'
+// that does not begin markup is character data.
 func (a *Arena) TokenizeHTML(s string) []Token {
 	a.reset(s)
 	pos := 0
@@ -176,7 +189,7 @@ func (a *Arena) TokenizeHTML(s string) []Token {
 				pos = next
 			case '/':
 				i := NameEnd(s, pos+2)
-				name := a.lowerIntern(s[pos+2:i])
+				name := a.lowerIntern(s[pos+2 : i])
 				end := indexFrom(s, i, '>')
 				a.tokens = append(a.tokens, Token{Type: EndTag, Name: name, Pos: pos, End: end})
 				pos = end
@@ -194,10 +207,21 @@ func (a *Arena) TokenizeHTML(s string) []Token {
 	return a.tokens
 }
 
-// TokenizeXML tokenizes doc into the arena's slabs with the exact grammar of
-// TokenizeXML: element names keep their case, CDATA becomes literal text,
-// processing instructions become comments, and there are no void or raw-text
-// elements.
+// TokenizeXML scans an XML document into the arena's slabs. It differs from
+// TokenizeHTML in the ways the paper's footnote 1 ("most of this work should
+// carry over directly to other document type definitions, such as XML")
+// requires:
+//
+//   - element names keep their case (XML is case-sensitive); attribute
+//     keys are still normalized to lowercase,
+//   - there are no void elements or raw-text elements — emptiness comes
+//     only from explicit self-closing tags (<item/>),
+//   - CDATA sections become literal (undecoded) text tokens,
+//   - processing instructions (<?xml ...?>) become comments.
+//
+// Like TokenizeHTML it is tolerant: malformed constructs degrade to text
+// rather than failing, so the record-boundary pipeline can run over
+// imperfect feeds.
 func (a *Arena) TokenizeXML(s string) []Token {
 	a.reset(s)
 	pos := 0
@@ -232,7 +256,7 @@ func (a *Arena) TokenizeXML(s string) []Token {
 				pos = next
 			case '/':
 				i := NameEnd(s, pos+2)
-				name := s[pos+2:i] // case preserved
+				name := s[pos+2 : i] // case preserved
 				end := indexFrom(s, i, '>')
 				a.tokens = append(a.tokens, Token{Type: EndTag, Name: name, Pos: pos, End: end})
 				pos = end

@@ -3,12 +3,12 @@ package htmlparse
 import "strings"
 
 // This file is the byte-level scan core: allocation-free primitives over the
-// raw document that the arena tokenizer (arena.go), the legacy string
-// Tokenizer's raw-text scanner, and internal/template's structural
-// fingerprint scanner all share. Every function works on index spans into
-// the input string and never allocates, so callers decide when (and whether)
-// bytes become heap strings. The grammar is exactly the Tokenizer's: any
-// change here must keep FuzzByteVsStringParse green.
+// raw document that the arena tokenizer (arena.go) and internal/template's
+// structural fingerprint scanner share. Every function works on index spans
+// into the input string and never allocates, so callers decide when (and
+// whether) bytes become heap strings. internal/tagtree's test-only reference
+// parser restates the grammar independently: any change here must keep
+// FuzzByteVsStringParse green.
 
 // MarkupStartsAt reports whether a plausible tag, comment, or declaration
 // begins at s[i]. s[i] must be '<'; a bare less-than followed by anything
@@ -163,4 +163,27 @@ func hasFoldPrefixASCII(s, name string) bool {
 		}
 	}
 	return true
+}
+
+// indexFrom returns the index just past the first occurrence of b at or
+// after from, or len(s) if absent.
+func indexFrom(s string, from int, b byte) int {
+	if i := strings.IndexByte(s[from:], b); i >= 0 {
+		return from + i + 1
+	}
+	return len(s)
+}
+
+func isNameByte(b byte) bool {
+	switch {
+	case b >= 'a' && b <= 'z', b >= 'A' && b <= 'Z', b >= '0' && b <= '9':
+		return true
+	case b == '-' || b == '_' || b == ':' || b == '.':
+		return true
+	}
+	return false
+}
+
+func isSpace(b byte) bool {
+	return b == ' ' || b == '\t' || b == '\n' || b == '\r' || b == '\f'
 }

@@ -13,7 +13,9 @@ import (
 // blocks, and the children/chunk/event slabs all live here and are reused
 // across parses instead of being garbage-collected per document. Acquire one
 // with AcquireArena, pass it to ParseArenaContext (or core.Options.Arena),
-// and Release it when the request's results have been copied out.
+// and Release it when the request's results have been copied out. Passing a
+// nil arena parses into a one-shot arena that is never pooled, so the tree
+// has ordinary heap lifetime; Parse and ParseContext do exactly that.
 //
 // Ownership rules (see docs/PERFORMANCE.md):
 //
@@ -56,6 +58,11 @@ type Arena struct {
 
 	tree     Tree
 	released bool
+	// oneShot marks an unpooled arena built for a single nil-arena parse:
+	// its node storage is sized to the document, and its tree is allocated
+	// apart from the arena so the slabs the tree does not reference can be
+	// collected.
+	oneShot bool
 }
 
 const (
@@ -76,6 +83,13 @@ var arenaPool = sync.Pool{New: func() any { return newArena() }}
 
 func newArena() *Arena {
 	return &Arena{tok: htmlparse.NewArena()}
+}
+
+// newOneShotArena returns an unpooled arena for a single nil-arena parse.
+func newOneShotArena() *Arena {
+	a := newArena()
+	a.oneShot = true
+	return a
 }
 
 // AcquireArena returns a ready arena from the shared pool.
@@ -160,19 +174,22 @@ func (a *Arena) scrub() {
 	a.tree = Tree{}
 }
 
-// node returns the arena slot for node sequence number k, growing block
-// storage as needed (cold path only).
+// node returns the arena slot for node sequence number k; ensureNodes must
+// already cover it.
 func (a *Arena) node(k int) *Node {
-	for len(a.blocks)*nodeBlockSize <= k {
-		a.blocks = append(a.blocks, make([]Node, nodeBlockSize))
-	}
 	return &a.blocks[k>>nodeBlockShift][k&nodeBlockMask]
 }
 
-// ensureNodes grows block storage to hold n nodes.
+// ensureNodes grows block storage to hold n nodes. A pooled arena adds whole
+// blocks for later parses to reuse; a one-shot arena parses once, so its
+// last block holds only the nodes this document needs.
 func (a *Arena) ensureNodes(n int) {
-	for len(a.blocks)*nodeBlockSize < n {
-		a.blocks = append(a.blocks, make([]Node, nodeBlockSize))
+	for have := len(a.blocks) * nodeBlockSize; have < n; have += nodeBlockSize {
+		size := nodeBlockSize
+		if a.oneShot {
+			size = min(size, n-have)
+		}
+		a.blocks = append(a.blocks, make([]Node, size))
 	}
 }
 
@@ -184,70 +201,73 @@ func capTo[T any](s []T, n int) []T {
 	return s[:0]
 }
 
-// ParseArena is ParseArenaContext with a background context and no limits.
-func ParseArena(doc string, a *Arena) *Tree {
-	t, err := ParseArenaContext(context.Background(), doc, Limits{}, a, nil)
-	if err != nil {
-		// Unreachable: a background context never cancels, zero Limits never
-		// trip, and no faults are armed.
-		panic("tagtree: arena parse failed without limits: " + err.Error())
-	}
-	return t
-}
-
-// ParseArenaContext is ParseContext on the byte-level hot path: tokens,
-// nodes, and event buffers come from the arena, and a warm arena parses
-// without allocating. The result is byte-identical to ParseContext (pinned
-// by FuzzByteVsStringParse). The htmlparse/arena fault hook fires once per
-// parse, before any arena memory is touched. A nil arena falls back to
-// ParseContext.
+// ParseArenaContext tokenizes, normalizes, and builds the tag tree of an
+// HTML document with cancellation and resource limits (see ParseContext).
+// Tokens, nodes, and event buffers come from the arena, and a warm arena
+// parses without allocating. A nil arena parses into a fresh one-shot arena
+// that is never pooled, so the tree has ordinary heap lifetime.
+//
+// The htmlparse/arena fault hook fires once per parse, after the tokenizer
+// has filled the arena's slabs and before normalization, so a chaos test's
+// panic there proves a dirty arena still repools.
 func ParseArenaContext(ctx context.Context, doc string, lim Limits, a *Arena, faults *faultinject.Set) (*Tree, error) {
-	if a == nil {
-		return ParseContext(ctx, doc, lim)
-	}
 	if err := htmlparse.CheckSize(doc, lim.MaxBytes); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	if a == nil {
+		a = newOneShotArena()
+	}
 	toks := a.tok.TokenizeHTML(doc)
-	// The hook fires mid-parse — tokenizer slabs already hold this document —
-	// so chaos tests prove a panic here still repools a dirty arena.
 	if err := faults.FireCtx(ctx, "htmlparse/arena"); err != nil {
 		return nil, err
 	}
-	a.norm, a.stack = normalizeHTMLInto(toks, a.norm[:0], a.stack[:0])
+	a.norm, a.stack = normalizeHTMLInto(toks, capTo(a.norm, normCap(toks)), a.stack[:0])
 	return a.build(ctx, a.norm, htmlparse.IsVoid, lim)
 }
 
-// ParseXMLArenaContext is the XML counterpart of ParseArenaContext,
-// byte-identical to ParseXMLContext.
+// ParseXMLArenaContext is the XML counterpart of ParseArenaContext.
 func ParseXMLArenaContext(ctx context.Context, doc string, lim Limits, a *Arena, faults *faultinject.Set) (*Tree, error) {
-	if a == nil {
-		return ParseXMLContext(ctx, doc, lim)
-	}
 	if err := htmlparse.CheckSize(doc, lim.MaxBytes); err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if a == nil {
+		a = newOneShotArena()
 	}
 	toks := a.tok.TokenizeXML(doc)
 	if err := faults.FireCtx(ctx, "htmlparse/arena"); err != nil {
 		return nil, err
 	}
-	a.norm, a.stack = normalizeXMLInto(toks, a.norm[:0], a.stack[:0])
+	a.norm, a.stack = normalizeXMLInto(toks, capTo(a.norm, normCap(toks)), a.stack[:0])
 	return a.build(ctx, a.norm, neverVoid, lim)
 }
 
 var neverVoid = func(string) bool { return false }
 
-// build is buildContext on arena memory: pass 0 counts nodes, per-node
-// children/chunks, and events (enforcing ctx and limits in buildContext's
-// exact order); the counts become carved sub-slices of the shared slabs; and
-// pass 1 re-walks the tokens filling everything in within capacity — zero
-// allocations once the arena is warm.
+// normCap sizes the normalized stream up front: normalization drops
+// comments and inserts missing end-tags, and a quarter on top of the raw
+// token count covers the synthetic ends of typical tag soup.
+func normCap(toks []htmlparse.Token) int { return len(toks) + len(toks)/4 }
+
+// buildCheckEvery is how many tokens the build loop processes between
+// context checks — rare enough to stay off the profile, frequent enough
+// that cancellation lands within microseconds on real documents.
+const buildCheckEvery = 1024
+
+// build constructs the tree from an already-balanced token stream, one node
+// per region (Appendix A). isVoid reports element names that never have
+// end-tags (HTML's void set; always false for XML, where only explicit
+// self-closing counts). Pass 0 counts nodes, per-node children/chunks, and
+// events, honoring ctx and enforcing lim's node and depth bounds as it goes,
+// so a pathological document fails before any tree memory is laid out; the
+// counts become carved sub-slices of the shared slabs; and pass 1 re-walks
+// the tokens filling everything in within capacity — zero allocations once
+// the arena is warm.
 func (a *Arena) build(ctx context.Context, norm []htmlparse.Token, isVoid func(string) bool, lim Limits) (*Tree, error) {
 	// Pass 0: counts. seqStack holds open node sequence numbers (root = 0);
 	// childOffs/chunkOffs get one entry per node, indexed by sequence.
@@ -319,8 +339,11 @@ func (a *Arena) build(ctx context.Context, norm []htmlparse.Token, isVoid func(s
 	a.chunks = capTo(a.chunks, koff)
 	a.events = capTo(a.events, events)
 
-	// Pass 1: buildContext's exact loop, filling carved windows in place.
+	// Pass 1: fill the carved windows in place.
 	t := &a.tree
+	if a.oneShot {
+		t = new(Tree)
+	}
 	root := a.node(0)
 	*root = Node{Name: "#document"}
 	root.Children = a.carveChildren(0)
@@ -359,6 +382,7 @@ func (a *Arena) build(ctx context.Context, norm []htmlparse.Token, isVoid func(s
 			cur = n
 
 		case htmlparse.EndTag:
+			// Normalization guarantees balance, so this matches cur.
 			if cur == root {
 				continue
 			}

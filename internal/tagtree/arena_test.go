@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/faultinject"
 )
@@ -82,20 +83,28 @@ const arenaTestDoc = `<!DOCTYPE html><HTML><Head><TITLE>A & B</title></head>
 </table><ul><li>one<li>two &#38; three<li><script>if (a<b) { x() }</script>
 </ul><p>end<hr></body></html>`
 
+// parseArena is test shorthand for ParseArenaContext with a background
+// context, no limits, and no faults.
+func parseArena(doc string, a *Arena) *Tree {
+	return mustParse(ParseArenaContext(context.Background(), doc, Limits{}, a, nil))
+}
+
 func TestParseArenaMatchesParse(t *testing.T) {
 	a := AcquireArena()
 	defer a.Release()
 	for _, doc := range []string{arenaTestDoc, "", "plain text", "<a href='x&y'>t</a>"} {
-		ref, err := ParseContext(context.Background(), doc, Limits{})
+		ref, err := refParseContext(context.Background(), doc, Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ParseArenaContext(context.Background(), doc, Limits{}, a, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := diffTrees(ref, got); d != "" {
-			t.Fatalf("arena parse differs for %q: %s", doc, d)
+		for _, arena := range []*Arena{a, nil} {
+			got, err := ParseArenaContext(context.Background(), doc, Limits{}, arena, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := diffTrees(ref, got); d != "" {
+				t.Fatalf("arena parse (pooled %v) differs for %q: %s", arena != nil, doc, d)
+			}
 		}
 	}
 }
@@ -104,16 +113,18 @@ func TestParseXMLArenaMatchesParseXML(t *testing.T) {
 	a := AcquireArena()
 	defer a.Release()
 	doc := `<?xml version="1.0"?><Feed><Item id="1"><Name><![CDATA[x <&> y]]></Name></Item><Item/><other>text</Feed>`
-	ref, err := ParseXMLContext(context.Background(), doc, Limits{})
+	ref, err := refParseXMLContext(context.Background(), doc, Limits{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseXMLArenaContext(context.Background(), doc, Limits{}, a, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := diffTrees(ref, got); d != "" {
-		t.Fatalf("arena XML parse differs: %s", d)
+	for _, arena := range []*Arena{a, nil} {
+		got, err := ParseXMLArenaContext(context.Background(), doc, Limits{}, arena, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := diffTrees(ref, got); d != "" {
+			t.Fatalf("arena XML parse (pooled %v) differs: %s", arena != nil, d)
+		}
 	}
 }
 
@@ -133,7 +144,7 @@ func TestParseArenaLimitsMatch(t *testing.T) {
 		{"ok", doc, Limits{MaxNodes: 10000, MaxDepth: 100}},
 	} {
 		a := AcquireArena()
-		_, refErr := ParseContext(context.Background(), tc.doc, tc.lim)
+		_, refErr := refParseContext(context.Background(), tc.doc, tc.lim)
 		_, gotErr := ParseArenaContext(context.Background(), tc.doc, tc.lim, a, nil)
 		if fmt.Sprint(refErr) != fmt.Sprint(gotErr) {
 			t.Errorf("%s: reference err %v, arena err %v", tc.name, refErr, gotErr)
@@ -151,12 +162,49 @@ func TestParseArenaWarmZeroAllocs(t *testing.T) {
 	doc := strings.NewReplacer("&amp;", "and", "&#38;", "and", "A & B", "A B").Replace(arenaTestDoc)
 	a := AcquireArena()
 	defer a.Release()
-	ParseArena(doc, a) // warm the slabs
+	parseArena(doc, a) // warm the slabs
 	allocs := testing.AllocsPerRun(50, func() {
-		ParseArena(doc, a)
+		parseArena(doc, a)
 	})
 	if allocs != 0 {
 		t.Errorf("warm arena parse: measured %v allocs/op, ceiling 0", allocs)
+	}
+}
+
+// TestOneShotArenaSizedToDocument pins that a nil-arena parse allocates node
+// storage for exactly the document's nodes rather than a pooled arena's
+// whole 512-node block, which would cost a small document ~70 KB of zeroing
+// per parse.
+func TestOneShotArenaSizedToDocument(t *testing.T) {
+	const doc = "<ul><li>a<li>b<li>c</ul>" // root + ul + 3 li
+	a := newOneShotArena()
+	if _, err := ParseArenaContext(context.Background(), doc, Limits{}, a, nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(a.blocks) != 1 || len(a.blocks[0]) != 5 {
+		t.Fatalf("one-shot node blocks: %d blocks, first %d nodes; want 1 block of 5",
+			len(a.blocks), len(a.blocks[0]))
+	}
+	pooled := AcquireArena()
+	defer pooled.Release()
+	parseArena(doc, pooled)
+	if len(pooled.blocks[0]) != nodeBlockSize {
+		t.Fatalf("pooled arena block holds %d nodes, want a full %d", len(pooled.blocks[0]), nodeBlockSize)
+	}
+
+	// The nil-arena entry point must take the sized path: all the memory
+	// one parse allocates stays well below one full node block.
+	var before, after runtime.MemStats
+	const runs = 50
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		Parse(doc)
+	}
+	runtime.ReadMemStats(&after)
+	perParse := (after.TotalAlloc - before.TotalAlloc) / runs
+	if block := uint64(nodeBlockSize * unsafe.Sizeof(Node{})); perParse >= block/4 {
+		t.Errorf("nil-arena parse of %d bytes allocated %d B, want < %d (a quarter of one node block)",
+			len(doc), perParse, block/4)
 	}
 }
 
@@ -164,12 +212,12 @@ func TestParseArenaWarmZeroAllocs(t *testing.T) {
 // defer may run after an explicit Release without double-pooling.
 func TestArenaReleaseIdempotent(t *testing.T) {
 	a := AcquireArena()
-	ParseArena("<b>x</b>", a)
+	parseArena("<b>x</b>", a)
 	a.Release()
 	a.Release() // no-op
 	b := AcquireArena()
 	defer b.Release()
-	if tr := ParseArena("<i>y</i>", b); tr.Root.Find("i") == nil {
+	if tr := parseArena("<i>y</i>", b); tr.Root.Find("i") == nil {
 		t.Fatal("arena unusable after double release")
 	}
 }

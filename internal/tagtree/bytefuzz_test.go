@@ -7,12 +7,13 @@ import (
 	"testing"
 )
 
-// FuzzByteVsStringParse is the differential gate for the byte-level hot
-// path: for any input, the arena parse (byte tokenizer, pooled memory) must
-// produce a tree identical — shape, offsets, decoded text, attributes,
-// event stream — to the pre-change string reference, in both HTML and XML
-// modes. The seed set mixes handcrafted grammar corners with every file
-// under internal/htmlparse/testdata.
+// FuzzByteVsStringParse is the differential gate for the production parser:
+// for any input, ParseArenaContext (byte tokenizer, arena build) must produce
+// a tree identical — shape, offsets, decoded text, attributes, event stream
+// — to the string tokenizer and one-pass builder of oracle_test.go, in both
+// HTML and XML modes, on a pooled arena and on a nil (one-shot) arena. The
+// seed set mixes handcrafted grammar corners with every file under
+// internal/htmlparse/testdata.
 func FuzzByteVsStringParse(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -59,25 +60,27 @@ func FuzzByteVsStringParse(f *testing.F) {
 		a := AcquireArena()
 		defer a.Release()
 
-		ref, refErr := ParseContext(context.Background(), doc, Limits{})
-		got, gotErr := ParseArenaContext(context.Background(), doc, Limits{}, a, nil)
-		if (refErr == nil) != (gotErr == nil) {
-			t.Fatalf("HTML error divergence: ref %v, arena %v", refErr, gotErr)
-		}
-		if refErr == nil {
-			if d := diffTrees(ref, got); d != "" {
-				t.Fatalf("HTML tree divergence: %s", d)
+		ref, refErr := refParseContext(context.Background(), doc, Limits{})
+		refX, refXErr := refParseXMLContext(context.Background(), doc, Limits{})
+		for _, arena := range []*Arena{a, nil} {
+			got, gotErr := ParseArenaContext(context.Background(), doc, Limits{}, arena, nil)
+			if (refErr == nil) != (gotErr == nil) {
+				t.Fatalf("HTML error divergence (pooled %v): ref %v, arena %v", arena != nil, refErr, gotErr)
 			}
-		}
+			if refErr == nil {
+				if d := diffTrees(ref, got); d != "" {
+					t.Fatalf("HTML tree divergence (pooled %v): %s", arena != nil, d)
+				}
+			}
 
-		refX, refXErr := ParseXMLContext(context.Background(), doc, Limits{})
-		gotX, gotXErr := ParseXMLArenaContext(context.Background(), doc, Limits{}, a, nil)
-		if (refXErr == nil) != (gotXErr == nil) {
-			t.Fatalf("XML error divergence: ref %v, arena %v", refXErr, gotXErr)
-		}
-		if refXErr == nil {
-			if d := diffTrees(refX, gotX); d != "" {
-				t.Fatalf("XML tree divergence: %s", d)
+			gotX, gotXErr := ParseXMLArenaContext(context.Background(), doc, Limits{}, arena, nil)
+			if (refXErr == nil) != (gotXErr == nil) {
+				t.Fatalf("XML error divergence (pooled %v): ref %v, arena %v", arena != nil, refXErr, gotXErr)
+			}
+			if refXErr == nil {
+				if d := diffTrees(refX, gotX); d != "" {
+					t.Fatalf("XML tree divergence (pooled %v): %s", arena != nil, d)
+				}
 			}
 		}
 	})

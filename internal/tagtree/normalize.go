@@ -47,7 +47,7 @@ var tableScoped = map[string]bool{"table": true}
 // stream contains only StartTag, EndTag, and Text tokens, and every non-void
 // StartTag has exactly one matching EndTag.
 func Normalize(tokens []htmlparse.Token) []htmlparse.Token {
-	out, _ := normalizeHTMLInto(tokens, make([]htmlparse.Token, 0, len(tokens)+len(tokens)/4), nil)
+	out, _ := normalizeHTMLInto(tokens, make([]htmlparse.Token, 0, normCap(tokens)), nil)
 	return out
 }
 

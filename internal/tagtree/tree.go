@@ -82,113 +82,26 @@ type Tree struct {
 // Parse tokenizes, normalizes (Appendix A step 2), and builds the tag tree
 // of an HTML document. It never fails: malformed input degrades gracefully.
 func Parse(doc string) *Tree {
-	return FromTokens(htmlparse.Tokenize(doc))
+	return mustParse(ParseContext(context.Background(), doc, Limits{}))
 }
 
 // ParseContext is Parse with cancellation and resource limits: the build
 // loop checks ctx periodically so a hung-up caller stops paying for the
 // parse, and lim bounds document bytes, nesting depth, and node count with
 // the sentinel errors of Limits. A zero lim and background ctx make it
-// equivalent to Parse.
+// equivalent to Parse. It is ParseArenaContext on a one-shot arena, so the
+// tree has ordinary heap lifetime.
 func ParseContext(ctx context.Context, doc string, lim Limits) (*Tree, error) {
-	if err := htmlparse.CheckSize(doc, lim.MaxBytes); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return buildContext(ctx, Normalize(htmlparse.Tokenize(doc)), htmlparse.IsVoid, lim)
+	return ParseArenaContext(ctx, doc, lim, nil, nil)
 }
 
-// FromTokens builds the tag tree from a pre-tokenized HTML document.
-func FromTokens(tokens []htmlparse.Token) *Tree {
-	return build(Normalize(tokens), htmlparse.IsVoid)
-}
-
-// build constructs a tree from an already-balanced token stream; it cannot
-// fail (no context, no limits).
-func build(norm []htmlparse.Token, isVoid func(string) bool) *Tree {
-	t, err := buildContext(context.Background(), norm, isVoid, Limits{})
+// mustParse unwraps a parse that cannot fail: a background context never
+// cancels and zero Limits never trip.
+func mustParse(t *Tree, err error) *Tree {
 	if err != nil {
-		// Unreachable: a background context never cancels and zero Limits
-		// never trip.
-		panic("tagtree: build failed without limits: " + err.Error())
+		panic("tagtree: parse failed without limits: " + err.Error())
 	}
 	return t
-}
-
-// buildCheckEvery is how many tokens the build loop processes between
-// context checks — rare enough to stay off the profile, frequent enough
-// that cancellation lands within microseconds on real documents.
-const buildCheckEvery = 1024
-
-// buildContext constructs a tree from an already-balanced token stream.
-// isVoid reports element names that never have end-tags (HTML's void set;
-// always false for XML, where only explicit self-closing counts). The loop
-// honors ctx and enforces lim's depth and node bounds as it goes, so a
-// pathological document fails fast instead of exhausting memory first.
-func buildContext(ctx context.Context, norm []htmlparse.Token, isVoid func(string) bool, lim Limits) (*Tree, error) {
-	t := &Tree{Root: &Node{Name: "#document"}}
-	cur := t.Root
-	depth, nodes := 0, 0
-	for i, tok := range norm {
-		if i%buildCheckEvery == buildCheckEvery-1 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		switch tok.Type {
-		case htmlparse.Text:
-			if tok.Data == "" {
-				continue
-			}
-			cur.Chunks = append(cur.Chunks, Chunk{Text: tok.Data, Pos: tok.Pos})
-			t.Events = append(t.Events, Event{Kind: EventText, Text: tok.Data, Pos: tok.Pos})
-
-		case htmlparse.StartTag:
-			nodes++
-			if lim.MaxNodes > 0 && nodes > lim.MaxNodes {
-				return nil, errTooManyNodes(lim.MaxNodes)
-			}
-			n := &Node{
-				Name:       tok.Name,
-				Attrs:      tok.Attrs,
-				Parent:     cur,
-				StartPos:   tok.Pos,
-				EndPos:     tok.End,
-				firstEvent: len(t.Events),
-			}
-			cur.Children = append(cur.Children, n)
-			t.Events = append(t.Events, Event{Kind: EventStart, Node: n, Pos: tok.Pos})
-			if tok.SelfClosing || isVoid(tok.Name) {
-				n.lastEvent = len(t.Events)
-				continue
-			}
-			depth++
-			if lim.MaxDepth > 0 && depth > lim.MaxDepth {
-				return nil, errTooDeep(lim.MaxDepth)
-			}
-			cur = n
-
-		case htmlparse.EndTag:
-			// Normalize guarantees balance, so this matches cur.
-			if cur == t.Root {
-				continue
-			}
-			t.Events = append(t.Events, Event{Kind: EventEnd, Node: cur, Pos: tok.Pos})
-			cur.EndPos = tok.End
-			cur.lastEvent = len(t.Events)
-			cur = cur.Parent
-			depth--
-		}
-	}
-	t.Root.firstEvent = 0
-	t.Root.lastEvent = len(t.Events)
-	if n := len(norm); n > 0 {
-		t.Root.EndPos = norm[n-1].End
-	}
-	countSubtreeTags(t.Root)
-	return t, nil
 }
 
 // countSubtreeTags fills in subtreeTags bottom-up.

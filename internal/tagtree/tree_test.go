@@ -127,8 +127,7 @@ func TestNormalizeDiscardsComments(t *testing.T) {
 }
 
 func TestNormalizeVoidElements(t *testing.T) {
-	toks := htmlparse.Tokenize("<p>a<br>b<hr>c</p>")
-	tree := FromTokens(toks)
+	tree := Parse("<p>a<br>b<hr>c</p>")
 	p := tree.Root.Find("p")
 	if p == nil {
 		t.Fatal("no p node")

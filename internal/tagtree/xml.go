@@ -12,21 +12,13 @@ import (
 // comes only from self-closing tags. Mismatched or orphan end-tags are
 // still tolerated (discarded or implied-closed) so imperfect feeds parse.
 func ParseXML(doc string) *Tree {
-	tokens := htmlparse.TokenizeXML(doc)
-	return build(NormalizeXML(tokens), func(string) bool { return false })
+	return mustParse(ParseXMLContext(context.Background(), doc, Limits{}))
 }
 
 // ParseXMLContext is ParseXML with cancellation and resource limits, the
 // XML counterpart of ParseContext.
 func ParseXMLContext(ctx context.Context, doc string, lim Limits) (*Tree, error) {
-	if err := htmlparse.CheckSize(doc, lim.MaxBytes); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	norm := NormalizeXML(htmlparse.TokenizeXML(doc))
-	return buildContext(ctx, norm, func(string) bool { return false }, lim)
+	return ParseXMLArenaContext(ctx, doc, lim, nil, nil)
 }
 
 // NormalizeXML balances an XML token stream: comments, doctypes, and
