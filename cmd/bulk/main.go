@@ -77,7 +77,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		"ontology for directory inputs: built-in name or DSL file path; NDJSON lines carry their own")
 	shard := fs.String("shard", "", "shard label for directory inputs")
 	maxLine := fs.Int("max-line-bytes", 0,
-		fmt.Sprintf("max NDJSON input line bytes; 0 means %d", pipeline.DefaultMaxLineBytes))
+		fmt.Sprintf("max NDJSON input line bytes, not counting the line terminator; 0 means %d", pipeline.DefaultMaxLineBytes))
 	maxDocBytes := fs.Int("max-doc-bytes", 0, "max document size in bytes; 0 disables")
 	maxTreeDepth := fs.Int("max-tree-depth", 0, "max tag-tree nesting depth; 0 disables")
 	maxNodes := fs.Int("max-nodes", 0, "max tag-tree node count; 0 disables")

@@ -20,14 +20,17 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"expvar"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/certainty"
@@ -39,6 +42,7 @@ import (
 	"repro/internal/membership"
 	"repro/internal/obs"
 	"repro/internal/ontology"
+	"repro/internal/pipeline"
 	"repro/internal/tagtree"
 	"repro/internal/template"
 )
@@ -291,7 +295,12 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 // answering 400 on malformed input and 413 when the body exceeds
 // MaxBodyBytes. Reports whether decoding succeeded.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	return decodeJSONFrom(w, http.MaxBytesReader(w, r.Body, MaxBodyBytes), v)
+}
+
+// decodeJSONFrom is decodeJSON over an already limited body reader.
+func decodeJSONFrom(w http.ResponseWriter, body io.Reader, v any) bool {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		var maxErr *http.MaxBytesError
@@ -306,14 +315,60 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// decode parses the shared request envelope.
+// requestBuffer is a pooled body buffer plus the envelope decoder's
+// scratch space for decode.
+type requestBuffer struct {
+	body bytes.Buffer
+	dec  pipeline.EnvelopeDecoder
+}
+
+var requestBuffers = sync.Pool{New: func() any { return new(requestBuffer) }}
+
+// maxPooledBody caps the body buffer a requestBuffer keeps in the pool, so
+// one large document does not pin its size class for every later request.
+const maxPooledBody = 1 << 20
+
+// decode parses the shared request envelope. It reads the body, under the
+// MaxBodyBytes limit, into a pooled buffer and tries the envelope decoder's
+// fast path. Anything the fast path does not take goes to encoding/json
+// over the same bytes, followed by the read error if there was one (an
+// oversized body's *http.MaxBytesError included), so the reply is what
+// decodeJSON gives: a first object that ends inside the limit still
+// decodes, trailing bytes are ignored, and an overflow inside the object
+// answers 413.
 func decode(w http.ResponseWriter, r *http.Request) (*request, bool) {
+	buf := requestBuffers.Get().(*requestBuffer)
+	defer func() {
+		if buf.body.Cap() <= maxPooledBody {
+			requestBuffers.Put(buf)
+		}
+	}()
+	buf.body.Reset()
+	if n := r.ContentLength; n > 0 && n <= MaxBodyBytes {
+		buf.body.Grow(int(n) + bytes.MinRead)
+	}
+	_, err := buf.body.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	body := buf.body.Bytes()
+	if err == nil {
+		if html, xml, ont, seps, ok := buf.dec.Request(body); ok {
+			return &request{HTML: html, XML: xml, Ontology: ont, SeparatorList: seps}, true
+		}
+	}
+	replay := io.Reader(bytes.NewReader(body))
+	if err != nil {
+		replay = io.MultiReader(replay, errReader{err})
+	}
 	var req request
-	if !decodeJSON(w, r, &req) {
+	if !decodeJSONFrom(w, replay, &req) {
 		return nil, false
 	}
 	return &req, true
 }
+
+// errReader replays a body read error after the bytes read before it.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // discoverResponse mirrors core.Result in wire-friendly form.
 type discoverResponse struct {

@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -28,6 +28,10 @@ type TraceStoreConfig struct {
 // slowWindow is how many recent durations feed the slow-tail threshold.
 const slowWindow = 256
 
+// slowRecompute is how many root durations the store takes in between
+// recomputing the slow-tail threshold from the window.
+const slowRecompute = 16
+
 // TraceStore is a bounded in-memory store of finished traces with tail
 // sampling: traces whose status is error, shed or degraded are always kept,
 // as are those in the slowest percentile of recent traffic; the rest are
@@ -38,11 +42,16 @@ const slowWindow = 256
 type TraceStore struct {
 	cfg TraceStoreConfig
 
-	mu        sync.Mutex
-	traces    map[TraceID]*storedTrace
-	order     []TraceID // insertion order, oldest first
-	recent    [slowWindow]float64
-	recentN   int // total durations ever pushed
+	mu      sync.Mutex
+	traces  map[TraceID]*storedTrace
+	order   []TraceID // insertion order, oldest first
+	recent  [slowWindow]float64
+	recentN int // total durations ever pushed
+	// slowAt is the recentN at which slowCut, the slow-tail threshold in
+	// seconds, was last computed (sorting into slowSort); 0 means never.
+	slowAt    int
+	slowCut   float64
+	slowSort  [slowWindow]float64
 	published int
 	kept      int
 	sampled   int // dropped by head sampling
@@ -133,20 +142,26 @@ func (s *TraceStore) pushDuration(d TraceData) {
 
 // isSlow reports whether dur falls in the slowest SlowFraction of the
 // recent-traffic window. With fewer than 20 samples there is no meaningful
-// tail yet and nothing is considered slow.
+// tail yet and nothing is considered slow. The threshold is recomputed only
+// every slowRecompute root durations, into the store's own sort buffer, so
+// a request neither sorts nor allocates under the lock.
 func (s *TraceStore) isSlow(dur time.Duration) bool {
 	n := min(s.recentN, slowWindow)
 	if n < 20 {
 		return false
 	}
-	window := make([]float64, n)
-	copy(window, s.recent[:n])
-	sort.Float64s(window)
-	idx := int(float64(n) * (1 - s.cfg.SlowFraction))
-	if idx >= n {
-		idx = n - 1
+	if s.slowAt == 0 || s.recentN-s.slowAt >= slowRecompute {
+		window := s.slowSort[:n]
+		copy(window, s.recent[:n])
+		slices.Sort(window)
+		idx := int(float64(n) * (1 - s.cfg.SlowFraction))
+		if idx >= n {
+			idx = n - 1
+		}
+		s.slowCut = window[idx]
+		s.slowAt = s.recentN
 	}
-	return dur.Seconds() >= window[idx]
+	return dur.Seconds() >= s.slowCut
 }
 
 // Len returns the number of traces currently retained.

@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -100,6 +101,68 @@ func TestTraceStoreKeepsSlowTail(t *testing.T) {
 	}
 	if sum == nil || sum.Kept != "slow" {
 		t.Errorf("slow trace keep reason = %+v, want \"slow\"", sum)
+	}
+}
+
+// rootTrace is a finished root fragment with the given ID and duration.
+func rootTrace(i int, dur time.Duration) TraceData {
+	return TraceData{TraceID: TraceID{1, byte(i), byte(i >> 8)}, Duration: dur}
+}
+
+// exactSlowCut is the slow-tail threshold recomputed from the whole window,
+// as if the store sorted on every request.
+func exactSlowCut(s *TraceStore) float64 {
+	n := min(s.recentN, slowWindow)
+	window := append([]float64(nil), s.recent[:n]...)
+	slices.Sort(window)
+	return window[min(int(float64(n)*(1-s.cfg.SlowFraction)), n-1)]
+}
+
+// TestTraceStoreSlowThresholdFollowsTraffic: the cached slow-tail threshold
+// catches up with a shift in traffic within slowRecompute root publishes of
+// the window's own threshold moving.
+func TestTraceStoreSlowThresholdFollowsTraffic(t *testing.T) {
+	s := NewTraceStore(TraceStoreConfig{SampleEvery: 1 << 30})
+	for i := 0; i < slowWindow; i++ {
+		s.publish(rootTrace(i, time.Millisecond))
+	}
+	const probe = 50 * time.Millisecond
+	moved, followed := -1, -1
+	for i := 0; i < slowWindow && followed < 0; i++ {
+		s.publish(rootTrace(slowWindow+i, 100*time.Millisecond))
+		if moved < 0 && probe.Seconds() < exactSlowCut(s) {
+			moved = i
+		}
+		s.mu.Lock()
+		slow := s.isSlow(probe)
+		s.mu.Unlock()
+		if !slow {
+			followed = i
+		}
+	}
+	if moved < 0 || followed < 0 {
+		t.Fatalf("threshold never moved (window %d, cache %d)", moved, followed)
+	}
+	if followed < moved || followed-moved >= slowRecompute {
+		t.Errorf("cached threshold followed the shift at publish %d, window moved at %d; want within %d",
+			followed, moved, slowRecompute)
+	}
+}
+
+// TestTraceStoreIsSlowDoesNotAllocate: a steady-state publish of a trace
+// that head sampling drops allocates nothing, threshold recomputes included.
+func TestTraceStoreIsSlowDoesNotAllocate(t *testing.T) {
+	s := NewTraceStore(TraceStoreConfig{SampleEvery: 1 << 30})
+	for i := 0; i < slowWindow; i++ {
+		s.publish(rootTrace(i, time.Duration(i+1)*time.Millisecond))
+	}
+	probe := rootTrace(slowWindow, time.Millisecond)
+	kept := s.Len()
+	if allocs := testing.AllocsPerRun(4*slowRecompute, func() { s.publish(probe) }); allocs != 0 {
+		t.Errorf("publish of an unsampled trace allocates %.1f times, want 0", allocs)
+	}
+	if s.Len() != kept {
+		t.Fatalf("probe trace was kept (%d -> %d traces); the check must measure a dropped one", kept, s.Len())
 	}
 }
 

@@ -1,0 +1,6 @@
+//go:build race
+
+package pipeline
+
+// raceEnabled reports whether this binary was built with the race detector.
+const raceEnabled = true

@@ -25,17 +25,6 @@ type Source interface {
 // choose a limit — the same envelope the HTTP surface enforces per body.
 const DefaultMaxLineBytes = 8 << 20
 
-// taskLine is the NDJSON input envelope: the /v1/discover request fields
-// plus the bulk id and shard labels.
-type taskLine struct {
-	ID            string   `json:"id,omitempty"`
-	HTML          string   `json:"html,omitempty"`
-	XML           string   `json:"xml,omitempty"`
-	Ontology      string   `json:"ontology,omitempty"`
-	SeparatorList []string `json:"separator_list,omitempty"`
-	Shard         string   `json:"shard,omitempty"`
-}
-
 // NDJSONSource reads one task per JSON line. Blank lines are skipped; a
 // malformed or oversized line becomes a Task with an inline error rather
 // than ending the stream, so a single corrupt record cannot sink a corpus
@@ -46,10 +35,12 @@ type NDJSONSource struct {
 	maxLine int
 	seq     int
 	done    bool
+	line    []byte // reused across lines; decoded strings never alias it
+	dec     EnvelopeDecoder
 }
 
-// NewNDJSONSource wraps r; maxLine bounds one line's bytes (0 selects
-// DefaultMaxLineBytes).
+// NewNDJSONSource wraps r; maxLine bounds one line's content bytes, not
+// counting its "\n" or "\r\n" terminator (0 selects DefaultMaxLineBytes).
 func NewNDJSONSource(r io.Reader, maxLine int) *NDJSONSource {
 	if maxLine <= 0 {
 		maxLine = DefaultMaxLineBytes
@@ -81,9 +72,12 @@ func (s *NDJSONSource) Next() (*Task, error) {
 			return t, nil
 		}
 		var tl taskLine
-		if err := json.Unmarshal(line, &tl); err != nil {
-			t.invalid = fmt.Errorf("bad input line: %w", err)
-			return t, nil
+		if _, ok := s.dec.decode(line, &tl); !ok {
+			tl = taskLine{}
+			if err := json.Unmarshal(line, &tl); err != nil {
+				t.invalid = fmt.Errorf("bad input line: %w", err)
+				return t, nil
+			}
 		}
 		t.ID = tl.ID
 		t.Ontology = tl.Ontology
@@ -101,29 +95,41 @@ func (s *NDJSONSource) Next() (*Task, error) {
 	}
 }
 
-// readLine reads up to the next newline. When the line exceeds maxLine it is
-// drained and reported with tooLong=true so the stream can continue at the
-// following line.
+// readLine reads up to the next newline into the source's reused line
+// buffer; the result is valid until the next call. When the line's content
+// exceeds maxLine it is drained and reported with tooLong=true so the stream
+// can continue at the following line.
 func (s *NDJSONSource) readLine() (line []byte, tooLong bool, err error) {
-	var buf []byte
+	buf := s.line[:0]
 	for {
 		frag, err := s.r.ReadSlice('\n')
-		if !tooLong {
+		// Room for the content plus a "\r\n" terminator; the exact
+		// content length is checked once the line is complete.
+		if !tooLong && len(buf)+len(frag) <= s.maxLine+2 {
 			buf = append(buf, frag...)
-			if len(buf) > s.maxLine {
-				tooLong = true
-				buf = nil
-			}
+		} else {
+			tooLong = true
 		}
-		switch {
-		case err == nil:
-			return buf, tooLong, nil
-		case errors.Is(err, bufio.ErrBufferFull):
+		if errors.Is(err, bufio.ErrBufferFull) {
 			continue
-		default:
-			return buf, tooLong, err
+		}
+		s.line = buf[:0]
+		if tooLong || len(trimEOL(buf)) > s.maxLine {
+			return nil, true, err
+		}
+		return buf, false, err
+	}
+}
+
+// trimEOL strips a trailing "\n" or "\r\n" line terminator.
+func trimEOL(line []byte) []byte {
+	if n := len(line); n > 0 && line[n-1] == '\n' {
+		line = line[:n-1]
+		if n := len(line); n > 0 && line[n-1] == '\r' {
+			line = line[:n-1]
 		}
 	}
+	return line
 }
 
 // DirSource yields one task per document file in dir (non-recursive), sorted
