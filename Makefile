@@ -177,6 +177,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzScanPlan$$' -fuzztime=30s ./internal/recognizer/
 	$(GO) test -fuzz='^FuzzDiscoverRequest$$' -fuzztime=30s ./internal/httpapi/
 	$(GO) test -fuzz='^FuzzEnvelope$$' -fuzztime=30s ./internal/pipeline/
+	$(GO) test -fuzz='^FuzzJournalCrash$$' -fuzztime=30s ./internal/journal/
 
 # The fault-injection chaos suite (see docs/ROBUSTNESS.md) under the race
 # detector: isolated heuristic panics, mid-batch cancellation, load

@@ -30,7 +30,6 @@ import (
 	"repro/internal/paperdoc"
 	"repro/internal/tagtree"
 	"repro/internal/template"
-	"repro/internal/wrapper"
 )
 
 // BenchmarkFigure2Document measures the §5.3 worked example end-to-end:
@@ -344,37 +343,6 @@ func BenchmarkDiscoverXML(b *testing.B) {
 			b.Fatalf("res=%v err=%v", res, err)
 		}
 	}
-}
-
-// BenchmarkWrapperApplyVsDiscover shows why a learned wrapper exists: Apply
-// skips the heuristic voting entirely.
-func BenchmarkWrapperApplyVsDiscover(b *testing.B) {
-	site := corpus.TrainingSites(corpus.Obituaries)[0]
-	samples := []string{site.Generate(0).HTML, site.Generate(1).HTML, site.Generate(2).HTML}
-	w, err := wrapper.Learn(samples, ontology.Builtin("obituary"))
-	if err != nil {
-		b.Fatal(err)
-	}
-	target := site.Generate(9).HTML
-	b.Run("WrapperApply", func(b *testing.B) {
-		b.SetBytes(int64(len(target)))
-		for i := 0; i < b.N; i++ {
-			if _, err := w.Apply(target); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("FullDiscover", func(b *testing.B) {
-		b.SetBytes(int64(len(target)))
-		ont := ontology.Builtin("obituary")
-		for i := 0; i < b.N; i++ {
-			res, err := core.Discover(target, core.Options{Ontology: ont})
-			if err != nil {
-				b.Fatal(err)
-			}
-			core.Split(target, res)
-		}
-	})
 }
 
 // openBenchStore builds an in-memory template store pre-warmed with the

@@ -9,6 +9,7 @@
 //	bulk -in corpus.ndjson -out results/
 //	bulk -in pages/ -ontology obituary -out results/
 //	cat corpus.ndjson | bulk -in - -out -        # stream stdin → stdout
+//	bulk -in samples/ -out learned/ -wrapper-store site.store  # seed learned wrappers
 //
 // Input lines carry the /v1/discover request fields plus bulk labels:
 //

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -196,5 +199,72 @@ func TestCanceledRunSuggestsResume(t *testing.T) {
 		strings.NewReader(`{"html":"<p>x</p>"}`+"\n"), &out, &errBuf)
 	if err == nil || !strings.Contains(err.Error(), "resume") {
 		t.Errorf("canceled run err = %v, want resume hint", err)
+	}
+}
+
+// TestWrapperStoreLearnThenApply is the learn-from-samples workflow: one run
+// over a directory of sample pages seeds a wrapper store, and a later run
+// with the same store answers a page of the same template from it — with
+// output byte-identical to a run that has no store at all.
+func TestWrapperStoreLearnThenApply(t *testing.T) {
+	dir := t.TempDir()
+	var samples []string
+	for _, d := range corpus.TestDocuments() {
+		if d.Site.Domain == corpus.Obituaries && len(samples) < 3 {
+			samples = append(samples, d.HTML)
+		}
+	}
+	writePages := func(name string, pages ...string) string {
+		t.Helper()
+		pagesDir := filepath.Join(dir, name)
+		if err := os.Mkdir(pagesDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for i, page := range pages {
+			file := filepath.Join(pagesDir, fmt.Sprintf("page%d.html", i))
+			if err := os.WriteFile(file, []byte(page), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return pagesDir
+	}
+	store := filepath.Join(dir, "site.store")
+	bulk := func(in, out string, extra ...string) string {
+		t.Helper()
+		args := append([]string{"-in", in, "-out", filepath.Join(dir, out), "-ontology", "obituary"}, extra...)
+		_, stderr, err := runBulk(t, args, "")
+		if err != nil {
+			t.Fatalf("bulk %v: %v\n%s", args, err, stderr)
+		}
+		return stderr
+	}
+
+	bulk(writePages("samples", samples...), "learn", "-wrapper-store", store)
+
+	// The new page shares the first sample's template but not its bytes.
+	newPages := writePages("new", corpus.Mangle(samples[0], 1))
+	stderr := bulk(newPages, "apply", "-wrapper-store", store, "-metrics")
+	m := regexp.MustCompile(`(?m)^boundary_template_hits_total (\S+)$`).FindStringSubmatch(stderr)
+	if m == nil {
+		t.Fatalf("-metrics dump has no template hit counter:\n%s", stderr)
+	}
+	if hits, err := strconv.ParseFloat(m[1], 64); err != nil || hits < 1 {
+		t.Fatalf("boundary_template_hits_total = %s, want >= 1", m[1])
+	}
+
+	bulk(newPages, "reference")
+	got, err := os.ReadFile(filepath.Join(dir, "apply", "results.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(dir, "reference", "results.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(want, []byte(`"separator":"`)) {
+		t.Fatalf("reference run found no separator: %s", want)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("store-served results differ from full discovery:\n got %s\nwant %s", got, want)
 	}
 }

@@ -202,7 +202,8 @@ func (rc *resultCache) get(key [sha256.Size]byte) (*discoverResponse, bool) {
 }
 
 // put stores a response, counting any eviction, updating the entry gauge,
-// and journaling both the put and any capacity eviction when durable.
+// and journaling both the put and any capacity eviction when durable. A
+// failed journal write is dropped: it costs only warmth after a restart.
 func (rc *resultCache) put(key [sha256.Size]byte, resp *discoverResponse) {
 	if rc == nil {
 		return
@@ -218,10 +219,10 @@ func (rc *resultCache) put(key [sha256.Size]byte, resp *discoverResponse) {
 		return
 	}
 	if evicted {
-		rc.journal.AppendEvict(hex.EncodeToString(evictedKey[:]), rc.c.Len())
+		_ = rc.journal.AppendEvict(hex.EncodeToString(evictedKey[:]), rc.c.Len())
 	}
 	if b, err := json.Marshal(cacheLine{Key: hex.EncodeToString(key[:]), Resp: resp}); err == nil {
-		rc.journal.Append(b, rc.c.Len())
+		_ = rc.journal.Append(b, rc.c.Len())
 	}
 }
 

@@ -11,8 +11,6 @@
 //	POST /v1/records   {html, ontology?}          → cleaned record chunks
 //	POST /v1/extract   {html, ontology}           → populated database
 //	POST /v1/classify  {html, ontology}           → document kind + evidence
-//	POST /v1/wrapper/learn  {samples, ontology?}  → reusable site wrapper
-//	POST /v1/wrapper/apply  {wrapper, html}       → records (409 on drift)
 //	GET  /v1/ontologies                           → built-in ontology names
 //	GET  /healthz                                 → ok
 //	GET  /metrics                                 → Prometheus text format
@@ -236,7 +234,6 @@ func newMux(s server) *http.ServeMux {
 	mux.HandleFunc("POST /v1/extract", s.handleExtract)
 	mux.HandleFunc("POST /v1/classify", s.handleClassify)
 	mux.HandleFunc("GET /v1/ontologies", s.handleOntologies)
-	registerWrapperRoutes(mux, s)
 	registerTemplateRoutes(mux, s)
 	registerClusterRoutes(mux, s)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {

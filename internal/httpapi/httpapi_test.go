@@ -214,77 +214,6 @@ func TestOntologiesEndpoint(t *testing.T) {
 	}
 }
 
-func TestWrapperLearnAndApply(t *testing.T) {
-	srv := newServer(t)
-	// Two bold runs per record: a tag occurring exactly once per record is
-	// indistinguishable from the separator (see DESIGN.md's exactly-once
-	// trap), so single-bold pages legitimately learn <b>.
-	page := `<html><body><div>
-<hr><b>Ada Smith</b> died on March 1, 1998. Funeral services Friday at <b>MEMORIAL CHAPEL</b>. Interment follows.
-<hr><b>Bo Jones</b> passed away on March 2, 1998. Funeral services Saturday at <b>SUNSET CHAPEL</b>. Interment follows.
-<hr><b>Cy Brown</b> died on March 3, 1998. Funeral services Sunday at <b>HEATHER MORTUARY</b>. Interment follows.
-<hr></div></body></html>`
-
-	resp, body := post(t, srv, "/v1/wrapper/learn", map[string]any{
-		"samples": []string{page, page}, "ontology": "obituary",
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("learn status = %d: %s", resp.StatusCode, body["error"])
-	}
-	if got := str(t, body["separator"]); got != "hr" {
-		t.Errorf("learned separator = %q", got)
-	}
-
-	resp, body = post(t, srv, "/v1/wrapper/apply", map[string]any{
-		"wrapper": json.RawMessage(body["wrapper"]), "html": page,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("apply status = %d: %s", resp.StatusCode, body["error"])
-	}
-	var records []recordBody
-	if err := json.Unmarshal(body["records"], &records); err != nil {
-		t.Fatal(err)
-	}
-	if len(records) != 3 {
-		t.Errorf("records = %d, want 3", len(records))
-	}
-}
-
-func TestWrapperApplyDriftIs409(t *testing.T) {
-	srv := newServer(t)
-	page := `<div><hr><b>A</b> x <b>one</b> more<hr><b>B</b> y <b>two</b> more<hr><b>C</b> z <b>three</b> more<hr></div>`
-	resp, body := post(t, srv, "/v1/wrapper/learn", map[string]any{"samples": []string{page}})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("learn: %d %s", resp.StatusCode, body["error"])
-	}
-	// A redesigned page: table rows, no hr at all.
-	redesigned := `<table><tr><td>a one</td></tr><tr><td>b two</td></tr><tr><td>c three</td></tr></table>`
-	resp, _ = post(t, srv, "/v1/wrapper/apply", map[string]any{
-		"wrapper": json.RawMessage(body["wrapper"]), "html": redesigned,
-	})
-	if resp.StatusCode != http.StatusConflict {
-		t.Errorf("drift status = %d, want 409", resp.StatusCode)
-	}
-}
-
-func TestWrapperEndpointErrors(t *testing.T) {
-	srv := newServer(t)
-	resp, _ := post(t, srv, "/v1/wrapper/learn", map[string]any{})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("learn without samples = %d", resp.StatusCode)
-	}
-	resp, _ = post(t, srv, "/v1/wrapper/apply", map[string]any{"html": "<p>x</p>"})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("apply without wrapper = %d", resp.StatusCode)
-	}
-	resp, _ = post(t, srv, "/v1/wrapper/apply", map[string]any{
-		"wrapper": json.RawMessage(`"garbage"`), "html": "<p>x</p>",
-	})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("apply with bad wrapper = %d", resp.StatusCode)
-	}
-}
-
 func TestHealthz(t *testing.T) {
 	srv := newServer(t)
 	resp, err := http.Get(srv.URL + "/healthz")

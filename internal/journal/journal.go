@@ -1,13 +1,15 @@
 // Package journal is the shared NDJSON write-ahead journal behind every
-// durable cache in the system: the learned-wrapper store
-// (internal/template) and the HTTP layer's discovery result cache both
-// persist through it, so a restarted replica comes back warm instead of
-// stampeding the heuristics.
+// durable log in the system: the learned-wrapper store (internal/template)
+// and the HTTP layer's discovery result cache persist through it, so a
+// restarted replica comes back warm instead of stampeding the heuristics,
+// and the bulk engine's checkpoint (internal/pipeline) records through it
+// which documents a killed run already wrote.
 //
 // The format is one JSON record per line, each carrying exactly one of a
 // "put" payload (opaque to this package) or an "evict" key. Recovery
 // tolerates a torn final line — a crash mid-append loses only the record
-// that was never acknowledged — while damage anywhere earlier refuses to
+// that was never acknowledged, and Open cuts it from the file so later
+// appends start on a clean line — while damage anywhere earlier refuses to
 // open with an error wrapping ErrCorrupt, because silently serving a
 // partial memory is worse than relearning from scratch.
 //
@@ -17,11 +19,13 @@
 // point leaves either the complete old journal or the complete new one on
 // disk, never a half-compacted hybrid. The journal/compact fault hook
 // (docs/ROBUSTNESS.md) lets chaos tests kill a compaction between the
-// temp-file write and the rename and prove recovery.
+// temp-file write and the rename and prove recovery. A journal opened
+// without a Snapshot is never compacted.
 package journal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -82,8 +86,10 @@ type Journal struct {
 // Open replays the journal at cfg.Path — calling apply for every put line
 // and evict for every evict line, in file order — and then opens it for
 // appends. A missing file is an empty journal. The final line may be torn
-// (undecodable, or rejected by apply/evict) and is skipped; the same
-// damage anywhere earlier returns an error wrapping ErrCorrupt.
+// (undecodable, or rejected by apply/evict): it is skipped and cut from the
+// file, so the next append starts on a line of its own. A final record that
+// applies but lost its newline is kept and terminated. The same damage
+// anywhere earlier returns an error wrapping ErrCorrupt.
 func Open(cfg Config, apply func(put json.RawMessage) error, evict func(key string) error) (*Journal, error) {
 	if cfg.Path == "" {
 		return nil, errors.New("journal: a path is required")
@@ -91,111 +97,106 @@ func Open(cfg Config, apply func(put json.RawMessage) error, evict func(key stri
 	if cfg.CompactThreshold <= 0 {
 		cfg.CompactThreshold = DefaultCompactThreshold
 	}
+	data, err := os.ReadFile(cfg.Path)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
+		return nil, err
+	}
 	j := &Journal{cfg: cfg}
-	if err := j.replay(apply, evict); err != nil {
+	keep, err := j.replay(data, apply, evict)
+	if err != nil {
 		return nil, err
 	}
 	f, err := os.OpenFile(cfg.Path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
+	if keep < len(data) {
+		err = f.Truncate(int64(keep))
+	}
+	if err == nil && keep > 0 && data[keep-1] != '\n' {
+		_, err = f.Write([]byte{'\n'})
+	}
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
 	j.file = f
 	return j, nil
 }
 
-// replay loads the journal through the caller's apply/evict callbacks.
-func (j *Journal) replay(apply func(put json.RawMessage) error, evict func(key string) error) error {
-	data, err := os.ReadFile(j.cfg.Path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil
+// replay loads data through the caller's apply/evict callbacks and returns
+// the length of its committed prefix: everything up to and including the
+// last line that applied.
+func (j *Journal) replay(data []byte, apply func(put json.RawMessage) error, evict func(key string) error) (int, error) {
+	keep, lineNo := 0, 0
+	for off := 0; off < len(data); {
+		ln, next := data[off:], len(data)
+		if i := bytes.IndexByte(ln, '\n'); i >= 0 {
+			ln, next = ln[:i], off+i+1
 		}
-		return err
-	}
-	lines := splitLines(data)
-	for i, ln := range lines {
-		tail := i == len(lines)-1
-		var rec Line
-		if err := json.Unmarshal(ln, &rec); err != nil {
-			if tail {
-				return nil // torn tail: the record was never acknowledged
-			}
-			return fmt.Errorf("%w: line %d: %v", ErrCorrupt, i+1, err)
+		off = next
+		if len(ln) == 0 {
+			continue // a blank line is not a record
 		}
-		switch {
-		case rec.Put != nil:
-			if err := apply(rec.Put); err != nil {
-				if tail {
-					return nil
-				}
-				return fmt.Errorf("%w: line %d: %v", ErrCorrupt, i+1, err)
+		lineNo++
+		if err := replayLine(ln, apply, evict); err != nil {
+			if len(bytes.TrimLeft(data[next:], "\n")) == 0 {
+				return keep, nil // torn tail: the record was never acknowledged
 			}
-		case rec.Evict != "":
-			if err := evict(rec.Evict); err != nil {
-				if tail {
-					return nil
-				}
-				return fmt.Errorf("%w: line %d: %v", ErrCorrupt, i+1, err)
-			}
-		default:
-			if tail {
-				return nil
-			}
-			return fmt.Errorf("%w: line %d: neither put nor evict", ErrCorrupt, i+1)
+			return 0, fmt.Errorf("%w: line %d: %v", ErrCorrupt, lineNo, err)
 		}
 		j.lines++
+		keep = next
 	}
-	return nil
+	return keep, nil
 }
 
-// splitLines splits on '\n', dropping empty lines (a trailing newline is
-// the normal committed state, not a torn record).
-func splitLines(data []byte) [][]byte {
-	var out [][]byte
-	start := 0
-	for i, b := range data {
-		if b == '\n' {
-			if i > start {
-				out = append(out, data[start:i])
-			}
-			start = i + 1
-		}
+// replayLine decodes one record and hands it to apply or evict.
+func replayLine(ln []byte, apply func(put json.RawMessage) error, evict func(key string) error) error {
+	var rec Line
+	if err := json.Unmarshal(ln, &rec); err != nil {
+		return err
 	}
-	if start < len(data) {
-		out = append(out, data[start:])
+	switch {
+	case rec.Put != nil:
+		return apply(rec.Put)
+	case rec.Evict != "":
+		return evict(rec.Evict)
 	}
-	return out
+	return errors.New("neither put nor evict")
 }
 
 // Append writes one put record. live is the caller's current live-entry
-// count, which gates compaction.
-func (j *Journal) Append(put json.RawMessage, live int) {
-	j.append(Line{V: 1, Put: put}, live)
+// count, which gates compaction. A compaction failure is not reported: the
+// record is on disk either way.
+func (j *Journal) Append(put json.RawMessage, live int) error {
+	return j.append(Line{V: 1, Put: put}, live)
 }
 
 // AppendEvict writes one evict record.
-func (j *Journal) AppendEvict(key string, live int) {
-	j.append(Line{V: 1, Evict: key}, live)
+func (j *Journal) AppendEvict(key string, live int) error {
+	return j.append(Line{V: 1, Evict: key}, live)
 }
 
-func (j *Journal) append(rec Line, live int) {
+func (j *Journal) append(rec Line, live int) error {
+	b, err := json.Marshal(rec)
+	if err != nil {
+		return err
+	}
+	b = append(b, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.file == nil {
-		return // closed
+		return fmt.Errorf("journal: append: %w", os.ErrClosed)
 	}
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return
-	}
-	b = append(b, '\n')
 	if _, err := j.file.Write(b); err != nil {
-		return
+		return err
 	}
 	j.lines++
 	if j.cfg.Snapshot != nil && j.lines >= j.cfg.CompactThreshold && j.lines > 2*live {
 		j.compactLocked()
 	}
+	return nil
 }
 
 // Compact rewrites the journal as one put line per live entry now,

@@ -1,11 +1,12 @@
 package pipeline
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
 	"sync"
+
+	"repro/internal/journal"
 )
 
 // Journal is the append-only checkpoint log that makes a bulk run resumable.
@@ -17,20 +18,22 @@ import (
 // processed twice, and a resumed run's output is byte-identical to an
 // uninterrupted one.
 //
-// The format is NDJSON, one entry per line:
+// The log is an internal/journal file of put records, one per document:
 //
-//	{"seq":17,"file":"results-carad.ndjson","offset":8831}
+//	{"v":1,"put":{"seq":17,"file":"results-carad.ndjson","offset":8831}}
 //
-// Loading tolerates a trailing partial line (the run was killed mid-append):
-// that entry's document simply runs again.
+// It is never compacted. A torn final line (the run was killed mid-append)
+// is cut on open and that entry's document simply runs again; damage before
+// the final line fails the open with an error wrapping journal.ErrCorrupt.
 type Journal struct {
+	log *journal.Journal
+
 	mu      sync.Mutex
-	f       *os.File
 	done    map[int]bool
 	offsets map[string]int64
 }
 
-// journalEntry is one checkpoint line.
+// journalEntry is one checkpoint record.
 type journalEntry struct {
 	Seq    int    `json:"seq"`
 	File   string `json:"file,omitempty"`
@@ -40,30 +43,31 @@ type journalEntry struct {
 // OpenJournal opens (creating if absent) the journal at path and replays its
 // entries.
 func OpenJournal(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+	j := &Journal{done: make(map[int]bool), offsets: make(map[string]int64)}
+	log, err := journal.Open(journal.Config{Path: path},
+		func(put json.RawMessage) error {
+			var e journalEntry
+			if err := json.Unmarshal(put, &e); err != nil {
+				return err
+			}
+			j.record(e)
+			return nil
+		},
+		func(string) error { return errors.New("a checkpoint holds no evictions") })
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("pipeline: opening journal %s: %w", path, err)
 	}
-	j := &Journal{f: f, done: make(map[int]bool), offsets: make(map[string]int64)}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		var e journalEntry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			// A torn final line from a killed run: ignore it (and anything
-			// after it — there is nothing after a torn tail by construction).
-			break
-		}
-		j.done[e.Seq] = true
-		if e.File != "" && e.Offset > j.offsets[e.File] {
-			j.offsets[e.File] = e.Offset
-		}
-	}
-	if err := sc.Err(); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("pipeline: reading journal %s: %w", path, err)
-	}
+	j.log = log
 	return j, nil
+}
+
+// record marks e's document done and advances its file's offset. Callers
+// other than replay hold mu.
+func (j *Journal) record(e journalEntry) {
+	j.done[e.Seq] = true
+	if e.File != "" && e.Offset > j.offsets[e.File] {
+		j.offsets[e.File] = e.Offset
+	}
 }
 
 // Done reports whether seq was checkpointed by a previous run.
@@ -95,26 +99,21 @@ func (j *Journal) Offsets() map[string]int64 {
 // Append checkpoints one completed document. The entry is written with a
 // single Write call so a kill can tear at most the final line.
 func (j *Journal) Append(seq int, file string, offset int64) error {
-	line, err := json.Marshal(journalEntry{Seq: seq, File: file, Offset: offset})
+	e := journalEntry{Seq: seq, File: file, Offset: offset}
+	put, err := json.Marshal(e)
 	if err != nil {
 		return err
 	}
-	line = append(line, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Write(line); err != nil {
+	if err := j.log.Append(put, 0); err != nil {
 		return fmt.Errorf("pipeline: appending journal entry: %w", err)
 	}
-	j.done[seq] = true
-	if file != "" && offset > j.offsets[file] {
-		j.offsets[file] = offset
-	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.record(e)
 	return nil
 }
 
 // Close closes the journal file.
 func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
+	return j.log.Close()
 }

@@ -288,9 +288,10 @@ func (e *Engine) Run(ctx context.Context, src Source, sink Sink, jr *Journal) (S
 			if !cur.skipped && !cur.canceled && emitErr == nil && runCtx.Err() == nil {
 				file, end, err := sink.Write(cur)
 				if err == nil && jr != nil {
-					err = jr.Append(cur.Seq, file, end)
-					e.counter("boundary_bulk_checkpoint_entries_total",
-						"Checkpoint journal entries appended.").Inc()
+					if err = jr.Append(cur.Seq, file, end); err == nil {
+						e.counter("boundary_bulk_checkpoint_entries_total",
+							"Checkpoint journal entries appended.").Inc()
+					}
 				}
 				if err != nil {
 					emitErr = err

@@ -261,7 +261,8 @@ func (s *Store) snapshot() []json.RawMessage {
 	return out
 }
 
-// appendPut journals one stored entry.
+// appendPut journals one stored entry. Journaling is best-effort: a lost
+// line costs only warmth after a restart, never a wrong answer.
 func (s *Store) appendPut(e *Entry) {
 	if s.journal == nil {
 		return
@@ -270,7 +271,7 @@ func (s *Store) appendPut(e *Entry) {
 	if err != nil {
 		return
 	}
-	s.journal.Append(b, s.cache.Len())
+	_ = s.journal.Append(b, s.cache.Len())
 }
 
 // Lookup returns the stored entry for key, if one exists and is healthy. A
@@ -383,7 +384,7 @@ func (s *Store) ReportDrift(key Key, reason string) {
 
 func (s *Store) evict(key Key, reason string) {
 	if s.cache.Remove(key) && s.journal != nil {
-		s.journal.AppendEvict(key.String(), s.cache.Len())
+		_ = s.journal.AppendEvict(key.String(), s.cache.Len())
 	}
 	s.mEntries.Set(float64(s.cache.Len()))
 	s.cfg.Metrics.Counter("boundary_template_drift_total",

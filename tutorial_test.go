@@ -10,8 +10,10 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/reldb"
-	"repro/internal/wrapper"
+	"repro/internal/template"
 )
 
 const realEstateDSL = `
@@ -166,16 +168,33 @@ func TestTutorialExtraction(t *testing.T) {
 
 func TestTutorialWrapper(t *testing.T) {
 	ont := tutorialOntology(t)
-	// One page is a legal (if small) training sample for a consistent site.
-	w, err := wrapper.Learn([]string{listingsPage, listingsPage}, ont)
+	store, err := template.Open(template.Config{Metrics: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Separator != "hr" {
-		t.Errorf("wrapper separator = %s", w.Separator)
+	defer store.Close()
+	// The salt binds stored wrappers to the request options, exactly as
+	// cmd/serve and cmd/bulk key their -wrapper-store.
+	opts := core.Options{
+		Ontology:     ont,
+		Templates:    store,
+		TemplateSalt: template.Salt("html", realEstateDSL, nil),
 	}
-	recs, err := w.Apply(listingsPage)
-	if err != nil || len(recs) != 4 {
-		t.Errorf("apply: %d records, err %v", len(recs), err)
+	// The first page of a template is learned; the second is answered from
+	// the store without running the heuristics.
+	for pass := 0; pass < 2; pass++ {
+		res, err := core.Discover(listingsPage, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Separator != "hr" {
+			t.Errorf("pass %d: separator = %s", pass, res.Separator)
+		}
+		if recs := core.Split(listingsPage, res); len(recs) != 4 {
+			t.Errorf("pass %d: %d records, want 4", pass, len(recs))
+		}
+	}
+	if st := store.Stats(); st.Misses != 1 || st.Hits != 1 {
+		t.Errorf("store stats = %+v, want one miss then one hit", st)
 	}
 }
