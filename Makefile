@@ -173,6 +173,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=30s ./internal/tagtree/
 	$(GO) test -fuzz='^FuzzParseXML$$' -fuzztime=30s ./internal/tagtree/
 	$(GO) test -fuzz='^FuzzByteVsStringParse$$' -fuzztime=30s ./internal/tagtree/
+	$(GO) test -fuzz='^FuzzCollapsedLen$$' -fuzztime=30s ./internal/tagtree/
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=30s ./internal/ontology/
 	$(GO) test -fuzz='^FuzzScanPlan$$' -fuzztime=30s ./internal/recognizer/
 	$(GO) test -fuzz='^FuzzDiscoverRequest$$' -fuzztime=30s ./internal/httpapi/

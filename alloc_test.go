@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/obs"
 	"repro/internal/tagtree"
 	"repro/internal/template"
 )
@@ -83,6 +84,35 @@ func TestDiscoverAllocs(t *testing.T) {
 			t.Errorf("DiscoverBytes (ontology) allocates %.0f/run, ceiling %d", got, ceiling)
 		}
 	})
+}
+
+// TestDiscoverRegistryAllocs pins the cost of observability on the
+// unarmed path: once every series exists, a metrics registry adds at most
+// 5 allocations to a discovery. Metric lookups allocate nothing, and the
+// trace attributes are built only when a trace is attached.
+func TestDiscoverRegistryAllocs(t *testing.T) {
+	skipUnderRace(t)
+	const ceiling = 5
+	doc := []byte(allocDoc(t).HTML)
+	arena := tagtree.AcquireArena()
+	defer arena.Release()
+	measure := func(opts core.Options) float64 {
+		if _, err := core.DiscoverBytes(doc, opts); err != nil { // warm
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(50, func() {
+			if _, err := core.DiscoverBytes(doc, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	bare := measure(core.Options{Arena: arena})
+	observed := measure(core.Options{Arena: arena, Metrics: obs.NewRegistry()})
+	t.Logf("%.0f allocations bare, %.0f with a warm registry", bare, observed)
+	if observed-bare > ceiling {
+		t.Errorf("a warm registry adds %.0f allocations per discovery (%.0f → %.0f), ceiling %d",
+			observed-bare, bare, observed, ceiling)
+	}
 }
 
 func TestSplitAllocs(t *testing.T) {

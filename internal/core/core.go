@@ -90,11 +90,15 @@ type Options struct {
 // observed reports whether any observability sink is attached.
 func (o Options) observed() bool { return o.Trace != nil || o.Metrics != nil }
 
-// recordStage files one completed stage with both sinks. Stage latencies
-// use the microsecond-scale StageBuckets — whole stages finish far below
-// the HTTP-oriented default bucket floor.
-func (o Options) recordStage(name string, d time.Duration, attrs ...string) {
-	o.Trace.Add(name, d, attrs...)
+// recordStage files one completed stage with both sinks. attrs builds the
+// trace span's attributes and runs only when a trace is attached, so a
+// metrics-only caller builds no attribute strings. Stage latencies use the
+// microsecond-scale StageBuckets — whole stages finish far below the
+// HTTP-oriented default bucket floor.
+func (o Options) recordStage(name string, d time.Duration, attrs func() []string) {
+	if o.Trace != nil {
+		o.Trace.Add(name, d, attrs()...)
+	}
 	o.Metrics.Histogram("boundary_stage_duration_seconds",
 		"Pipeline stage latency in seconds, by stage.", obs.StageBuckets,
 		"stage", name).Observe(d.Seconds())
@@ -199,8 +203,9 @@ func DiscoverContext(ctx context.Context, doc string, opts Options) (*Result, er
 		return nil, opts.failDocument(err)
 	}
 	if opts.observed() {
-		opts.recordStage("parse", time.Since(start),
-			"mode", "html", "bytes", strconv.Itoa(len(doc)))
+		opts.recordStage("parse", time.Since(start), func() []string {
+			return []string{"mode", "html", "bytes", strconv.Itoa(len(doc))}
+		})
 	}
 	return DiscoverTreeContext(ctx, tree, opts)
 }
@@ -245,8 +250,9 @@ func DiscoverXMLContext(ctx context.Context, doc string, opts Options) (*Result,
 		return nil, opts.failDocument(err)
 	}
 	if opts.observed() {
-		opts.recordStage("parse", time.Since(start),
-			"mode", "xml", "bytes", strconv.Itoa(len(doc)))
+		opts.recordStage("parse", time.Since(start), func() []string {
+			return []string{"mode", "xml", "bytes", strconv.Itoa(len(doc))}
+		})
 	}
 	return DiscoverTreeContext(ctx, tree, opts)
 }
@@ -285,9 +291,9 @@ func DiscoverTreeContext(ctx context.Context, tree *tagtree.Tree, opts Options) 
 			default:
 				res := resultFromEntry(e, tree, hfo)
 				if opts.observed() {
-					opts.recordStage("template/hit", time.Since(start),
-						"separator", res.Separator,
-						"cf", fmt.Sprintf("%.4f", e.Certainty))
+					opts.recordStage("template/hit", time.Since(start), func() []string {
+						return []string{"separator", res.Separator, "cf", fmt.Sprintf("%.4f", e.Certainty)}
+					})
 				}
 				opts.countDocument("ok")
 				return res, nil
@@ -303,7 +309,9 @@ func DiscoverTreeContext(ctx context.Context, tree *tagtree.Tree, opts Options) 
 	}
 	var onStage heuristic.StageFunc
 	if opts.observed() {
-		onStage = func(s heuristic.Stage) { opts.recordStage(s.Name, s.Duration, s.Attrs...) }
+		onStage = func(s heuristic.Stage) {
+			opts.recordStage(s.Name, s.Duration, func() []string { return s.Attrs })
+		}
 	}
 	hctx, err := heuristic.NewContextCtx(ctx, tree, opts.threshold(), ont, onStage, opts.Faults)
 	if err != nil {
@@ -391,9 +399,9 @@ func DiscoverTreeContext(ctx context.Context, tree *tagtree.Tree, opts Options) 
 		}
 	}
 	if opts.observed() {
-		opts.recordStage("combine", time.Since(start),
-			"separator", res.Separator,
-			"cf", fmt.Sprintf("%.4f", res.Scores[0].CF))
+		opts.recordStage("combine", time.Since(start), func() []string {
+			return []string{"separator", res.Separator, "cf", fmt.Sprintf("%.4f", res.Scores[0].CF)}
+		})
 	}
 	if res.Degraded {
 		opts.Trace.SetStatus(obs.StatusDegraded,
@@ -515,7 +523,7 @@ func (o Options) runHeuristic(ctx context.Context, h heuristic.Heuristic, hctx *
 	if ctx.Err() != nil {
 		return heuristicAnswer{name: h.Name()}
 	}
-	if err := o.Faults.FireCtx(ctx, "core/heuristic/"+h.Name()); err != nil {
+	if err := o.Faults.FireCtx(ctx, pointsOf(h.Name()).fault); err != nil {
 		return heuristicAnswer{name: h.Name(), d: time.Since(start), reason: "fault injected"}
 	}
 	r, ok := h.Rank(hctx)
@@ -566,15 +574,15 @@ func (o Options) countDocument(outcome string) {
 // panic) with both sinks: a trace span named heuristic/<name>, a
 // stage-latency observation, and run/decline/panic counters.
 func (o Options) observeHeuristic(a heuristicAnswer) {
-	stage := "heuristic/" + a.name
-	attrs := []string{"declined", "true", "reason", a.reason}
-	switch {
-	case a.panicked:
-		attrs = []string{"panicked", "true", "panic", a.panicMsg}
-	case a.ok && len(a.r) > 0:
-		attrs = []string{"declined", "false", "rank1", a.r[0].Tag}
-	}
-	o.recordStage(stage, a.d, attrs...)
+	o.recordStage(pointsOf(a.name).stage, a.d, func() []string {
+		switch {
+		case a.panicked:
+			return []string{"panicked", "true", "panic", a.panicMsg}
+		case a.ok && len(a.r) > 0:
+			return []string{"declined", "false", "rank1", a.r[0].Tag}
+		}
+		return []string{"declined", "true", "reason", a.reason}
+	})
 	o.Metrics.Histogram("boundary_heuristic_duration_seconds",
 		"One heuristic's ranking latency in seconds, by heuristic.",
 		obs.StageBuckets, "heuristic", a.name).Observe(a.d.Seconds())
@@ -590,6 +598,29 @@ func (o Options) observeHeuristic(a heuristicAnswer) {
 			"Heuristic invocations that declined to answer, by heuristic.",
 			"heuristic", a.name).Inc()
 	}
+}
+
+// heuristicPoints are one heuristic's per-document names: its trace and
+// stage-metric name "heuristic/<NAME>" and its fault point
+// "core/heuristic/<NAME>".
+type heuristicPoints struct{ stage, fault string }
+
+// pointsOf returns the names for a heuristic, constants for the paper's
+// five so the per-document path builds no strings.
+func pointsOf(name string) heuristicPoints {
+	switch name {
+	case certainty.OM:
+		return heuristicPoints{"heuristic/OM", "core/heuristic/OM"}
+	case certainty.RP:
+		return heuristicPoints{"heuristic/RP", "core/heuristic/RP"}
+	case certainty.SD:
+		return heuristicPoints{"heuristic/SD", "core/heuristic/SD"}
+	case certainty.IT:
+		return heuristicPoints{"heuristic/IT", "core/heuristic/IT"}
+	case certainty.HT:
+		return heuristicPoints{"heuristic/HT", "core/heuristic/HT"}
+	}
+	return heuristicPoints{"heuristic/" + name, "core/heuristic/" + name}
 }
 
 // Record is one record-sized chunk of a document.

@@ -9,10 +9,11 @@
 // them; the catalog lives in docs/ROBUSTNESS.md. Current points:
 //
 //	core/parse              before the tag tree is built
-//	htmlparse/arena         once per parse, after the tokenizer has filled
-//	                        the arena's slabs and before normalization (an
-//	                        armed panic proves a mid-parse failure still
-//	                        repools the dirty arena)
+//	htmlparse/arena         once per parse, after the one-pass scan,
+//	                        normalize and build has written the arena's
+//	                        nodes and events and before the per-node
+//	                        windows are carved (an armed panic proves a
+//	                        mid-parse failure still repools the dirty arena)
 //	core/heuristic/<NAME>   inside each heuristic's recover() scope, before
 //	                        Rank
 //	core/combine            before certainty combination

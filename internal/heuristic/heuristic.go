@@ -44,10 +44,11 @@ type Context struct {
 	Table *recognizer.Table
 	// SubtreeTextLens caches, aligned with Tree.SubtreeEvents(Subtree), the
 	// whitespace-collapsed text length of each text event (zero for tag
-	// events). NewContextCtx fills it in one pass so SD and RP — which both
-	// need "how much real text is here" per chunk — don't each re-scan
-	// every text byte. Contexts assembled by hand may leave it nil; the
-	// heuristics then fall back to computing lengths on the fly.
+	// events), so SD and RP — which both need "how much real text is here"
+	// per chunk — don't each re-scan every text byte. NewContextCtx takes
+	// it from the lengths the parser recorded (Tree.SubtreeTextLens).
+	// Contexts assembled by hand may leave it nil; the heuristics then fall
+	// back to computing lengths on the fly.
 	SubtreeTextLens []int32
 }
 
@@ -102,19 +103,12 @@ func NewContextCtx(ctx context.Context, tree *tagtree.Tree, threshold float64, o
 		}})
 		start = time.Now()
 	}
-	events := tree.SubtreeEvents(sub)
-	lens := make([]int32, len(events))
-	for i := range events {
-		if ev := &events[i]; ev.Kind == tagtree.EventText {
-			lens[i] = int32(tagtree.CollapsedLen(ev.Text))
-		}
-	}
 	hctx := &Context{
 		Tree:            tree,
 		Subtree:         sub,
 		Candidates:      tagtree.Candidates(sub, threshold),
 		Ontology:        ont,
-		SubtreeTextLens: lens,
+		SubtreeTextLens: tree.SubtreeTextLens(sub),
 	}
 	if onStage != nil {
 		onStage(Stage{Name: "candidates", Duration: time.Since(start), Attrs: []string{

@@ -2,16 +2,17 @@ package htmlparse
 
 import "strings"
 
-// Arena is the tokenizer half of the per-request scratch arena: a reusable
-// token slab, a reusable attribute slab, and a tag/attribute-name intern
-// table. TokenizeHTML and TokenizeXML fill the slabs in place, so a warm
-// arena tokenizes an entire document without allocating.
+// Arena is the tokenizer half of the per-request scratch arena: a streaming
+// byte scanner over one document, a reusable attribute slab, and a
+// tag/attribute-name intern table. Reset points it at a document and Next
+// hands out one token at a time, so a warm arena scans an entire document
+// without allocating and without materializing a token slice.
 //
 // Ownership rules (see docs/PERFORMANCE.md):
 //
-//   - The returned tokens, their Attrs windows, and any name or text string
-//     they carry are valid only until the arena's next tokenize call. Copy
-//     anything that must outlive the request.
+//   - The token Next returns is the arena's own scratch: it is overwritten
+//     by the next call. Its Attrs window, and any name or text string it
+//     carries, stay valid until the arena's next Reset.
 //   - Token names and undecoded text are zero-copy views into the input
 //     document; the document must stay immutable while results derived from
 //     it are alive.
@@ -19,16 +20,21 @@ import "strings"
 // An Arena is not safe for concurrent use. internal/tagtree's Arena embeds
 // one and manages pooling; most callers want that.
 type Arena struct {
-	tokens []Token
-	attrs  []Attr
+	attrs []Attr
 	// names interns lowercased tag and attribute names that needed case
 	// work, so warm-path tokenizing of <DIV> or BORDER= costs a map hit
 	// instead of an allocation. Interned strings are fresh copies — the
 	// table never pins a request document.
 	names map[string]string
 	lower []byte // lowercase scratch for names that need case folding
-	src   string // document being tokenized; set by reset
 	visit func(k0, k1, v0, v1 int, hasVal bool)
+
+	// Scan state, set by Reset.
+	src    string // document being tokenized
+	pos    int    // next unscanned byte
+	xml    bool   // XML grammar (see TokenizeXML)
+	rawEnd string // name of the open raw-text element, HTML only
+	tok    Token  // the token Next returned last
 }
 
 // maxInternedNames bounds the intern table so hostile inputs with endless
@@ -36,13 +42,9 @@ type Arena struct {
 // names that need case work are allocated per token (correct, just slower).
 const maxInternedNames = 4096
 
-// maxRetainedTokens / maxRetainedAttrs bound what a pooled arena keeps
-// between requests; one pathological document must not pin its peak
-// footprint forever.
-const (
-	maxRetainedTokens = 1 << 16
-	maxRetainedAttrs  = 1 << 16
-)
+// maxRetainedAttrs bounds what a pooled arena keeps between requests; one
+// pathological document must not pin its peak footprint forever.
+const maxRetainedAttrs = 1 << 16
 
 // NewArena returns an empty tokenizer arena.
 func NewArena() *Arena {
@@ -62,39 +64,130 @@ func TokenizeXML(input string) []Token {
 	return NewArena().TokenizeXML(input)
 }
 
-// reset points the arena at a new document and empties the slabs. Previously
-// returned tokens become invalid.
-func (a *Arena) reset(src string) {
-	a.src = src
-	a.tokens = a.tokens[:0]
+// TokenizeHTML collects every token Next yields for an HTML document into a
+// new slice. The tokens' Attrs windows live in the arena's attribute slab;
+// see the ownership rules on Arena.
+//
+// Tag and attribute names are lowercased; character data and attribute
+// values are entity-decoded; the content of raw-text elements (script,
+// style, ...) is one undecoded text token up to the matching end-tag; a '<'
+// that does not begin markup is character data.
+func (a *Arena) TokenizeHTML(s string) []Token {
+	return a.collect(s, false)
+}
+
+// TokenizeXML is TokenizeHTML with the XML grammar the paper's footnote 1
+// ("most of this work should carry over directly to other document type
+// definitions, such as XML") requires:
+//
+//   - element names keep their case (XML is case-sensitive); attribute
+//     keys are still normalized to lowercase,
+//   - there are no void elements or raw-text elements — emptiness comes
+//     only from explicit self-closing tags (<item/>),
+//   - CDATA sections become literal (undecoded) text tokens,
+//   - processing instructions (<?xml ...?>) become comments.
+//
+// Like TokenizeHTML it is tolerant: malformed constructs degrade to text
+// rather than failing, so the record-boundary pipeline can run over
+// imperfect feeds.
+func (a *Arena) TokenizeXML(s string) []Token {
+	return a.collect(s, true)
+}
+
+func (a *Arena) collect(s string, xml bool) []Token {
+	var toks []Token
+	a.Reset(s, xml)
+	for tok := a.Next(); tok != nil; tok = a.Next() {
+		toks = append(toks, *tok)
+	}
+	return toks
+}
+
+// Reset points the arena at a new document, in the XML grammar when xml is
+// set, and empties the attribute slab. Tokens from the previous document
+// become invalid.
+func (a *Arena) Reset(src string, xml bool) {
+	a.src, a.pos, a.xml, a.rawEnd = src, 0, xml, ""
 	a.attrs = a.attrs[:0]
 }
 
-// Trim drops slab capacity beyond the retention bounds and clears the
+// Trim drops slab capacity beyond the retention bound and clears every
 // document reference. tagtree's arena calls this before repooling.
 func (a *Arena) Trim() {
-	if cap(a.tokens) > maxRetainedTokens {
-		a.tokens = nil
-	} else {
-		clearTokens(a.tokens[:cap(a.tokens)])
-		a.tokens = a.tokens[:0]
-	}
 	if cap(a.attrs) > maxRetainedAttrs {
 		a.attrs = nil
 	} else {
-		attrs := a.attrs[:cap(a.attrs)]
-		for i := range attrs {
-			attrs[i] = Attr{}
-		}
+		clear(a.attrs[:cap(a.attrs)])
 		a.attrs = a.attrs[:0]
 	}
-	a.src = ""
+	a.src, a.pos, a.rawEnd = "", 0, ""
+	a.tok = Token{}
 }
 
-func clearTokens(toks []Token) {
-	for i := range toks {
-		toks[i] = Token{}
+// Next scans the next token of the document Reset named and returns it, or
+// nil at the end of the document. The returned token is overwritten by the
+// next call.
+func (a *Arena) Next() *Token {
+	s, pos := a.src, a.pos
+	if pos >= len(s) {
+		return nil
 	}
+	if a.rawEnd != "" {
+		end := RawTextEnd(s, pos, a.rawEnd)
+		a.pos, a.rawEnd = end, ""
+		// Raw text is not entity-decoded (scripts may contain '&&').
+		return a.set(Text, "", s[pos:end], pos, end)
+	}
+	if s[pos] != '<' || !MarkupStartsAt(s, pos) {
+		return a.scanText(s, pos)
+	}
+	if a.xml && strings.HasPrefix(s[pos:], "<![CDATA[") {
+		// CDATA content is literal: no entity decoding.
+		body := pos + len("<![CDATA[")
+		end := strings.Index(s[body:], "]]>")
+		if end < 0 {
+			a.pos = len(s)
+			return a.set(Text, "", s[body:], pos, len(s))
+		}
+		a.pos = body + end + 3
+		return a.set(Text, "", s[body:body+end], pos, a.pos)
+	}
+	switch s[pos+1] {
+	case '!':
+		b0, b1, next, doctype := ScanDeclarationSpans(s, pos)
+		typ := Comment
+		if doctype {
+			typ = Doctype
+		}
+		a.pos = next
+		return a.set(typ, "", s[b0:b1], pos, next)
+	case '?':
+		b0, b1, next := ScanPISpans(s, pos)
+		a.pos = next
+		return a.set(Comment, "", s[b0:b1], pos, next)
+	case '/':
+		i := NameEnd(s, pos+2)
+		name := s[pos+2 : i] // XML keeps the case
+		if !a.xml {
+			name = a.lowerIntern(name)
+		}
+		a.pos = indexFrom(s, i, '>')
+		return a.set(EndTag, name, "", pos, a.pos)
+	}
+	t := a.scanStartTag(s, pos)
+	if !a.xml && !t.SelfClosing && IsRawText(t.Name) {
+		a.rawEnd = t.Name
+	}
+	return t
+}
+
+// set overwrites the current token field by field and returns it. (A
+// composite-literal assignment builds the whole token aside and copies it.)
+func (a *Arena) set(typ TokenType, name, data string, pos, end int) *Token {
+	t := &a.tok
+	t.Type, t.Name, t.Attrs, t.Data = typ, name, nil, data
+	t.Pos, t.End, t.SelfClosing, t.Synthetic = pos, end, false, false
+	return t
 }
 
 // visitAttr is the ScanTagAttrs callback: it interns the key, lazily decodes
@@ -153,148 +246,30 @@ func (a *Arena) intern(name string) string {
 	return name
 }
 
-// TokenizeHTML scans an HTML document into the arena's slabs. The returned
-// slice is the arena's; see the ownership rules on Arena.
-//
-// Tag and attribute names are lowercased; character data and attribute
-// values are entity-decoded; the content of raw-text elements (script,
-// style, ...) is one undecoded text token up to the matching end-tag; a '<'
-// that does not begin markup is character data.
-func (a *Arena) TokenizeHTML(s string) []Token {
-	a.reset(s)
-	pos := 0
-	rawEnd := ""
-	for pos < len(s) {
-		if rawEnd != "" {
-			end := RawTextEnd(s, pos, rawEnd)
-			// Raw text is not entity-decoded (scripts may contain '&&').
-			a.tokens = append(a.tokens, Token{Type: Text, Data: s[pos:end], Pos: pos, End: end})
-			pos = end
-			rawEnd = ""
-			continue
-		}
-		if s[pos] == '<' && MarkupStartsAt(s, pos) {
-			switch s[pos+1] {
-			case '!':
-				b0, b1, next, doctype := ScanDeclarationSpans(s, pos)
-				typ := Comment
-				if doctype {
-					typ = Doctype
-				}
-				a.tokens = append(a.tokens, Token{Type: typ, Data: s[b0:b1], Pos: pos, End: next})
-				pos = next
-			case '?':
-				b0, b1, next := ScanPISpans(s, pos)
-				a.tokens = append(a.tokens, Token{Type: Comment, Data: s[b0:b1], Pos: pos, End: next})
-				pos = next
-			case '/':
-				i := NameEnd(s, pos+2)
-				name := a.lowerIntern(s[pos+2 : i])
-				end := indexFrom(s, i, '>')
-				a.tokens = append(a.tokens, Token{Type: EndTag, Name: name, Pos: pos, End: end})
-				pos = end
-			default:
-				var tok Token
-				tok, pos = a.scanStartTag(s, pos, false)
-				if IsRawText(tok.Name) && !tok.SelfClosing {
-					rawEnd = tok.Name
-				}
-			}
-			continue
-		}
-		pos = a.scanText(s, pos)
-	}
-	return a.tokens
-}
-
-// TokenizeXML scans an XML document into the arena's slabs. It differs from
-// TokenizeHTML in the ways the paper's footnote 1 ("most of this work should
-// carry over directly to other document type definitions, such as XML")
-// requires:
-//
-//   - element names keep their case (XML is case-sensitive); attribute
-//     keys are still normalized to lowercase,
-//   - there are no void elements or raw-text elements — emptiness comes
-//     only from explicit self-closing tags (<item/>),
-//   - CDATA sections become literal (undecoded) text tokens,
-//   - processing instructions (<?xml ...?>) become comments.
-//
-// Like TokenizeHTML it is tolerant: malformed constructs degrade to text
-// rather than failing, so the record-boundary pipeline can run over
-// imperfect feeds.
-func (a *Arena) TokenizeXML(s string) []Token {
-	a.reset(s)
-	pos := 0
-	for pos < len(s) {
-		if s[pos] == '<' && MarkupStartsAt(s, pos) {
-			if strings.HasPrefix(s[pos:], "<![CDATA[") {
-				body := pos + len("<![CDATA[")
-				end := strings.Index(s[body:], "]]>")
-				if end < 0 {
-					// CDATA content is literal: no entity decoding.
-					a.tokens = append(a.tokens, Token{Type: Text, Data: s[body:], Pos: pos, End: len(s)})
-					pos = len(s)
-					continue
-				}
-				stop := body + end + 3
-				a.tokens = append(a.tokens, Token{Type: Text, Data: s[body : body+end], Pos: pos, End: stop})
-				pos = stop
-				continue
-			}
-			switch s[pos+1] {
-			case '!':
-				b0, b1, next, doctype := ScanDeclarationSpans(s, pos)
-				typ := Comment
-				if doctype {
-					typ = Doctype
-				}
-				a.tokens = append(a.tokens, Token{Type: typ, Data: s[b0:b1], Pos: pos, End: next})
-				pos = next
-			case '?':
-				b0, b1, next := ScanPISpans(s, pos)
-				a.tokens = append(a.tokens, Token{Type: Comment, Data: s[b0:b1], Pos: pos, End: next})
-				pos = next
-			case '/':
-				i := NameEnd(s, pos+2)
-				name := s[pos+2 : i] // case preserved
-				end := indexFrom(s, i, '>')
-				a.tokens = append(a.tokens, Token{Type: EndTag, Name: name, Pos: pos, End: end})
-				pos = end
-			default:
-				_, pos = a.scanStartTag(s, pos, true)
-			}
-			continue
-		}
-		pos = a.scanText(s, pos)
-	}
-	return a.tokens
-}
-
-// scanStartTag scans <name attr=value ...> at pos into the slabs and returns
-// the token plus the index just past it. xmlNames preserves the element
-// name's case (attribute keys are lowercased in both modes).
-func (a *Arena) scanStartTag(s string, pos int, xmlNames bool) (Token, int) {
+// scanStartTag scans <name attr=value ...> at pos into the current token
+// and the attribute slab. XML keeps the element name's case (attribute keys
+// are lowercased in both grammars).
+func (a *Arena) scanStartTag(s string, pos int) *Token {
 	i := NameEnd(s, pos+1)
-	var name string
-	if xmlNames {
-		name = s[pos+1 : i]
-	} else {
-		name = a.lowerIntern(s[pos+1 : i])
+	name := s[pos+1 : i]
+	if !a.xml {
+		name = a.lowerIntern(name)
 	}
 	attrStart := len(a.attrs)
 	next, selfClosing := ScanTagAttrs(s, i, a.visit)
-	tok := Token{Type: StartTag, Name: name, Pos: pos, End: next, SelfClosing: selfClosing}
+	a.pos = next
+	t := a.set(StartTag, name, "", pos, next)
+	t.SelfClosing = selfClosing
 	if n := len(a.attrs); n > attrStart {
-		tok.Attrs = a.attrs[attrStart:n:n]
+		t.Attrs = a.attrs[attrStart:n:n]
 	}
-	a.tokens = append(a.tokens, tok)
-	return tok, next
+	return t
 }
 
 // scanText scans character data starting at pos (always consuming at least
-// one byte, since the first byte may be a non-markup '<'), appends the
-// decoded token, and returns the index just past it.
-func (a *Arena) scanText(s string, pos int) int {
+// one byte, since the first byte may be a non-markup '<') into the current
+// token, decoded.
+func (a *Arena) scanText(s string, pos int) *Token {
 	i := pos + 1
 	for i < len(s) {
 		j := strings.IndexByte(s[i:], '<')
@@ -308,6 +283,6 @@ func (a *Arena) scanText(s string, pos int) int {
 		}
 		i++
 	}
-	a.tokens = append(a.tokens, Token{Type: Text, Data: DecodeEntities(s[pos:i]), Pos: pos, End: i})
-	return i
+	a.pos = i
+	return a.set(Text, "", DecodeEntities(s[pos:i]), pos, i)
 }

@@ -42,6 +42,66 @@ var StageBuckets = []float64{
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
+
+	// index maps seriesHash(type, name, labels as the caller passed them)
+	// to an *indexEntry chain, so looking up an existing series takes no
+	// registry-wide lock and allocates nothing. Entries are added under mu
+	// when a lookup first misses.
+	index sync.Map
+}
+
+// indexEntry is one lookup key of the index and the metric it resolves to.
+// Label orders that render to the same series get entries of their own
+// pointing at one metric.
+type indexEntry struct {
+	typ, name string
+	labels    []string // as the caller passed them
+	value     any
+	next      *indexEntry // hash collisions
+}
+
+func (e *indexEntry) matches(typ, name string, labels []string) bool {
+	if e.typ != typ || e.name != name || len(e.labels) != len(labels) {
+		return false
+	}
+	for i, l := range labels {
+		if e.labels[i] != l {
+			return false
+		}
+	}
+	return true
+}
+
+// seriesHash is FNV-1a over the type, name and labels, each terminated by
+// a 0xff byte (which no UTF-8 string contains).
+func seriesHash(typ, name string, labels []string) uint64 {
+	h := fnvAdd(fnvAdd(14695981039346656037, typ), name)
+	for _, l := range labels {
+		h = fnvAdd(h, l)
+	}
+	return h
+}
+
+func fnvAdd(h uint64, s string) uint64 {
+	const prime = 1099511628211
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * prime
+	}
+	return (h ^ 0xff) * prime
+}
+
+// lookup returns the metric indexed under the key, or nil.
+func (r *Registry) lookup(h uint64, typ, name string, labels []string) any {
+	v, ok := r.index.Load(h)
+	if !ok {
+		return nil
+	}
+	for e := v.(*indexEntry); e != nil; e = e.next {
+		if e.matches(typ, name, labels) {
+			return e.value
+		}
+	}
+	return nil
 }
 
 // family is one metric name: its metadata plus one series per label set.
@@ -109,13 +169,33 @@ func renderLabels(pairs [][2]string, extra ...[2]string) string {
 
 // metric returns (creating if needed) the series for name+labels, checking
 // that the family's type matches. Registering the same name under two
-// different types is a programming error and panics.
+// different types is a programming error and panics. A series that exists
+// is found in the index without locking or allocating; the first lookup
+// under a new key takes mu.
 func (r *Registry) metric(name, help, typ string, buckets []float64, labels []string) any {
-	pairs := labelPairs(labels)
-	key := renderLabels(pairs)
-
+	h := seriesHash(typ, name, labels)
+	if v := r.lookup(h, typ, name, labels); v != nil {
+		return v
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if v := r.lookup(h, typ, name, labels); v != nil {
+		return v
+	}
+	v := r.create(name, help, typ, buckets, labels)
+	e := &indexEntry{typ: typ, name: name, labels: append([]string(nil), labels...), value: v}
+	if head, ok := r.index.Load(h); ok {
+		e.next = head.(*indexEntry)
+	}
+	r.index.Store(h, e)
+	return v
+}
+
+// create returns (creating if needed) the series for name+labels in the
+// family map. r.mu must be held.
+func (r *Registry) create(name, help, typ string, buckets []float64, labels []string) any {
+	pairs := labelPairs(labels)
+	key := renderLabels(pairs)
 	f, ok := r.families[name]
 	if !ok {
 		f = &family{name: name, help: help, typ: typ, buckets: buckets, series: make(map[string]*series)}

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -153,4 +154,106 @@ func TestTypeMismatchPanics(t *testing.T) {
 		}
 	}()
 	r.Gauge("m", "")
+}
+
+// TestLookupExistingSeries pins the warm lookup path instrumented code takes
+// on every document: an existing series is found without allocating, under
+// any label order, and every label order resolves to the one series.
+func TestLookupExistingSeries(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("calls_total", "Calls.", "route", "a", "code", "200")
+	if r.Counter("calls_total", "Calls.", "code", "200", "route", "a") != c {
+		t.Fatal("reordered labels resolved to a different series")
+	}
+	h := r.Histogram("lat_seconds", "Latency.", StageBuckets, "stage", "parse")
+	route := "a"
+	if n := testing.AllocsPerRun(100, func() {
+		r.Counter("calls_total", "Calls.", "route", route, "code", "200").Inc()
+		r.Counter("calls_total", "Calls.", "code", "200", "route", route).Inc()
+		r.Histogram("lat_seconds", "Latency.", StageBuckets, "stage", "parse").Observe(0.001)
+	}); n != 0 {
+		t.Errorf("looking up existing series allocates %v per run, want 0", n)
+	}
+	if got := c.Value(); got != 202 {
+		t.Errorf("counter = %v, want 202", got)
+	}
+	if got := h.Count(); got != 101 {
+		t.Errorf("histogram count = %v, want 101", got)
+	}
+}
+
+// TestSeriesCreationInterleavesWithLookups forces first-time series creation
+// to overlap lookups of existing series and scrapes: every increment lands
+// on the one series its name and labels denote, whichever goroutine created
+// it, and the final exposition lists each series with its exact count.
+func TestSeriesCreationInterleavesWithLookups(t *testing.T) {
+	const workers, perWorker, shared = 4, 512, 8
+	r := NewRegistry()
+	stop := make(chan struct{})
+	scraped := make(chan error, 1)
+	go func() {
+		var err error
+		for done := false; !done; {
+			select {
+			case <-stop:
+				done = true
+			default:
+			}
+			if werr := r.WritePrometheus(&strings.Builder{}); werr != nil && err == nil {
+				err = werr
+			}
+		}
+		scraped <- err
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				// A series of its own, created here, and a series every
+				// worker creates and bumps, with labels in either order.
+				r.Counter("own_total", "", "worker", fmt.Sprint(w), "i", fmt.Sprint(i)).Inc()
+				k := fmt.Sprint(i % shared)
+				if i%2 == 0 {
+					r.Counter("shared_total", "", "k", k, "side", "x").Inc()
+				} else {
+					r.Counter("shared_total", "", "side", "x", "k", k).Inc()
+				}
+				r.Histogram("shared_seconds", "", nil, "k", k).Observe(0.01)
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	if err := <-scraped; err != nil {
+		t.Fatal(err)
+	}
+
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for w := 0; w < workers; w++ {
+		for i := 0; i < perWorker; i++ {
+			want[fmt.Sprintf(`own_total{i="%d",worker="%d"}`, i, w)] = "1"
+		}
+	}
+	for k := 0; k < shared; k++ {
+		n := fmt.Sprint(workers * perWorker / shared)
+		want[fmt.Sprintf(`shared_total{k="%d",side="x"}`, k)] = n
+		want[fmt.Sprintf(`shared_seconds_count{k="%d"}`, k)] = n
+	}
+	got := map[string]string{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if series, v, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			got[series] = v
+		}
+	}
+	for series, v := range want {
+		if got[series] != v {
+			t.Errorf("%s = %q, want %s", series, got[series], v)
+		}
+	}
 }

@@ -9,21 +9,22 @@ import (
 )
 
 // Arena is the per-request scratch for the byte-level hot path: the
-// tokenizer slabs (via htmlparse.Arena), the normalized token buffer, node
-// blocks, and the children/chunk/event slabs all live here and are reused
-// across parses instead of being garbage-collected per document. Acquire one
-// with AcquireArena, pass it to ParseArenaContext (or core.Options.Arena),
-// and Release it when the request's results have been copied out. Passing a
-// nil arena parses into a one-shot arena that is never pooled, so the tree
-// has ordinary heap lifetime; Parse and ParseContext do exactly that.
+// streaming scanner (via htmlparse.Arena), the normalizer's open-element
+// stack, node blocks, and the children/chunk/event slabs all live here and
+// are reused across parses instead of being garbage-collected per document.
+// Acquire one with AcquireArena, pass it to ParseArenaContext (or
+// core.Options.Arena), and Release it when the request's results have been
+// copied out. Passing a nil arena parses into a one-shot arena that is never
+// pooled, so the tree has ordinary heap lifetime; Parse and ParseContext do
+// exactly that.
 //
 // Ownership rules (see docs/PERFORMANCE.md):
 //
-//   - A Tree built on an arena — its nodes, events, chunks, and attribute
-//     windows — is valid only until the arena's next parse or Release.
-//     Anything that outlives the request (wire responses, template-store
-//     entries, caches) must deep-copy first; every serving layer in this
-//     repo already does.
+//   - A Tree built on an arena — its nodes, events, chunks, text lengths,
+//     and attribute windows — is valid only until the arena's next parse or
+//     Release. Anything that outlives the request (wire responses,
+//     template-store entries, caches) must deep-copy first; every serving
+//     layer in this repo already does.
 //   - Tree strings alias the input document; the document must stay
 //     immutable while the Tree is alive.
 //   - An Arena is single-goroutine; give each worker its own.
@@ -32,10 +33,8 @@ import (
 // it on a defer and a mid-parse panic (see the htmlparse/arena fault hook)
 // still returns the entry to the pool as the stack unwinds.
 type Arena struct {
-	tok *htmlparse.Arena
-
-	norm  []htmlparse.Token // normalized (balanced) token stream
-	stack []string          // normalize's open-element stack
+	tok  *htmlparse.Arena
+	norm normalizer
 
 	// Node storage: fixed-size blocks so node pointers stay stable while the
 	// arena grows. Node k of a parse lives at blocks[k>>blockShift][k&blockMask];
@@ -43,26 +42,40 @@ type Arena struct {
 	blocks    [][]Node
 	highNodes int // high-water node count since last scrub, for Release
 
-	// Per-parse slabs. children and chunks are carved into per-node windows
-	// between the counting and building passes; events backs Tree.Events.
+	// Per-parse slabs. events and textLens back Tree.Events and the
+	// recorded text lengths; children and chunks are carved into per-node
+	// windows after the pass.
 	children []*Node
 	chunks   []Chunk
 	events   []Event
+	textLens []int32
 
-	// Counting-pass scratch: childOffs/chunkOffs hold per-node counts during
-	// pass 0 and prefix-sum offsets during pass 1 (entry i+1 is node i's
-	// window end); seqStack tracks the open node sequence numbers.
-	childOffs []int
-	chunkOffs []int
-	seqStack  []int
+	// Builder state. childCounts/chunkCounts hold per-node counts indexed by
+	// node sequence number; pending holds the text chunks in document order
+	// until they are scattered into their nodes' windows; seqStack holds the
+	// open node sequence numbers (root = 0) and cur is the innermost open
+	// node.
+	childCounts []int32
+	chunkCounts []int32
+	pending     []pendingChunk
+	seqStack    []int32
+	cur         *Node
+	nodes       int
+	lastEnd     int
+	lim         Limits
 
 	tree     Tree
 	released bool
 	// oneShot marks an unpooled arena built for a single nil-arena parse:
-	// its node storage is sized to the document, and its tree is allocated
-	// apart from the arena so the slabs the tree does not reference can be
-	// collected.
+	// its storage is sized to the document by a counting pass, and its tree
+	// is allocated apart from the arena.
 	oneShot bool
+}
+
+// pendingChunk is a text chunk awaiting its owner's Chunks window.
+type pendingChunk struct {
+	Chunk
+	owner int32
 }
 
 const (
@@ -74,9 +87,8 @@ const (
 // Retention bounds: what one pooled arena may keep between requests. A
 // pathological document must not pin its peak footprint in the pool forever.
 const (
-	maxRetainedNodes  = 1 << 15
-	maxRetainedTokens = 1 << 16
-	maxRetainedSlab   = 1 << 16
+	maxRetainedNodes = 1 << 15
+	maxRetainedSlab  = 1 << 16
 )
 
 var arenaPool = sync.Pool{New: func() any { return newArena() }}
@@ -115,24 +127,8 @@ func (a *Arena) Release() {
 // beyond the retention bounds.
 func (a *Arena) scrub() {
 	a.tok.Trim()
-	if cap(a.norm) > maxRetainedTokens {
-		a.norm = nil
-	} else {
-		norm := a.norm[:cap(a.norm)]
-		for i := range norm {
-			norm[i] = htmlparse.Token{}
-		}
-		a.norm = a.norm[:0]
-	}
-	if cap(a.stack) > maxRetainedSlab {
-		a.stack = nil
-	} else {
-		stack := a.stack[:cap(a.stack)]
-		for i := range stack {
-			stack[i] = ""
-		}
-		a.stack = a.stack[:0]
-	}
+	a.norm.stack = scrubSlab(a.norm.stack)
+	a.norm.synth = htmlparse.Token{}
 	if len(a.blocks)*nodeBlockSize > maxRetainedNodes {
 		a.blocks = nil
 	} else {
@@ -141,37 +137,34 @@ func (a *Arena) scrub() {
 		}
 	}
 	a.highNodes = 0
-	if cap(a.children) > maxRetainedSlab {
-		a.children = nil
-	} else {
-		ch := a.children[:cap(a.children)]
-		for i := range ch {
-			ch[i] = nil
-		}
-		a.children = a.children[:0]
-	}
-	if cap(a.chunks) > maxRetainedSlab {
-		a.chunks = nil
-	} else {
-		ck := a.chunks[:cap(a.chunks)]
-		for i := range ck {
-			ck[i] = Chunk{}
-		}
-		a.chunks = a.chunks[:0]
-	}
-	if cap(a.events) > maxRetainedSlab {
-		a.events = nil
-	} else {
-		ev := a.events[:cap(a.events)]
-		for i := range ev {
-			ev[i] = Event{}
-		}
-		a.events = a.events[:0]
-	}
-	a.childOffs = a.childOffs[:0]
-	a.chunkOffs = a.chunkOffs[:0]
-	a.seqStack = a.seqStack[:0]
+	a.children = scrubSlab(a.children)
+	a.chunks = scrubSlab(a.chunks)
+	a.events = scrubSlab(a.events)
+	a.pending = scrubSlab(a.pending)
+	a.textLens = trimSlab(a.textLens)
+	a.childCounts = trimSlab(a.childCounts)
+	a.chunkCounts = trimSlab(a.chunkCounts)
+	a.seqStack = trimSlab(a.seqStack)
+	a.cur = nil
 	a.tree = Tree{}
+}
+
+// scrubSlab zeroes s up to its capacity and empties it, or drops it when
+// its capacity exceeds the retention bound.
+func scrubSlab[T any](s []T) []T {
+	if cap(s) > maxRetainedSlab {
+		return nil
+	}
+	clear(s[:cap(s)])
+	return s[:0]
+}
+
+// trimSlab is scrubSlab for slabs that hold no references: nothing to zero.
+func trimSlab(s []int32) []int32 {
+	if cap(s) > maxRetainedSlab {
+		return nil
+	}
+	return s[:0]
 }
 
 // node returns the arena slot for node sequence number k; ensureNodes must
@@ -202,34 +195,26 @@ func capTo[T any](s []T, n int) []T {
 }
 
 // ParseArenaContext tokenizes, normalizes, and builds the tag tree of an
-// HTML document with cancellation and resource limits (see ParseContext).
-// Tokens, nodes, and event buffers come from the arena, and a warm arena
-// parses without allocating. A nil arena parses into a fresh one-shot arena
-// that is never pooled, so the tree has ordinary heap lifetime.
+// HTML document in one pass, with cancellation and resource limits (see
+// ParseContext): each token the scanner produces goes through the
+// normalizer straight into the builder. Nodes and event buffers come from
+// the arena, and a warm arena parses without allocating. A nil arena parses
+// into a fresh one-shot arena that is never pooled, so the tree has ordinary
+// heap lifetime.
 //
-// The htmlparse/arena fault hook fires once per parse, after the tokenizer
-// has filled the arena's slabs and before normalization, so a chaos test's
-// panic there proves a dirty arena still repools.
+// The htmlparse/arena fault hook fires once per parse, after the pass has
+// written the arena's nodes and events and before the per-node windows are
+// carved, so a chaos test's panic there proves a dirty arena still repools.
 func ParseArenaContext(ctx context.Context, doc string, lim Limits, a *Arena, faults *faultinject.Set) (*Tree, error) {
-	if err := htmlparse.CheckSize(doc, lim.MaxBytes); err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if a == nil {
-		a = newOneShotArena()
-	}
-	toks := a.tok.TokenizeHTML(doc)
-	if err := faults.FireCtx(ctx, "htmlparse/arena"); err != nil {
-		return nil, err
-	}
-	a.norm, a.stack = normalizeHTMLInto(toks, capTo(a.norm, normCap(toks)), a.stack[:0])
-	return a.build(ctx, a.norm, htmlparse.IsVoid, lim)
+	return parseDoc(ctx, doc, false, lim, a, faults)
 }
 
 // ParseXMLArenaContext is the XML counterpart of ParseArenaContext.
 func ParseXMLArenaContext(ctx context.Context, doc string, lim Limits, a *Arena, faults *faultinject.Set) (*Tree, error) {
+	return parseDoc(ctx, doc, true, lim, a, faults)
+}
+
+func parseDoc(ctx context.Context, doc string, xml bool, lim Limits, a *Arena, faults *faultinject.Set) (*Tree, error) {
 	if err := htmlparse.CheckSize(doc, lim.MaxBytes); err != nil {
 		return nil, err
 	}
@@ -239,177 +224,205 @@ func ParseXMLArenaContext(ctx context.Context, doc string, lim Limits, a *Arena,
 	if a == nil {
 		a = newOneShotArena()
 	}
-	toks := a.tok.TokenizeXML(doc)
+	if a.oneShot {
+		// Count first, so every slab the tree keeps is allocated once at
+		// its final size.
+		c := counter{lim: lim}
+		if err := a.run(ctx, doc, xml, &c); err != nil {
+			return nil, err
+		}
+		a.ensureNodes(c.nodes + 1)
+		a.events = make([]Event, 0, c.events)
+		a.textLens = make([]int32, 0, c.events)
+		a.pending = make([]pendingChunk, 0, c.chunks)
+		a.childCounts = make([]int32, 0, c.nodes+1)
+		a.chunkCounts = make([]int32, 0, c.nodes+1)
+	}
+	a.begin(lim)
+	err := a.run(ctx, doc, xml, a)
+	// Release scrubs every node this pass wrote, even when it failed.
+	a.highNodes = max(a.highNodes, a.nodes+1)
+	if err != nil {
+		return nil, err
+	}
 	if err := faults.FireCtx(ctx, "htmlparse/arena"); err != nil {
 		return nil, err
 	}
-	a.norm, a.stack = normalizeXMLInto(toks, capTo(a.norm, normCap(toks)), a.stack[:0])
-	return a.build(ctx, a.norm, neverVoid, lim)
+	return a.finish(), nil
 }
 
-var neverVoid = func(string) bool { return false }
-
-// normCap sizes the normalized stream up front: normalization drops
-// comments and inserts missing end-tags, and a quarter on top of the raw
-// token count covers the synthetic ends of typical tag soup.
-func normCap(toks []htmlparse.Token) int { return len(toks) + len(toks)/4 }
-
-// buildCheckEvery is how many tokens the build loop processes between
+// buildCheckEvery is how many tokens the parse loop processes between
 // context checks — rare enough to stay off the profile, frequent enough
 // that cancellation lands within microseconds on real documents.
 const buildCheckEvery = 1024
 
-// build constructs the tree from an already-balanced token stream, one node
-// per region (Appendix A). isVoid reports element names that never have
-// end-tags (HTML's void set; always false for XML, where only explicit
-// self-closing counts). Pass 0 counts nodes, per-node children/chunks, and
-// events, honoring ctx and enforcing lim's node and depth bounds as it goes,
-// so a pathological document fails before any tree memory is laid out; the
-// counts become carved sub-slices of the shared slabs; and pass 1 re-walks
-// the tokens filling everything in within capacity — zero allocations once
-// the arena is warm.
-func (a *Arena) build(ctx context.Context, norm []htmlparse.Token, isVoid func(string) bool, lim Limits) (*Tree, error) {
-	// Pass 0: counts. seqStack holds open node sequence numbers (root = 0);
-	// childOffs/chunkOffs get one entry per node, indexed by sequence.
-	a.seqStack = append(a.seqStack[:0], 0)
-	a.childOffs = append(a.childOffs[:0], 0)
-	a.chunkOffs = append(a.chunkOffs[:0], 0)
-	nodes, depth, events := 0, 0, 0
-	for i, tok := range norm {
-		if i%buildCheckEvery == buildCheckEvery-1 {
+// run scans doc and streams its balanced tokens into out, honoring ctx.
+func (a *Arena) run(ctx context.Context, doc string, xml bool, out tokenSink) error {
+	a.tok.Reset(doc, xml)
+	a.norm.reset(xml)
+	for i := 1; ; i++ {
+		if i%buildCheckEvery == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		switch tok.Type {
-		case htmlparse.Text:
-			if tok.Data == "" {
-				continue
-			}
-			a.chunkOffs[a.seqStack[len(a.seqStack)-1]]++
-			events++
-
-		case htmlparse.StartTag:
-			nodes++
-			if lim.MaxNodes > 0 && nodes > lim.MaxNodes {
-				return nil, errTooManyNodes(lim.MaxNodes)
-			}
-			a.childOffs[a.seqStack[len(a.seqStack)-1]]++
-			a.childOffs = append(a.childOffs, 0)
-			a.chunkOffs = append(a.chunkOffs, 0)
-			events++
-			if tok.SelfClosing || isVoid(tok.Name) {
-				continue
-			}
-			depth++
-			if lim.MaxDepth > 0 && depth > lim.MaxDepth {
-				return nil, errTooDeep(lim.MaxDepth)
-			}
-			a.seqStack = append(a.seqStack, nodes)
-
-		case htmlparse.EndTag:
-			if len(a.seqStack) == 1 {
-				continue
-			}
-			events++
-			a.seqStack = a.seqStack[:len(a.seqStack)-1]
-			depth--
+		tok := a.tok.Next()
+		if tok == nil {
+			return a.norm.finish(out)
+		}
+		if err := a.norm.push(tok, out); err != nil {
+			return err
 		}
 	}
+}
 
-	// Prefix sums: childOffs[s]/chunkOffs[s] become node s's window start;
-	// the appended sentinel makes entry s+1 its end.
+// counter is the sink of a one-shot arena's counting pass. It enforces the
+// same limits as the builder, in the same order, so a node bomb fails
+// before any storage is sized to it.
+type counter struct {
+	lim                          Limits
+	nodes, depth, events, chunks int
+}
+
+func (c *counter) emit(tok *htmlparse.Token, leaf bool) error {
+	switch tok.Type {
+	case htmlparse.Text:
+		if tok.Data != "" {
+			c.chunks++
+			c.events++
+		}
+	case htmlparse.StartTag:
+		c.nodes++
+		if c.lim.MaxNodes > 0 && c.nodes > c.lim.MaxNodes {
+			return errTooManyNodes(c.lim.MaxNodes)
+		}
+		c.events++
+		if !leaf {
+			c.depth++
+			if c.lim.MaxDepth > 0 && c.depth > c.lim.MaxDepth {
+				return errTooDeep(c.lim.MaxDepth)
+			}
+		}
+	case htmlparse.EndTag:
+		if c.depth > 0 {
+			c.depth--
+			c.events++
+		}
+	}
+	return nil
+}
+
+// begin readies the builder state for a parse with the root open.
+func (a *Arena) begin(lim Limits) {
+	a.ensureNodes(1)
+	root := a.node(0)
+	*root = Node{Name: "#document"}
+	a.cur, a.nodes, a.lastEnd, a.lim = root, 0, 0, lim
+	a.events = a.events[:0]
+	a.textLens = a.textLens[:0]
+	a.pending = a.pending[:0]
+	a.childCounts = append(a.childCounts[:0], 0)
+	a.chunkCounts = append(a.chunkCounts[:0], 0)
+	a.seqStack = append(a.seqStack[:0], 0)
+}
+
+// emit is the tree builder, one node per region (Appendix A): it takes the
+// normalizer's balanced stream and writes nodes, events, each text event's
+// collapsed length (while the text is still in cache), and per-node counts,
+// enforcing lim's node and depth bounds as nodes open.
+func (a *Arena) emit(tok *htmlparse.Token, leaf bool) error {
+	a.lastEnd = tok.End
+	switch tok.Type {
+	case htmlparse.Text:
+		if tok.Data == "" {
+			return nil
+		}
+		owner := a.seqStack[len(a.seqStack)-1]
+		a.chunkCounts[owner]++
+		a.pending = append(a.pending, pendingChunk{Chunk{Text: tok.Data, Pos: tok.Pos}, owner})
+		a.events = append(a.events, Event{Kind: EventText, Text: tok.Data, Pos: tok.Pos})
+		a.textLens = append(a.textLens, int32(CollapsedLen(tok.Data)))
+
+	case htmlparse.StartTag:
+		if a.lim.MaxNodes > 0 && a.nodes == a.lim.MaxNodes {
+			return errTooManyNodes(a.lim.MaxNodes)
+		}
+		a.nodes++
+		a.childCounts[a.seqStack[len(a.seqStack)-1]]++
+		a.childCounts = append(a.childCounts, 0)
+		a.chunkCounts = append(a.chunkCounts, 0)
+		if a.nodes >= len(a.blocks)*nodeBlockSize {
+			a.ensureNodes(a.nodes + 1)
+		}
+		// Every field is written (Children and Chunks by finish); field
+		// by field, since a composite literal is built aside and copied.
+		n := a.node(a.nodes)
+		n.Name, n.Attrs, n.Parent = tok.Name, tok.Attrs, a.cur
+		n.StartPos, n.EndPos = tok.Pos, tok.End
+		n.firstEvent, n.lastEvent, n.subtreeTags = len(a.events), 0, 0
+		a.events = append(a.events, Event{Kind: EventStart, Node: n, Pos: tok.Pos})
+		a.textLens = append(a.textLens, 0)
+		if leaf {
+			n.lastEvent = len(a.events)
+			return nil
+		}
+		if a.lim.MaxDepth > 0 && len(a.seqStack) > a.lim.MaxDepth {
+			return errTooDeep(a.lim.MaxDepth)
+		}
+		a.seqStack = append(a.seqStack, int32(a.nodes))
+		a.cur = n
+
+	case htmlparse.EndTag:
+		// Normalization guarantees balance, so this matches cur.
+		top := len(a.seqStack) - 1
+		if top == 0 {
+			return nil
+		}
+		n := a.cur
+		a.events = append(a.events, Event{Kind: EventEnd, Node: n, Pos: tok.Pos})
+		a.textLens = append(a.textLens, 0)
+		n.EndPos = tok.End
+		n.lastEvent = len(a.events)
+		n.subtreeTags = a.nodes - int(a.seqStack[top])
+		a.seqStack = a.seqStack[:top]
+		a.cur = n.Parent
+	}
+	return nil
+}
+
+// finish closes the root and carves the per-node Children and Chunks
+// windows out of the shared slabs from the per-node counts: one pass over
+// the nodes, in document order, then one over the pending chunks.
+func (a *Arena) finish() *Tree {
+	root := a.node(0)
+	root.lastEvent = len(a.events)
+	root.subtreeTags = a.nodes
+	root.EndPos = a.lastEnd
+	a.children = capTo(a.children, a.nodes)
+	a.chunks = capTo(a.chunks, len(a.pending))
 	coff, koff := 0, 0
-	for s := 0; s <= nodes; s++ {
-		c := a.childOffs[s]
-		a.childOffs[s] = coff
+	for seq := 0; seq <= a.nodes; seq++ {
+		n := a.node(seq)
+		c, k := int(a.childCounts[seq]), int(a.chunkCounts[seq])
+		n.Children = a.children[coff : coff : coff+c]
+		n.Chunks = a.chunks[koff : koff : koff+k]
 		coff += c
-		k := a.chunkOffs[s]
-		a.chunkOffs[s] = koff
 		koff += k
+		if seq > 0 {
+			n.Parent.Children = append(n.Parent.Children, n)
+		}
 	}
-	a.childOffs = append(a.childOffs, coff)
-	a.chunkOffs = append(a.chunkOffs, koff)
-
-	a.ensureNodes(nodes + 1)
-	if nodes+1 > a.highNodes {
-		a.highNodes = nodes + 1
+	for i := range a.pending {
+		p := &a.pending[i]
+		n := a.node(int(p.owner))
+		n.Chunks = append(n.Chunks, p.Chunk)
 	}
-	a.children = capTo(a.children, coff)
-	a.chunks = capTo(a.chunks, koff)
-	a.events = capTo(a.events, events)
+	a.cur = nil
 
-	// Pass 1: fill the carved windows in place.
 	t := &a.tree
 	if a.oneShot {
 		t = new(Tree)
 	}
-	root := a.node(0)
-	*root = Node{Name: "#document"}
-	root.Children = a.carveChildren(0)
-	root.Chunks = a.carveChunks(0)
-	t.Root = root
-	t.Events = a.events
-	cur, seq := root, 0
-	for _, tok := range norm {
-		switch tok.Type {
-		case htmlparse.Text:
-			if tok.Data == "" {
-				continue
-			}
-			cur.Chunks = append(cur.Chunks, Chunk{Text: tok.Data, Pos: tok.Pos})
-			t.Events = append(t.Events, Event{Kind: EventText, Text: tok.Data, Pos: tok.Pos})
-
-		case htmlparse.StartTag:
-			seq++
-			n := a.node(seq)
-			*n = Node{
-				Name:       tok.Name,
-				Attrs:      tok.Attrs,
-				Parent:     cur,
-				StartPos:   tok.Pos,
-				EndPos:     tok.End,
-				firstEvent: len(t.Events),
-			}
-			n.Children = a.carveChildren(seq)
-			n.Chunks = a.carveChunks(seq)
-			cur.Children = append(cur.Children, n)
-			t.Events = append(t.Events, Event{Kind: EventStart, Node: n, Pos: tok.Pos})
-			if tok.SelfClosing || isVoid(tok.Name) {
-				n.lastEvent = len(t.Events)
-				continue
-			}
-			cur = n
-
-		case htmlparse.EndTag:
-			// Normalization guarantees balance, so this matches cur.
-			if cur == root {
-				continue
-			}
-			t.Events = append(t.Events, Event{Kind: EventEnd, Node: cur, Pos: tok.Pos})
-			cur.EndPos = tok.End
-			cur.lastEvent = len(t.Events)
-			cur = cur.Parent
-		}
-	}
-	root.firstEvent = 0
-	root.lastEvent = len(t.Events)
-	if n := len(norm); n > 0 {
-		root.EndPos = norm[n-1].End
-	}
-	countSubtreeTags(root)
-	return t, nil
-}
-
-// carveChildren returns node seq's empty children window inside the shared
-// slab; appends stay within its capacity.
-func (a *Arena) carveChildren(seq int) []*Node {
-	s, e := a.childOffs[seq], a.childOffs[seq+1]
-	return a.children[s:s:e]
-}
-
-// carveChunks is carveChildren for text chunks.
-func (a *Arena) carveChunks(seq int) []Chunk {
-	s, e := a.chunkOffs[seq], a.chunkOffs[seq+1]
-	return a.chunks[s:s:e]
+	*t = Tree{Root: root, Events: a.events, textLens: a.textLens}
+	return t
 }

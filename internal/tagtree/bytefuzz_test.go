@@ -2,6 +2,7 @@ package tagtree
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -11,9 +12,10 @@ import (
 // for any input, ParseArenaContext (byte tokenizer, arena build) must produce
 // a tree identical — shape, offsets, decoded text, attributes, event stream
 // — to the string tokenizer and one-pass builder of oracle_test.go, in both
-// HTML and XML modes, on a pooled arena and on a nil (one-shot) arena. The
-// seed set mixes handcrafted grammar corners with every file under
-// internal/htmlparse/testdata.
+// HTML and XML modes, on a pooled arena and on a nil (one-shot) arena, and
+// the text length it recorded for every event must be CollapsedLen of the
+// event's text (zero for tag events). The seed set mixes handcrafted grammar
+// corners with every file under internal/htmlparse/testdata.
 func FuzzByteVsStringParse(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -71,6 +73,9 @@ func FuzzByteVsStringParse(f *testing.F) {
 				if d := diffTrees(ref, got); d != "" {
 					t.Fatalf("HTML tree divergence (pooled %v): %s", arena != nil, d)
 				}
+				if d := diffTextLens(got); d != "" {
+					t.Fatalf("HTML text lengths (pooled %v): %s", arena != nil, d)
+				}
 			}
 
 			gotX, gotXErr := ParseXMLArenaContext(context.Background(), doc, Limits{}, arena, nil)
@@ -81,7 +86,45 @@ func FuzzByteVsStringParse(f *testing.F) {
 				if d := diffTrees(refX, gotX); d != "" {
 					t.Fatalf("XML tree divergence (pooled %v): %s", arena != nil, d)
 				}
+				if d := diffTextLens(gotX); d != "" {
+					t.Fatalf("XML text lengths (pooled %v): %s", arena != nil, d)
+				}
 			}
+		}
+	})
+}
+
+// diffTextLens describes the first event whose recorded text length is not
+// CollapsedLen of its text (zero for tag events), or returns "".
+func diffTextLens(tr *Tree) string {
+	lens := tr.SubtreeTextLens(tr.Root)
+	if len(lens) != len(tr.Events) {
+		return fmt.Sprintf("%d lengths for %d events", len(lens), len(tr.Events))
+	}
+	for i, ev := range tr.Events {
+		want := 0
+		if ev.Kind == EventText {
+			want = CollapsedLen(ev.Text)
+		}
+		if int(lens[i]) != want {
+			return fmt.Sprintf("event %d (%+v): recorded %d, want %d", i, ev, lens[i], want)
+		}
+	}
+	return ""
+}
+
+// FuzzCollapsedLen pins CollapsedLen, the length the parser records for
+// every text event, to the string it measures: len(CollapseSpace(s)).
+func FuzzCollapsedLen(f *testing.F) {
+	for _, s := range []string{
+		"", " ", "  \t\n", "a", " a ", "a  b", "  a \t b\vc  ", "\fx\f",
+		"\xa0nbsp\xa0", "\u2003em space", "x\r\ny",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := CollapsedLen(s), len(CollapseSpace(s)); got != want {
+			t.Fatalf("CollapsedLen(%q) = %d, len(CollapseSpace) = %d", s, got, want)
 		}
 	})
 }

@@ -20,6 +20,7 @@ func FuzzParse(f *testing.F) {
 		"text <br> only",
 		"<!-- c --><p>x</p>",
 		"<b><b><b></b>",
+		"<A/>",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -30,7 +31,14 @@ func FuzzParse(f *testing.F) {
 		for _, ev := range tree.Events {
 			switch ev.Kind {
 			case EventStart:
-				if !htmlparse.IsVoid(ev.Node.Name) {
+				// Void elements and explicit self-closing tags (<a/>)
+				// are leaves: their event range is the start event alone.
+				first, last := ev.Node.EventRange()
+				leaf := last == first+1
+				if htmlparse.IsVoid(ev.Node.Name) && !leaf {
+					t.Fatalf("void <%s> has an end event", ev.Node.Name)
+				}
+				if !leaf {
 					depth++
 				}
 			case EventEnd:

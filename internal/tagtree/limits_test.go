@@ -89,3 +89,22 @@ func TestParseXMLContextLimits(t *testing.T) {
 			got.Root.Text(), want.Root.Text(), countNodes(got), countNodes(want))
 	}
 }
+
+// TestArenaReleaseAfterLimitAtBlockEdge pins that a parse failing its node
+// limit exactly where a new node block would begin leaves an arena that
+// releases and parses cleanly: the failed node is never counted as written.
+func TestArenaReleaseAfterLimitAtBlockEdge(t *testing.T) {
+	doc := strings.Repeat("<b>x</b>", 2*nodeBlockSize)
+	for _, limit := range []int{nodeBlockSize - 1, nodeBlockSize, nodeBlockSize + 1} {
+		a := AcquireArena()
+		if _, err := ParseArenaContext(context.Background(), doc, Limits{MaxNodes: limit}, a, nil); !errors.Is(err, ErrTooManyNodes) {
+			t.Fatalf("limit %d: err = %v, want ErrTooManyNodes", limit, err)
+		}
+		a.Release()
+		b := AcquireArena()
+		if tr := parseArena("<i>y</i>", b); tr.Root.Find("i") == nil {
+			t.Fatalf("limit %d: arena unusable after a failed parse", limit)
+		}
+		b.Release()
+	}
+}

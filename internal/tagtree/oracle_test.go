@@ -13,8 +13,8 @@ import (
 // on its own. It restates the grammar independently of htmlparse's byte
 // scan core (it shares only entity decoding, the void and raw-text tables,
 // the raw-text end search, and Normalize/NormalizeXML) and builds without
-// the arena's counting pass, so a divergence in either half of the
-// production parser shows up as a tree difference.
+// the arena's node blocks and carved windows, so a divergence in either
+// half of the production parser shows up as a tree difference.
 
 // refParseContext is the reference for ParseContext / ParseArenaContext.
 func refParseContext(ctx context.Context, doc string, lim Limits) (*Tree, error) {
@@ -107,6 +107,16 @@ func refBuild(ctx context.Context, norm []htmlparse.Token, isVoid func(string) b
 	}
 	countSubtreeTags(t.Root)
 	return t, nil
+}
+
+// countSubtreeTags fills in subtreeTags bottom-up.
+func countSubtreeTags(n *Node) int {
+	total := 0
+	for _, c := range n.Children {
+		total += 1 + countSubtreeTags(c)
+	}
+	n.subtreeTags = total
+	return total
 }
 
 // stringTokenizer is the reference HTML tokenizer. Create one with

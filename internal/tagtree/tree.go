@@ -77,6 +77,11 @@ type Tree struct {
 	Root *Node
 	// Events is the full document-order event stream.
 	Events []Event
+
+	// textLens holds, aligned with Events, each text event's
+	// whitespace-collapsed length (CollapsedLen of its Text), recorded as
+	// the tree was built; tag events hold zero.
+	textLens []int32
 }
 
 // Parse tokenizes, normalizes (Appendix A step 2), and builds the tag tree
@@ -104,16 +109,6 @@ func mustParse(t *Tree, err error) *Tree {
 	return t
 }
 
-// countSubtreeTags fills in subtreeTags bottom-up.
-func countSubtreeTags(n *Node) int {
-	total := 0
-	for _, c := range n.Children {
-		total += 1 + countSubtreeTags(c)
-	}
-	n.subtreeTags = total
-	return total
-}
-
 // FanOut returns the node's number of immediate children.
 func (n *Node) FanOut() int { return len(n.Children) }
 
@@ -129,6 +124,18 @@ func (n *Node) EventRange() (first, last int) { return n.firstEvent, n.lastEvent
 // subtree rooted at n (including n's own start event).
 func (t *Tree) SubtreeEvents(n *Node) []Event {
 	return t.Events[n.firstEvent:n.lastEvent]
+}
+
+// SubtreeTextLens returns, aligned with SubtreeEvents(n), the collapsed
+// length of each text event's text (zero for tag events), as recorded when
+// the tree was built. It is a window of the tree's own storage: no scan and
+// no allocation. A tree assembled by hand records no lengths and returns
+// nil.
+func (t *Tree) SubtreeTextLens(n *Node) []int32 {
+	if t.textLens == nil {
+		return nil
+	}
+	return t.textLens[n.firstEvent:n.lastEvent]
 }
 
 // Text returns all plain text in the subtree rooted at n, in document
@@ -179,28 +186,55 @@ func CollapseSpace(s string) string {
 // CollapsedLen returns len(CollapseSpace(s)) without allocating — the
 // heuristics only need the collapsed length (or whether it is nonzero), and
 // building the collapsed string for every text event dominated their
-// allocation profile.
+// allocation profile. The parser records it for every text event, so it
+// runs over all of a document's text: the collapsed length is the count of
+// non-space bytes plus one separator between each pair of words, and both
+// counts are taken eight bytes at a time.
 func CollapsedLen(s string) int {
-	n := 0
+	nonSpace, words := 0, 0
+	prev := uint64(0x80) // the byte before s counts as space
 	i := 0
-	for {
-		// Skip a whitespace run (also swallows leading whitespace).
-		for i < len(s) && asciiSpace[s[i]] {
-			i++
-		}
-		if i >= len(s) {
-			return n // a trailing collapsed space is trimmed, so no +1
-		}
-		if n > 0 {
-			n++ // the collapsed space separating this word from the last
-		}
-		start := i
-		for i < len(s) && !asciiSpace[s[i]] {
-			i++
-		}
-		n += i - start
+	for ; i+8 <= len(s); i += 8 {
+		w := s[i : i+8]
+		x := uint64(w[0]) | uint64(w[1])<<8 | uint64(w[2])<<16 | uint64(w[3])<<24 |
+			uint64(w[4])<<32 | uint64(w[5])<<40 | uint64(w[6])<<48 | uint64(w[7])<<56
+		// sp has a byte's high bit set exactly when the byte is ' ' or in
+		// '\t'..'\r', the bytes asciiSpace flags; no carry crosses a byte.
+		y := x ^ (' ' * lanes)
+		sp := ^((y&low7 + low7) | y) & high
+		a := x & low7
+		sp |= (a + (0x80-'\t')*lanes) &^ (a + (0x80-'\r'-1)*lanes) &^ x & high
+		non := ^sp & high
+		starts := non & (sp<<8 | prev) // a word starts after a space
+		// Multiplying a 0/1 per byte by lanes sums the bytes into the top one.
+		nonSpace += int((non >> 7) * lanes >> 56)
+		words += int((starts >> 7) * lanes >> 56)
+		prev = sp >> 56
 	}
+	prevSpace := prev != 0
+	for ; i < len(s); i++ {
+		space := asciiSpace[s[i]]
+		if !space {
+			nonSpace++
+			if prevSpace {
+				words++
+			}
+		}
+		prevSpace = space
+	}
+	if words == 0 {
+		return 0
+	}
+	return nonSpace + words - 1
 }
+
+// SWAR masks for CollapsedLen: one bit per byte, the low seven bits of each
+// byte, and the high bit of each byte.
+const (
+	lanes = 0x0101010101010101
+	low7  = 0x7f * lanes
+	high  = 0x80 * lanes
+)
 
 // asciiSpace flags the whitespace bytes CollapseSpace collapses.
 var asciiSpace = [256]bool{' ': true, '\t': true, '\n': true, '\r': true, '\f': true, '\v': true}

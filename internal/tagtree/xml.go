@@ -24,54 +24,8 @@ func ParseXMLContext(ctx context.Context, doc string, lim Limits) (*Tree, error)
 // NormalizeXML balances an XML token stream: comments, doctypes, and
 // processing instructions are discarded; orphan end-tags are dropped; an
 // end-tag closes any still-open elements nested inside its match; EOF
-// closes everything.
+// closes everything. It is the parser's streaming normalizer in XML mode,
+// collected into a slice.
 func NormalizeXML(tokens []htmlparse.Token) []htmlparse.Token {
-	out, _ := normalizeXMLInto(tokens, make([]htmlparse.Token, 0, len(tokens)), nil)
-	return out
-}
-
-// normalizeXMLInto is NormalizeXML writing into caller-provided buffers,
-// the XML counterpart of normalizeHTMLInto.
-func normalizeXMLInto(tokens, out []htmlparse.Token, stack []string) ([]htmlparse.Token, []string) {
-	for _, tok := range tokens {
-		switch tok.Type {
-		case htmlparse.Comment, htmlparse.Doctype:
-			continue
-		case htmlparse.Text:
-			out = append(out, tok)
-		case htmlparse.StartTag:
-			out = append(out, tok)
-			if !tok.SelfClosing {
-				stack = append(stack, tok.Name)
-			}
-		case htmlparse.EndTag:
-			match := -1
-			for i := len(stack) - 1; i >= 0; i-- {
-				if stack[i] == tok.Name {
-					match = i
-					break
-				}
-			}
-			if match < 0 {
-				continue
-			}
-			for len(stack) > match+1 {
-				top := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				out = append(out, syntheticEnd(top, tok.Pos))
-			}
-			stack = stack[:len(stack)-1]
-			out = append(out, tok)
-		}
-	}
-	end := 0
-	if len(tokens) > 0 {
-		end = tokens[len(tokens)-1].End
-	}
-	for len(stack) > 0 {
-		top := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		out = append(out, syntheticEnd(top, end))
-	}
-	return out, stack
+	return normalize(tokens, true)
 }

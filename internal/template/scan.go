@@ -339,7 +339,7 @@ var baseNames = []string{
 	"source", "spacer", "track", "wbr",
 	// Raw-text elements (htmlparse.IsRawText).
 	"script", "style", "textarea", "title", "xmp", "plaintext",
-	// Optional-end-tag participants (tagtree's autoClose) and the table
+	// Optional-end-tag participants (tagtree's impliedClose) and the table
 	// scope barrier.
 	"li", "p", "dt", "dd", "option", "tr", "td", "th", "thead", "tbody",
 	"tfoot", "colgroup", "table",
