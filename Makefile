@@ -126,22 +126,33 @@ quality-gate:
 	@echo "comparing against $(QUALITY_BASELINE) (tolerance $(QUALITY_TOLERANCE))"
 	$(GO) run ./cmd/evalrun -compare $(QUALITY_BASELINE) -tolerance $(QUALITY_TOLERANCE)
 
-# The cluster-mode serving tier (see docs/SCALING.md) under the race
-# detector: routing/conformance suites, the chaos scenarios (hedging, peer
-# death, total backend loss), and the cmd/serve cluster-mode boot test.
+# go_test_run FLAGS,PATTERN,PKGS runs `go test FLAGS -run 'PATTERN' PKGS`.
+# `go test -run` passes silently when its pattern selects nothing, so it
+# first fails unless `go test -list` names a test matching PATTERN in each
+# package. Every target below that selects tests with -run goes through it.
+go_test_run = for pkg in $(3); do \
+		$(GO) test -list '$(2)' $$pkg | grep -q '^Test' || \
+		{ echo "FAIL: -run '$(2)' selects no test in $$pkg"; exit 1; }; \
+	done; \
+	$(GO) test $(1) -run '$(2)' $(3)
+
+# The fleet serving tier (see docs/SCALING.md) under the race detector:
+# routing/conformance suites, the chaos scenarios (hedging, peer death,
+# total backend loss), and the cmd/serve boot tests of one gossip node and
+# of the removed static-topology flags.
 cluster:
 	$(GO) test -race ./internal/cluster/
-	$(GO) test -race -run 'TestClusterConformance' -v .
-	$(GO) test -race -run 'TestServeCluster' ./cmd/serve/
+	$(call go_test_run,-race -v,TestClusterConformance,.)
+	$(call go_test_run,-race,TestServeCluster,./cmd/serve/)
 
-# Observability smoke (see docs/OBSERVABILITY.md): boots cmd/serve in
-# cluster mode, makes a traced request, and checks /metrics and
+# Observability smoke (see docs/OBSERVABILITY.md): boots cmd/serve as one
+# gossip node, makes a traced request, and checks /metrics and
 # /metrics/cluster parse as Prometheus exposition and /debug/traces returns
 # the stitched trace — plus the trace/federation unit suites under -race.
 obs-smoke:
-	$(GO) test -race -run 'TestObservabilitySmoke' -v ./cmd/serve/
+	$(call go_test_run,-race -v,TestObservabilitySmoke,./cmd/serve/)
 	$(GO) test -race ./internal/obs/
-	$(GO) test -race -run 'Trace|Federat|Explain' ./internal/cluster/
+	$(call go_test_run,-race,Trace|Federat|Explain,./internal/cluster/)
 
 # Learned-wrapper smoke (see docs/WRAPPER.md): boots cmd/serve with a
 # wrapper store on disk, sends the same document twice, and checks the
@@ -150,20 +161,20 @@ obs-smoke:
 # store/fingerprint unit suites and the fast-path conformance layer, all
 # under -race.
 wrapper-smoke:
-	$(GO) test -race -run 'TestWrapperSmoke' -v ./cmd/serve/
+	$(call go_test_run,-race -v,TestWrapperSmoke,./cmd/serve/)
 	$(GO) test -race ./internal/template/
-	$(GO) test -race -run 'TestTemplateFastPathConformance' .
+	$(call go_test_run,-race,TestTemplateFastPathConformance,.)
 
-# Dynamic-membership smoke (see docs/MEMBERSHIP.md): boots a three-node
+# Gossip-membership smoke (see docs/SCALING.md): boots a three-node
 # gossip fleet on ephemeral ports, proves every node answers byte-identical
 # to a single node, kills one node, restarts it under the same name, and
 # requires it to rejoin warm — wrapper state pulled from a neighbor, result
 # cache replayed from its journal. Plus the membership/state-transfer unit
 # suites and the root churn-conformance layer, all under -race.
 membership-smoke:
-	$(GO) test -race -run 'TestMembershipSmoke' -v ./cmd/serve/
+	$(call go_test_run,-race -v,TestMembershipSmoke,./cmd/serve/)
 	$(GO) test -race ./internal/membership/
-	$(GO) test -race -run 'TestChurn' .
+	$(call go_test_run,-race,TestChurn,.)
 
 # Brief fuzz sessions over every fuzz target (seeds always run under `test`).
 fuzz:
@@ -184,8 +195,8 @@ fuzz:
 # detector: isolated heuristic panics, mid-batch cancellation, load
 # shedding, resource limits, and singleflight dedup.
 chaos:
-	$(GO) test -race -run 'TestChaos' -v ./internal/httpapi/
-	$(GO) test -race -run 'Panic|Canceled|Fault|Limits' ./internal/core/ ./internal/tagtree/
+	$(call go_test_run,-race -v,TestChaos,./internal/httpapi/)
+	$(call go_test_run,-race,Panic|Canceled|Fault|Limits,./internal/core/ ./internal/tagtree/)
 
 # Regenerate every table of the paper, plus quality, scaling, and the
 # threshold ablation.

@@ -13,8 +13,9 @@ package repro
 // single-node reference exactly. The streaming surface runs all three
 // events inside one NDJSON request and accounts for every line: exactly one
 // response per input document, in input order, none lost, none duplicated.
-// This is the conformance contract behind docs/MEMBERSHIP.md: membership is
-// an availability mechanism, never an answer-changing one.
+// This is the conformance contract behind the membership section of
+// docs/SCALING.md: membership is an availability mechanism, never an
+// answer-changing one.
 
 import (
 	"bufio"
@@ -46,9 +47,9 @@ func newChurnBackend(t *testing.T, name string) *churnBackend {
 }
 
 // peer wraps the backend as a ring member under its stable name, the way
-// membership mode names remote peers.
+// membership names remote peers.
 func (b *churnBackend) peer() cluster.Peer {
-	return cluster.NewNamedHTTPPeer(b.name, b.srv.URL, nil)
+	return cluster.NewHTTPPeer(b.name, b.srv.URL, nil)
 }
 
 // hardKill severs every established connection and stops the listener — the
@@ -69,6 +70,7 @@ func newChurnRouter(t *testing.T, backends ...*churnBackend) (*cluster.Router, *
 	router, err := cluster.NewRouter(cluster.Config{
 		Peers:          peers,
 		HealthInterval: 50 * time.Millisecond,
+		Fallback:       http.NotFoundHandler(),
 	})
 	if err != nil {
 		t.Fatal(err)

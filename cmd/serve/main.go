@@ -9,20 +9,19 @@
 //	      [-cache-size 1024] [-cache-journal path] [-batch-parallelism 0]
 //	      [-max-inflight 0] [-request-timeout 0]
 //	      [-max-doc-bytes 0] [-max-tree-depth 0] [-max-nodes 0]
-//	      [-cluster 0] [-peers URL,URL,...] [-hedge-after 0]
-//	      [-peer-queue-depth 32] [-health-interval 1s]
 //	      [-node-name name] [-join addr,addr,...] [-advertise host:port]
-//	      [-gossip-interval 1s] [-warmup-timeout 5s]
+//	      [-gossip-interval 1s] [-warmup-timeout 5s] [-hedge-after 0]
+//	      [-peer-queue-depth 32] [-health-interval 1s]
 //	      [-trace-capacity 512] [-trace-sample 0]
 //	      [-wrapper-store path] [-spot-check-rate 64]
 //
 // Observability (see docs/OBSERVABILITY.md): every request is traced; the
 // trace ID is returned in the X-Trace-ID response header and incoming W3C
-// traceparent headers are honoured, so cluster hops stitch into one trace.
+// traceparent headers are honoured, so fleet hops stitch into one trace.
 // -trace-capacity bounds the in-memory store behind /debug/traces and
 // -trace-sample head-samples 1 in N healthy traces (errored, degraded, shed,
-// and tail-latency traces are always kept). In cluster mode the router also
-// serves /metrics/cluster, a federated view of every replica's registry.
+// and tail-latency traces are always kept). A fleet node's router also
+// serves /metrics/cluster, a federated view of every member's registry.
 //
 // -ops-addr starts a second, operations-only listener carrying the
 // net/http/pprof profiling handlers (plus /metrics and /debug/vars again) so
@@ -32,8 +31,7 @@
 // /v1/discover/batch (entries, not bytes); 0 disables caching.
 // -cache-journal makes that cache durable: puts and evictions are appended
 // to an NDJSON journal at the path and replayed on startup, so a restarted
-// replica answers its first requests warm (requires -cache-size > 0). With
-// -cluster N each in-process replica journals to path.<replica-name>.
+// replica answers its first requests warm (requires -cache-size > 0).
 // -batch-parallelism caps the worker pool draining one batch request;
 // 0 means GOMAXPROCS.
 //
@@ -50,31 +48,27 @@
 // the duration and answers 503; -max-doc-bytes (413), -max-tree-depth (422),
 // and -max-nodes (422) bound per-document parse resources.
 //
-// Cluster mode (see docs/SCALING.md): -cluster N runs N in-process replica
-// backends — each a full single-node service with its own result cache —
-// behind a consistent-hash router, and -peers adds remote replicas (base
-// URLs speaking the same HTTP API). Discover traffic is routed by document
-// fingerprint for cache affinity; /v1/discover/batch and /v1/discover/stream
-// scatter-gather across the replica set. -hedge-after launches a second
-// attempt on the next peer when the primary is slower than the duration
-// (0 disables hedging); -peer-queue-depth bounds each replica's queue
-// (saturation sheds interactive requests with 429 and throttles bulk
-// fan-out); -health-interval paces the /healthz probes that eject and
-// readmit replicas.
-//
-// Dynamic membership (see docs/MEMBERSHIP.md): -node-name with -join turns
-// the process into one replica of a gossip-managed cluster instead of a
-// statically-configured one (the two are mutually exclusive with
-// -cluster/-peers). The node joins through the seed addresses, learns the
-// live member set by gossip, and feeds it into its consistent-hash router:
-// peers join and leave the ring at runtime, no restart or flag change. With
-// a wrapper store configured, a joiner first pulls the cluster's learned
-// wrapper state from an already-serving member (bounded by -warmup-timeout;
-// on expiry it serves cold and warms through ordinary publishes), and every
-// locally-learned wrapper is published to the current members. -advertise
-// overrides the address peers dial (defaults to the bound listener address);
-// -gossip-interval paces heartbeats — suspicion starts after 3 silent
-// intervals, death after 10. Shutdown broadcasts a graceful leave.
+// Fleets (see docs/SCALING.md): -node-name turns the process into one
+// member of a gossip-managed fleet, and -join lists seed members to join
+// through (without it the node starts a fleet of its own). The node learns
+// the live member set by gossip and feeds it into a consistent-hash router
+// in front of its own handler: discover traffic is routed by document
+// fingerprint for cache affinity, /v1/discover/batch and /v1/discover/stream
+// scatter-gather across the members, and peers join and leave the ring at
+// runtime with no restart or flag change. Without -node-name the process
+// serves alone with no router. With a wrapper store configured, a joiner
+// first pulls the fleet's learned wrapper state from an already-serving
+// member (bounded by -warmup-timeout; on expiry it serves cold and warms
+// through ordinary publishes), and every locally-learned wrapper is
+// published to the current members. -advertise overrides the address peers
+// dial (defaults to the bound listener address); -gossip-interval paces
+// heartbeats — suspicion starts after 3 silent intervals, death after 10.
+// -hedge-after launches a second attempt on the next member when the
+// primary is slower than the duration (0 disables hedging);
+// -peer-queue-depth bounds each member's queue (saturation sheds
+// interactive requests with 429 and throttles bulk fan-out);
+// -health-interval paces the /healthz probes that eject and readmit
+// members. Shutdown broadcasts a graceful leave.
 //
 // Example:
 //
@@ -146,10 +140,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		"max tag-tree nesting depth (422 beyond it); 0 disables")
 	maxNodes := fs.Int("max-nodes", 0,
 		"max tag-tree node count (422 beyond it); 0 disables")
-	clusterN := fs.Int("cluster", 0,
-		"run N in-process replica backends behind the consistent-hash router; 0 disables cluster mode unless -peers is set")
-	peerList := fs.String("peers", "",
-		"comma-separated base URLs of remote replicas speaking the same HTTP API")
 	hedgeAfter := fs.Duration("hedge-after", 0,
 		"hedge a discover request on the next peer when the primary is slower than this; 0 disables")
 	peerQueueDepth := fs.Int("peer-queue-depth", 32,
@@ -157,9 +147,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	healthInterval := fs.Duration("health-interval", time.Second,
 		"period of the per-replica /healthz probes driving ejection and readmission")
 	nodeName := fs.String("node-name", "",
-		"stable name of this node in a gossip-managed cluster (docs/MEMBERSHIP.md); enables dynamic membership")
+		"stable name of this node in a gossip-managed fleet (docs/SCALING.md); enables the fleet router")
 	joinSeeds := fs.String("join", "",
-		"comma-separated seed addresses (host:port or URL) to join a gossip-managed cluster through; requires -node-name")
+		"comma-separated seed addresses (host:port or URL) to join a gossip-managed fleet through; requires -node-name")
 	advertise := fs.String("advertise", "",
 		"address peers dial for this node's API and gossip; empty derives it from the bound -addr listener")
 	gossipInterval := fs.Duration("gossip-interval", membership.DefaultInterval,
@@ -194,9 +184,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *requestTimeout < 0 {
 		return fmt.Errorf("-request-timeout must be >= 0, got %v", *requestTimeout)
 	}
-	if *clusterN < 0 {
-		return fmt.Errorf("-cluster must be >= 0, got %d", *clusterN)
-	}
 	if *traceCapacity < 0 {
 		return fmt.Errorf("-trace-capacity must be >= 0, got %d", *traceCapacity)
 	}
@@ -212,15 +199,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *warmupTimeout < 0 {
 		return fmt.Errorf("-warmup-timeout must be >= 0, got %v", *warmupTimeout)
 	}
-	memberMode := *nodeName != "" || *joinSeeds != ""
-	clusterMode := *clusterN > 0 || *peerList != ""
-	if memberMode {
-		if *nodeName == "" {
-			return errors.New("-join requires -node-name")
-		}
-		if clusterMode {
-			return errors.New("dynamic membership (-node-name/-join) and static topology (-cluster/-peers) are mutually exclusive")
-		}
+	if *joinSeeds != "" && *nodeName == "" {
+		return errors.New("-join requires -node-name")
 	}
 
 	logger := slog.New(slog.NewJSONHandler(out, nil))
@@ -230,21 +210,15 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		MaxDepth: *maxTreeDepth,
 		MaxNodes: *maxNodes,
 	}
-	// One trace store is shared by the router and every in-process replica,
-	// so the fragments of one distributed request merge into a single trace
-	// at /debug/traces.
+	// One trace store is shared by the router and the node's own replica, so
+	// the fragments of one distributed request merge into a single trace at
+	// /debug/traces.
 	traces := obs.NewTraceStore(obs.TraceStoreConfig{
 		Capacity:    *traceCapacity,
 		SampleEvery: *traceSample,
 	})
 
-	// The wrapper store is one instance shared by the single-node handler
-	// and every in-process replica: a template learned by any local replica
-	// is instantly warm for all of them. Remote peers are warmed through
-	// the publisher, which POSTs each locally-learned entry to their
-	// /v1/template/publish endpoints.
 	var templates *template.Store
-	var publisher *template.Publisher
 	if *wrapperStore != "" {
 		var err error
 		templates, err = template.Open(template.Config{
@@ -283,8 +257,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	var handler http.Handler
 	var node *membership.Node
-	switch {
-	case memberMode:
+	if *nodeName != "" {
 		advertiseAddr := *advertise
 		if advertiseAddr == "" {
 			advertiseAddr = deriveAdvertise(ln.Addr().String())
@@ -326,7 +299,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 				}
 				// AddPeer replaces a same-name peer, so a member that
 				// rejoined on a new address swaps cleanly.
-				if err := routerRef.AddPeer(cluster.NewNamedHTTPPeer(name, peerBaseURL(maddr), nil)); err == nil {
+				if err := routerRef.AddPeer(cluster.NewHTTPPeer(name, peerBaseURL(maddr), nil)); err == nil {
 					known[name] = maddr
 				}
 			}
@@ -366,6 +339,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 		defer selfSrv.Close()
 
+		// Other members are warmed through the publisher, which POSTs each
+		// locally-learned wrapper entry to their /v1/template/publish
+		// endpoints.
+		var publisher *template.Publisher
 		if templates != nil {
 			publisher = template.NewPublisher(template.PublisherConfig{Metrics: metrics})
 			defer publisher.Close()
@@ -421,72 +398,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		handler = router
 		fmt.Fprintf(out, "membership: node %s advertising %s (%d seeds)\n",
 			*nodeName, advertiseAddr, len(seeds))
-
-	case clusterMode:
-		// The fallback handler serves non-discover routes; replicas own the
-		// result caches (and their journals), so it stays memory-only.
-		fallback := httpapi.NewHandler(apiCfg)
-		var peers []cluster.Peer
-		for i := 0; i < *clusterN; i++ {
-			// Each replica is a full single-node service with its own result
-			// cache and its own metric registry (so /metrics/cluster can tell
-			// the replicas apart). Replicas skip the request log and in-flight
-			// limiter — the router logs each request once and its per-peer
-			// queues are the cluster's backpressure. The wrapper store is the
-			// exception: all replicas share the one instance.
-			name := fmt.Sprintf("local-%d", i)
-			replicaCfg := httpapi.Config{
-				Metrics:        obs.NewRegistry(),
-				Traces:         traces,
-				Service:        name,
-				CacheSize:      *cacheSize,
-				BatchWorkers:   *batchParallelism,
-				RequestTimeout: *requestTimeout,
-				Limits:         limits,
-				Templates:      templates,
-			}
-			if *cacheJournal != "" {
-				replicaCfg.CacheJournal = *cacheJournal + "." + name
-			}
-			replica, err := httpapi.NewServer(replicaCfg)
-			if err != nil {
-				return fmt.Errorf("-cache-journal (%s): %w", name, err)
-			}
-			defer replica.Close()
-			peers = append(peers, cluster.NewLocalPeer(name, replica))
-		}
-		var remoteURLs []string
-		for _, u := range splitList(*peerList) {
-			peers = append(peers, cluster.NewHTTPPeer(u, nil))
-			remoteURLs = append(remoteURLs, u)
-		}
-		if templates != nil && len(remoteURLs) > 0 {
-			publisher = template.NewPublisher(template.PublisherConfig{
-				Targets: remoteURLs,
-				Metrics: metrics,
-			})
-			defer publisher.Close()
-			templates.OnStore = publisher.Publish
-		}
-		router, err := cluster.NewRouter(cluster.Config{
-			Peers:          peers,
-			HedgeAfter:     *hedgeAfter,
-			QueueDepth:     *peerQueueDepth,
-			HealthInterval: *healthInterval,
-			Metrics:        metrics,
-			Logger:         logger,
-			TraceStore:     traces,
-			Service:        "router",
-			Fallback:       fallback,
-		})
-		if err != nil {
-			return err
-		}
-		defer router.Close()
-		handler = router
-		fmt.Fprintf(out, "cluster mode: %d replicas (%d in-process)\n", len(peers), *clusterN)
-
-	default:
+	} else {
 		singleCfg := apiCfg
 		singleCfg.CacheJournal = *cacheJournal
 		single, err := httpapi.NewServer(singleCfg)

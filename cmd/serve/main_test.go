@@ -188,9 +188,10 @@ func TestServeCacheAndBatchFlags(t *testing.T) {
 	}
 }
 
-// TestServeClusterMode boots the service with -cluster 3 and checks routed
-// discover traffic, scatter-gather batch, cluster metrics, and that the
-// fallback still serves non-discover routes.
+// TestServeClusterMode boots one gossip node with no seeds — a fleet of one
+// — and checks its router answers routed discover, scatter-gather batch and
+// stream traffic, reports its one healthy member, and still serves the
+// fallback routes, /healthz and /metrics/cluster.
 func TestServeClusterMode(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -199,31 +200,37 @@ func TestServeClusterMode(t *testing.T) {
 	go func() {
 		done <- run(ctx, []string{
 			"-addr", "127.0.0.1:0",
-			"-cluster", "3",
+			"-node-name", "solo",
 			"-peer-queue-depth", "8",
 			"-hedge-after", "250ms",
 			"-shutdown-timeout", "2s",
 		}, buf)
 	}()
 	addr := waitFor(t, buf, `service listening on ([0-9.:]+)`)
-	if !strings.Contains(buf.String(), "cluster mode: 3 replicas (3 in-process)") {
-		t.Errorf("missing cluster banner; output:\n%s", buf.String())
+	if !strings.Contains(buf.String(), "membership: node solo advertising") {
+		t.Errorf("missing membership banner; output:\n%s", buf.String())
 	}
 
 	doc := `{"html":"<div><hr><b>A</b> x<hr><b>B</b> y<hr><b>C</b> z</div>"}`
+	xmlDoc := `{"xml":"<f><e>a b</e><e>c d</e><e>e f</e></f>"}`
 	if code, body := post(t, "http://"+addr+"/v1/discover", doc); code != 200 ||
 		!strings.Contains(body, `"separator": "hr"`) {
 		t.Fatalf("routed discover = %d %q", code, body)
 	}
 	if code, body := post(t, "http://"+addr+"/v1/discover/batch",
-		`{"documents":[`+doc+`,{"xml":"<f><e>a b</e><e>c d</e><e>e f</e></f>"}]}`); code != 200 ||
+		`{"documents":[`+doc+`,`+xmlDoc+`]}`); code != 200 ||
 		!strings.Contains(body, `"separator": "hr"`) || !strings.Contains(body, `"separator": "e"`) {
 		t.Fatalf("routed batch = %d %q", code, body)
 	}
+	if code, body := post(t, "http://"+addr+"/v1/discover/stream", doc+"\n"+xmlDoc+"\n"); code != 200 ||
+		strings.Count(body, "\n") != 2 || !strings.Contains(body, `"separator":"hr"`) ||
+		!strings.Contains(body, `"separator":"e"`) {
+		t.Fatalf("routed stream = %d %q", code, body)
+	}
 	if code, body := get(t, "http://"+addr+"/metrics"); code != 200 ||
 		!strings.Contains(body, "boundary_cluster_requests_total") ||
-		!strings.Contains(body, "boundary_cluster_peers_healthy 3") {
-		t.Errorf("/metrics should show cluster series with 3 healthy peers; got %d:\n%s", code, body)
+		!strings.Contains(body, "boundary_cluster_peers_healthy 1") {
+		t.Errorf("/metrics should show cluster series with 1 healthy peer; got %d:\n%s", code, body)
 	}
 	if code, body := get(t, "http://"+addr+"/v1/ontologies"); code != 200 ||
 		!strings.Contains(body, "obituary") {
@@ -231,6 +238,10 @@ func TestServeClusterMode(t *testing.T) {
 	}
 	if code, _ := get(t, "http://"+addr+"/healthz"); code != 200 {
 		t.Errorf("cluster /healthz = %d", code)
+	}
+	if code, body := get(t, "http://"+addr+"/metrics/cluster"); code != 200 ||
+		!strings.Contains(body, `peer="solo"`) || !strings.Contains(body, `peer="router"`) {
+		t.Errorf("/metrics/cluster = %d, want series for peer solo and the router:\n%.2000s", code, body)
 	}
 
 	cancel()
@@ -240,14 +251,25 @@ func TestServeClusterMode(t *testing.T) {
 			t.Errorf("run returned %v after cancel", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("cluster-mode run did not return after cancel")
+		t.Fatal("fleet-node run did not return after cancel")
 	}
 }
 
-// TestServeClusterFlagValidation checks cluster flag errors surface.
+// TestServeClusterFlagValidation checks that the removed static-topology
+// flags fail flag parsing, so an old deploy script stops loudly instead of
+// silently serving as one node, and that -join still needs -node-name.
 func TestServeClusterFlagValidation(t *testing.T) {
-	if err := run(context.Background(), []string{"-cluster", "-1"}, &lockedBuffer{}); err == nil {
-		t.Error("run accepted -cluster -1")
+	for _, args := range [][]string{
+		{"-cluster", "2"},
+		{"-peers", "http://127.0.0.1:1"},
+	} {
+		err := run(context.Background(), args, &lockedBuffer{})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("run(%v) = %v, want an undefined-flag error", args, err)
+		}
+	}
+	if err := run(context.Background(), []string{"-join", "127.0.0.1:1"}, &lockedBuffer{}); err == nil {
+		t.Error("run accepted -join without -node-name")
 	}
 }
 

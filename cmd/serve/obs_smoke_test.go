@@ -1,10 +1,11 @@
 package main
 
-// Observability smoke test: boot the full service in cluster mode, make one
-// traced request, and check the whole observability surface holds together —
-// /metrics and /metrics/cluster parse as Prometheus text exposition, the
-// response's X-Trace-ID resolves at /debug/traces, and the stored trace
-// stitches router and replica fragments. CI runs this as its own job
+// Observability smoke test: boot the full service as one gossip fleet node,
+// make one traced request, and check the whole observability surface holds
+// together — /metrics and /metrics/cluster parse as Prometheus text
+// exposition, the response's X-Trace-ID resolves at /debug/traces, and the
+// stored trace stitches the router fragment and the node's own replica
+// fragment under the cluster/peer/<node-name> hop. CI runs this as its own job
 // (make obs-smoke).
 
 import (
@@ -28,7 +29,7 @@ func TestObservabilitySmoke(t *testing.T) {
 		done <- run(ctx, []string{
 			"-addr", "127.0.0.1:0",
 			"-ops-addr", "127.0.0.1:0",
-			"-cluster", "3",
+			"-node-name", "obs-node",
 			"-shutdown-timeout", "2s",
 		}, buf)
 	}()
@@ -64,13 +65,14 @@ func TestObservabilitySmoke(t *testing.T) {
 			t.Errorf("%s is not valid exposition: %v", path, err)
 		}
 	}
-	if _, text := get(t, "http://"+addr+"/metrics/cluster"); !strings.Contains(text, `peer="local-0"`) ||
+	if _, text := get(t, "http://"+addr+"/metrics/cluster"); !strings.Contains(text, `peer="obs-node"`) ||
 		!strings.Contains(text, `peer="router"`) {
 		t.Errorf("/metrics/cluster lacks per-peer attribution:\n%.2000s", text)
 	}
 
 	// The trace must be retrievable on the ops listener: in the JSON listing
-	// and as a rendered tree with both the router and a replica fragment.
+	// and as a rendered tree with both the router and the node's own replica
+	// fragment.
 	deadline := time.Now().Add(3 * time.Second)
 	var tree string
 	for time.Now().Before(deadline) {
@@ -84,10 +86,10 @@ func TestObservabilitySmoke(t *testing.T) {
 		t.Fatalf("trace %s never appeared at /debug/traces", traceID)
 	}
 	if !strings.Contains(tree, "router POST /v1/discover") ||
-		!strings.Contains(tree, "cluster/peer/local-") {
+		!strings.Contains(tree, "cluster/peer/obs-node") {
 		t.Errorf("trace tree missing router fragment or peer hop:\n%s", tree)
 	}
-	if !strings.Contains(tree, "local-") || !strings.Contains(tree, "parse") {
+	if !strings.Contains(tree, "obs-node POST /v1/discover") || !strings.Contains(tree, "parse") {
 		t.Errorf("trace tree missing replica-side pipeline spans:\n%s", tree)
 	}
 

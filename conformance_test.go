@@ -519,6 +519,7 @@ func newClusterServer(t *testing.T, peers []cluster.Peer) *httptest.Server {
 	router, err := cluster.NewRouter(cluster.Config{
 		Peers:          peers,
 		HealthInterval: time.Minute, // conformance never exercises health transitions
+		Fallback:       http.NotFoundHandler(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -568,7 +569,7 @@ func TestClusterConformance(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				backend := httptest.NewServer(httpapi.NewHandler(httpapi.Config{CacheSize: 64}))
 				t.Cleanup(backend.Close)
-				peers = append(peers, cluster.NewHTTPPeer(backend.URL, nil))
+				peers = append(peers, cluster.NewHTTPPeer(fmt.Sprintf("replica-%d", i), backend.URL, nil))
 			}
 			return newClusterServer(t, peers)
 		},

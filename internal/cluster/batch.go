@@ -71,7 +71,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	}
 
 	ctx := req.Context()
-	workers := r.cfg.workers(len(r.snapshot().peers))
+	workers := workersPerPeer * len(r.snapshot().peers)
 	if workers > len(raw.Documents) {
 		workers = len(raw.Documents)
 	}

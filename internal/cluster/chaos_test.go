@@ -87,10 +87,7 @@ func TestHedgeSuppressedByArmedFault(t *testing.T) {
 // succeeds, and the dead peer was passively ejected.
 func TestStreamReroutesAroundDeadPeer(t *testing.T) {
 	faults := faultinject.New()
-	router, reg := newTestRouter(t, 3, func(c *Config) {
-		c.Faults = faults
-		c.FailAfter = 2
-	})
+	router, reg := newTestRouter(t, 3, func(c *Config) { c.Faults = faults })
 	faults.Inject("cluster/peer/p0", faultinject.Fault{Err: fmt.Errorf("peer p0 is dead")})
 
 	const docs = 30
@@ -142,10 +139,7 @@ func TestStreamReroutesAroundDeadPeer(t *testing.T) {
 // a hang.
 func TestAllPeersDownAnswersCleanly(t *testing.T) {
 	faults := faultinject.New()
-	router, _ := newTestRouter(t, 3, func(c *Config) {
-		c.Faults = faults
-		c.Retry = pipeline.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 2 * time.Millisecond}
-	})
+	router, _ := newTestRouter(t, 3, func(c *Config) { c.Faults = faults })
 	faults.Inject("cluster/peer", faultinject.Fault{Err: fmt.Errorf("backend gone")})
 
 	done := make(chan struct{})

@@ -1,8 +1,9 @@
 // Package cluster is the horizontal scale-out tier: a router/frontend that
-// consistent-hash routes discovery requests across N backend replicas —
-// in-process worker backends (LocalPeer) or remote peers speaking the
-// existing single-node HTTP API (HTTPPeer) — so the system serves traffic no
-// single node could.
+// consistent-hash routes discovery requests across the replicas of a fleet —
+// remote nodes speaking the single-node HTTP API (HTTPPeer) and the node's
+// own handler called in process (LocalPeer). In production the peer set
+// comes from gossip membership (internal/membership), which adds and removes
+// peers as nodes join and leave.
 //
 // The design leans on the pipeline being embarrassingly shardable: each
 // document's boundary discovery (tag tree → highest-fan-out subtree → five
@@ -38,9 +39,10 @@
 //
 // Observability: boundary_cluster_* metrics (per-peer requests, hedges
 // fired/won, ejections, queue depth) in Config.Metrics, per-hop trace spans
-// in Config.Trace, and the same request-logging middleware as the
-// single-node surface. Chaos hooks cluster/route, cluster/peer[/<name>],
-// and cluster/hedge arm the fault-injection tests (internal/faultinject).
+// in each request's trace (Config.TraceStore), and the same request-logging
+// middleware as the single-node surface. Chaos hooks cluster/route,
+// cluster/peer[/<name>], and cluster/hedge arm the fault-injection tests
+// (internal/faultinject).
 package cluster
 
 import (
@@ -75,42 +77,28 @@ type Config struct {
 	QueueDepth int
 	// HealthInterval is the active /healthz probe period; <= 0 selects 1s.
 	HealthInterval time.Duration
-	// FailAfter is how many consecutive failures (probe or transport) eject
-	// a peer from the rotation; <= 0 selects 2. One success readmits it.
-	FailAfter int
-	// Workers bounds the batch/stream scatter-gather pool; <= 0 selects
-	// 4 × len(Peers).
-	Workers int
-	// Retry governs re-routing retries for batch and stream documents whose
-	// routing failed on every currently-available peer (transient windows:
-	// a peer died but is not yet ejected). Zero-value selects 3 attempts
-	// with the bulk engine's default backoff.
-	Retry pipeline.RetryPolicy
 	// Metrics receives the boundary_cluster_* series and the router's HTTP
 	// middleware metrics; nil disables both.
 	Metrics *obs.Registry
 	// Logger receives one structured "request" record per routed request;
 	// nil disables request logging.
 	Logger *slog.Logger
-	// Trace, when non-nil, receives one per-hop span per peer attempt
-	// (cluster/peer/<name>) plus a cluster/route span per routing decision.
-	// With TraceStore set, per-request traces take precedence and this sink
-	// only sees requests that carry no trace of their own.
-	Trace *obs.Trace
 	// TraceStore enables per-request distributed tracing: every routed
-	// request gets (or continues, via its traceparent header) a trace, peer
-	// hops inject traceparent downstream so replica fragments stitch under
-	// the hop span, and finished fragments land here. GET /debug/traces is
-	// NOT served by the router itself — mount TraceStore.Handler on an ops
-	// mux (cmd/serve does). Nil disables per-request tracing.
+	// request gets (or continues, via its traceparent header) a trace with a
+	// cluster/route span per routing decision and a cluster/peer/<name> span
+	// per peer attempt, peer hops inject traceparent downstream so replica
+	// fragments stitch under the hop span, and finished fragments land
+	// here. GET /debug/traces is NOT served by the router itself — mount
+	// TraceStore.Handler on an ops mux (cmd/serve does). Nil disables
+	// per-request tracing.
 	TraceStore *obs.TraceStore
 	// Service names the router in trace fragments; empty means "router".
 	Service string
 	// Faults is the test-only fault-injection hook set; nil in production.
 	Faults *faultinject.Set
 	// Fallback serves every route the router does not own (/v1/records,
-	// /v1/extract, /metrics, ...). Nil answers 404 for those routes —
-	// the pure-frontend configuration.
+	// /v1/extract, /metrics, ...); it is required. cmd/serve passes the
+	// node's own single-node server.
 	Fallback http.Handler
 }
 
@@ -128,27 +116,20 @@ func (c Config) healthInterval() time.Duration {
 	return c.HealthInterval
 }
 
-func (c Config) failAfter() int {
-	if c.FailAfter <= 0 {
-		return 2
-	}
-	return c.FailAfter
-}
+const (
+	// failAfter consecutive failures (probe or transport) eject a peer from
+	// the rotation; one success readmits it.
+	failAfter = 2
+	// workersPerPeer sizes the batch/stream scatter-gather pool: that many
+	// workers per peer in the current view.
+	workersPerPeer = 4
+)
 
-func (c Config) workers(peers int) int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return 4 * peers
-}
-
-func (c Config) retry() pipeline.RetryPolicy {
-	r := c.Retry
-	if r.MaxAttempts == 0 {
-		r.MaxAttempts = 3
-	}
-	return r
-}
+// retryPolicy governs re-routing retries for batch and stream documents
+// whose routing failed on every currently-available peer (transient windows:
+// a peer died but is not yet ejected): 3 attempts with the bulk engine's
+// default backoff.
+var retryPolicy = pipeline.RetryPolicy{MaxAttempts: 3}
 
 // hedgeWinnerCacheSize bounds the router's memory of hedge outcomes (see
 // Router.winners).
@@ -214,6 +195,9 @@ func (r *Router) snapshot() *routerView {
 func NewRouter(cfg Config) (*Router, error) {
 	if len(cfg.Peers) == 0 {
 		return nil, errors.New("cluster: at least one peer is required")
+	}
+	if cfg.Fallback == nil {
+		return nil, errors.New("cluster: a fallback handler is required")
 	}
 	seen := make(map[string]bool, len(cfg.Peers))
 	for i, p := range cfg.Peers {
@@ -342,11 +326,7 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		r.handler.ServeHTTP(w, req)
 		return
 	}
-	if r.cfg.Fallback != nil {
-		r.cfg.Fallback.ServeHTTP(w, req)
-		return
-	}
-	http.NotFound(w, req)
+	r.cfg.Fallback.ServeHTTP(w, req)
 }
 
 // owned reports whether the router itself serves the request's route.
@@ -369,16 +349,6 @@ func (r *Router) serviceName() string {
 	return "router"
 }
 
-// trace returns the trace peer hops should record onto: the per-request
-// trace when the middleware started one, else the process-wide Config.Trace
-// sink (the pre-distributed behavior, kept for embedders and tests).
-func (r *Router) trace(ctx context.Context) *obs.Trace {
-	if t := obs.TraceFrom(ctx); t != nil {
-		return t
-	}
-	return r.cfg.Trace
-}
-
 // handleClusterMetrics is GET /metrics/cluster: the federation endpoint. It
 // scrapes every peer's /metrics concurrently (bounded by a short timeout so
 // one hung replica cannot stall the scrape), merges them with the router's
@@ -396,15 +366,8 @@ func (r *Router) handleClusterMetrics(w http.ResponseWriter, req *http.Request) 
 		wg.Add(1)
 		go func(i int, ps *peerState) {
 			defer wg.Done()
-			name := ps.peer.Name()
-			sc, ok := ps.peer.(MetricsScraper)
-			if !ok {
-				results[i] = obs.Scrape{Peer: name,
-					Err: errors.New("peer does not expose metrics")}
-				return
-			}
-			data, err := sc.ScrapeMetrics(ctx)
-			results[i] = obs.Scrape{Peer: name, Data: data, Err: err}
+			data, err := ps.peer.ScrapeMetrics(ctx)
+			results[i] = obs.Scrape{Peer: ps.peer.Name(), Data: data, Err: err}
 		}(i, ps)
 	}
 	var self bytes.Buffer
@@ -477,11 +440,11 @@ func (r *Router) checkPeers(interval time.Duration) {
 }
 
 // noteFailure records one failed probe or transport-failed request; crossing
-// FailAfter consecutive failures ejects the peer from the rotation.
+// failAfter consecutive failures ejects the peer from the rotation.
 func (r *Router) noteFailure(ps *peerState, err error) {
 	ps.mu.Lock()
 	ps.failures++
-	ejectNow := !ps.ejected && ps.failures >= r.cfg.failAfter()
+	ejectNow := !ps.ejected && ps.failures >= failAfter
 	if ejectNow {
 		ps.ejected = true
 	}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -24,6 +25,7 @@ func newTestRouter(t *testing.T, n int, mutate func(*Config)) (*Router, *obs.Reg
 	cfg := Config{
 		HealthInterval: time.Minute, // tests drive health transitions explicitly
 		Metrics:        reg,
+		Fallback:       http.NotFoundHandler(),
 	}
 	for i := 0; i < n; i++ {
 		cfg.Peers = append(cfg.Peers,
@@ -81,8 +83,8 @@ func TestRingOrderIsDeterministicAndComplete(t *testing.T) {
 
 func TestRingOwnershipFollowsNamesNotPositions(t *testing.T) {
 	// The same peer names in a different list order must own the same keys:
-	// ring shares belong to names, so a reordered -peers flag does not
-	// reshuffle every replica's cache.
+	// ring shares belong to names, so the order in which members join does
+	// not reshuffle every replica's cache.
 	fwd := newRing([]string{"a", "b", "c"})
 	rev := newRing([]string{"c", "b", "a"})
 	fwdNames := []string{"a", "b", "c"}
@@ -111,16 +113,19 @@ func TestRingSpreadsKeys(t *testing.T) {
 }
 
 func TestNewRouterValidation(t *testing.T) {
-	if _, err := NewRouter(Config{}); err == nil {
+	h := httpapi.NewServeMux()
+	if _, err := NewRouter(Config{Fallback: h}); err == nil {
 		t.Error("no peers: want error")
 	}
-	h := httpapi.NewServeMux()
-	if _, err := NewRouter(Config{Peers: []Peer{NewLocalPeer("", h)}}); err == nil {
+	if _, err := NewRouter(Config{Peers: []Peer{NewLocalPeer("a", h)}}); err == nil {
+		t.Error("no fallback: want error")
+	}
+	if _, err := NewRouter(Config{Peers: []Peer{NewLocalPeer("", h)}, Fallback: h}); err == nil {
 		t.Error("empty name: want error")
 	}
 	if _, err := NewRouter(Config{Peers: []Peer{
 		NewLocalPeer("a", h), NewLocalPeer("a", h),
-	}}); err == nil {
+	}, Fallback: h}); err == nil {
 		t.Error("duplicate name: want error")
 	}
 }
@@ -194,13 +199,6 @@ func TestFallbackRouting(t *testing.T) {
 	if w.Code != http.StatusTeapot {
 		t.Errorf("unowned route status = %d, want fallback's %d", w.Code, http.StatusTeapot)
 	}
-
-	bare, _ := newTestRouter(t, 2, nil)
-	w = httptest.NewRecorder()
-	bare.ServeHTTP(w, req)
-	if w.Code != http.StatusNotFound {
-		t.Errorf("unowned route with nil fallback = %d, want 404", w.Code)
-	}
 }
 
 func TestQueueSaturationSheds429(t *testing.T) {
@@ -219,6 +217,7 @@ func TestQueueSaturationSheds429(t *testing.T) {
 		Peers:          []Peer{NewLocalPeer("slow", slow)},
 		QueueDepth:     1,
 		HealthInterval: time.Minute,
+		Fallback:       http.NotFoundHandler(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -249,10 +248,10 @@ func TestEjectionAndClusterHealthz(t *testing.T) {
 	dead.Close() // a peer whose address refuses connections
 	reg := obs.NewRegistry()
 	router, err := NewRouter(Config{
-		Peers:          []Peer{NewHTTPPeer(dead.URL, nil)},
+		Peers:          []Peer{NewHTTPPeer("dead", dead.URL, nil)},
 		HealthInterval: 20 * time.Millisecond,
-		FailAfter:      2,
 		Metrics:        reg,
+		Fallback:       http.NotFoundHandler(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +265,7 @@ func TestEjectionAndClusterHealthz(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if v := reg.Counter("boundary_cluster_ejections_total", "", "peer", dead.URL).Value(); v < 1 {
+	if v := reg.Counter("boundary_cluster_ejections_total", "", "peer", "dead").Value(); v < 1 {
 		t.Errorf("ejections_total = %v, want >= 1", v)
 	}
 	if v := reg.Gauge("boundary_cluster_peers_healthy", "").Value(); v != 0 {
@@ -297,8 +296,8 @@ func TestReadmissionAfterRecovery(t *testing.T) {
 	router, err := NewRouter(Config{
 		Peers:          []Peer{NewLocalPeer("flaky", flaky)},
 		HealthInterval: 20 * time.Millisecond,
-		FailAfter:      2,
 		Metrics:        reg,
+		Fallback:       http.NotFoundHandler(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +330,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestHTTPPeerAgainstRealServer(t *testing.T) {
 	srv := httptest.NewServer(httpapi.NewHandler(httpapi.Config{}))
 	defer srv.Close()
-	p := NewHTTPPeer(srv.URL, nil)
+	p := NewHTTPPeer("real", srv.URL, nil)
 	if err := p.Check(t.Context()); err != nil {
 		t.Fatalf("Check: %v", err)
 	}
@@ -370,22 +369,33 @@ func TestRoutedRequestsAppearInRouterMetrics(t *testing.T) {
 }
 
 func TestPerHopTraceSpans(t *testing.T) {
-	tr := obs.NewTrace()
-	router, _ := newTestRouter(t, 2, func(c *Config) { c.Trace = tr })
-	if w := postRouter(t, router, "/v1/discover", discoverBody("")); w.Code != http.StatusOK {
+	store := obs.NewTraceStore(obs.TraceStoreConfig{})
+	router, _ := newTestRouter(t, 2, func(c *Config) { c.TraceStore = store })
+	w := postRouter(t, router, "/v1/discover", discoverBody(""))
+	if w.Code != http.StatusOK {
 		t.Fatalf("discover: %d", w.Code)
 	}
+	id, ok := obs.ParseTraceID(w.Header().Get(obs.TraceIDHeader))
+	if !ok {
+		t.Fatal("routed response carries no trace id")
+	}
+	frags, ok := store.Get(id)
+	if !ok {
+		t.Fatalf("trace %s not in the store", id)
+	}
 	var route, hop bool
-	for _, s := range tr.Spans() {
-		switch {
-		case s.Name == "cluster/route":
-			route = true
-		case len(s.Name) > len("cluster/peer/") && s.Name[:len("cluster/peer/")] == "cluster/peer/":
-			hop = true
+	for _, frag := range frags {
+		for _, s := range frag.Spans {
+			switch {
+			case s.Name == "cluster/route":
+				route = true
+			case strings.HasPrefix(s.Name, "cluster/peer/"):
+				hop = true
+			}
 		}
 	}
 	if !route || !hop {
-		t.Errorf("trace spans missing: route=%v per-hop=%v (%v)", route, hop, tr.Spans())
+		t.Errorf("trace spans missing: route=%v per-hop=%v", route, hop)
 	}
 }
 

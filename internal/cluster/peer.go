@@ -32,13 +32,8 @@ type Peer interface {
 	Do(ctx context.Context, path string, body []byte) (status int, resp []byte, err error)
 	// Check probes the peer's health (GET /healthz).
 	Check(ctx context.Context) error
-}
-
-// MetricsScraper is the optional interface a Peer implements to join the
-// /metrics/cluster federation: it returns the peer's /metrics exposition.
-// It is separate from Peer so existing implementations (including test
-// fakes) keep compiling; peers without it federate as scrape failures.
-type MetricsScraper interface {
+	// ScrapeMetrics returns the peer's GET /metrics exposition for the
+	// /metrics/cluster federation.
 	ScrapeMetrics(ctx context.Context) ([]byte, error)
 }
 
@@ -49,31 +44,24 @@ type HTTPPeer struct {
 	client *http.Client
 }
 
-// NewHTTPPeer returns a peer for the service at baseURL (scheme://host:port,
-// no trailing path). A nil client selects a private default client; pass one
-// to control timeouts, connection pooling, or TLS.
-func NewHTTPPeer(baseURL string, client *http.Client) *HTTPPeer {
+// NewHTTPPeer returns a peer named name for the service at baseURL
+// (scheme://host:port, no trailing path). The name, not the URL, owns the
+// peer's ring share: membership passes the stable member name, so a replica
+// that rejoins on a new port keeps its ring position and its
+// routing-affinity history. A nil client selects a private default client;
+// pass one to control timeouts, connection pooling, or TLS.
+func NewHTTPPeer(name, baseURL string, client *http.Client) *HTTPPeer {
 	if client == nil {
 		client = &http.Client{}
 	}
 	return &HTTPPeer{
-		name:   baseURL,
+		name:   name,
 		base:   strings.TrimRight(baseURL, "/"),
 		client: client,
 	}
 }
 
-// NewNamedHTTPPeer is NewHTTPPeer with an explicit ring name. Membership
-// mode names remote peers by their stable member name instead of their URL,
-// so a replica that rejoins on a new port keeps its ring position and its
-// routing-affinity history.
-func NewNamedHTTPPeer(name, baseURL string, client *http.Client) *HTTPPeer {
-	p := NewHTTPPeer(baseURL, client)
-	p.name = name
-	return p
-}
-
-// Name returns the peer's base URL (or the explicit name it was given).
+// Name returns the peer's ring name.
 func (p *HTTPPeer) Name() string { return p.name }
 
 // Do posts body to the peer and reads the whole response. When the context
@@ -144,8 +132,9 @@ func (p *HTTPPeer) ScrapeMetrics(ctx context.Context) ([]byte, error) {
 
 // LocalPeer is an in-process replica: a full single-node handler (its own
 // result cache, its own limits) invoked by direct method call instead of a
-// network hop. cmd/serve -cluster N runs N of these behind one router,
-// turning a single process into a sharded cluster with per-replica caches.
+// network hop. A cmd/serve node routes its own share of the ring to its own
+// handler through one of these; tests build whole in-process fleets from
+// them.
 type LocalPeer struct {
 	name string
 	h    http.Handler
@@ -278,9 +267,6 @@ func (p *peerState) acquire(ctx context.Context) bool {
 
 // release returns a queue slot.
 func (p *peerState) release() { <-p.slots }
-
-// depth returns the number of occupied queue slots.
-func (p *peerState) depth() int { return len(p.slots) }
 
 // healthy reports whether the peer is in the rotation.
 func (p *peerState) healthy() bool {

@@ -1,13 +1,16 @@
 package cluster
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"net/http"
 	"strconv"
 	"testing"
+	"time"
 
 	"repro/internal/httpapi"
+	"repro/internal/obs"
 )
 
 // ownerName resolves a key's primary owner to its peer name.
@@ -182,4 +185,88 @@ func TestRouterDynamicMembership(t *testing.T) {
 		t.Fatalf("after remove: %d peers, want 2", got)
 	}
 	check("after leave")
+}
+
+// blockingPeer is a fake Peer whose Do announces itself on entered and then
+// blocks until release is closed, so a test can hold an attempt in flight
+// across a membership change instead of hoping the scheduler lands one there.
+type blockingPeer struct {
+	name    string
+	entered chan struct{}
+	release chan struct{}
+}
+
+func newBlockingPeer(name string) *blockingPeer {
+	return &blockingPeer{name: name, entered: make(chan struct{}, 1), release: make(chan struct{})}
+}
+
+func (p *blockingPeer) Name() string { return p.name }
+
+func (p *blockingPeer) Do(context.Context, string, []byte) (int, []byte, error) {
+	p.entered <- struct{}{}
+	<-p.release
+	return http.StatusOK, []byte(`{}`), nil
+}
+
+func (p *blockingPeer) Check(context.Context) error { return nil }
+
+func (p *blockingPeer) ScrapeMetrics(context.Context) ([]byte, error) { return nil, nil }
+
+// TestQueueGaugeSurvivesPeerReplacement forces the interleaving that gossip's
+// rejoin on a new address produces: an attempt on a peer's old record is
+// still in flight when AddPeer replaces the record under the same name and
+// an attempt on the new record starts. The old attempt finishing must
+// release its own slot without resetting the shared queue-depth gauge while
+// the new record is busy, and an attempt in flight across RemovePeer still
+// answers.
+func TestQueueGaugeSurvivesPeerReplacement(t *testing.T) {
+	oldPeer, newPeer := newBlockingPeer("p"), newBlockingPeer("p")
+	reg := obs.NewRegistry()
+	r, err := NewRouter(Config{
+		Peers:          []Peer{oldPeer},
+		HealthInterval: time.Minute,
+		Metrics:        reg,
+		Fallback:       http.NotFoundHandler(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	gauge := reg.Gauge("boundary_cluster_peer_queue_depth", "", "peer", "p")
+	oldState := r.snapshot().peers[0]
+
+	send := func() <-chan int {
+		code := make(chan int, 1)
+		go func() { code <- postRouter(t, r, "/v1/discover", discoverBody("")).Code }()
+		return code
+	}
+	oldDone := send()
+	<-oldPeer.entered
+	if err := r.AddPeer(newPeer); err != nil {
+		t.Fatal(err)
+	}
+	newDone := send()
+	<-newPeer.entered
+
+	close(oldPeer.release)
+	if code := <-oldDone; code != http.StatusOK {
+		t.Fatalf("attempt on the old record answered %d", code)
+	}
+	if v := gauge.Value(); v != 1 {
+		t.Errorf("queue gauge after the old attempt finished = %v, want 1 (the new record's attempt)", v)
+	}
+	if n := len(oldState.slots); n != 0 {
+		t.Errorf("old record still holds %d queue slots, want 0", n)
+	}
+
+	if !r.RemovePeer("p") {
+		t.Fatal("RemovePeer(p) reported absent")
+	}
+	close(newPeer.release)
+	if code := <-newDone; code != http.StatusOK {
+		t.Fatalf("attempt in flight across RemovePeer answered %d", code)
+	}
+	if v := gauge.Value(); v != 0 {
+		t.Errorf("queue gauge after every attempt finished = %v, want 0", v)
+	}
 }

@@ -95,18 +95,22 @@ func (r *Router) attempt(ctx context.Context, v *routerView, idx int, path strin
 			"peer", name).Inc()
 		return 0, nil, errBusy
 	}
+	// Inc/Dec rather than setting this record's own depth: when AddPeer
+	// replaces a same-name peer, attempts on the old and the new record share
+	// this one series, and a late attempt on the old record must not
+	// overwrite the new record's count with its own.
 	gauge := r.queueGauge(name)
-	gauge.Set(float64(ps.depth()))
+	gauge.Inc()
 	defer func() {
 		ps.release()
-		gauge.Set(float64(ps.depth()))
+		gauge.Dec()
 	}()
 
 	// The hop span opens before the wire call and its identity is injected
 	// into the outgoing context, so the replica's own trace fragment (sent
 	// via the traceparent header by Peer.Do) nests under this exact hop —
 	// including each side of a hedge race separately.
-	tr := r.trace(ctx)
+	tr := obs.TraceFrom(ctx)
 	span := tr.StartSpan("cluster/peer/" + name)
 	if span != nil {
 		ctx = obs.ContextWithSpanContext(ctx, tr.ChildContext(span))
@@ -201,7 +205,7 @@ func (r *Router) doDiscover(ctx context.Context, key fingerprint, path string, b
 	if len(live) == 0 {
 		return 0, nil, errNoPeers
 	}
-	r.trace(ctx).Add("cluster/route", 0,
+	obs.TraceFrom(ctx).Add("cluster/route", 0,
 		"primary", v.peers[live[0]].peer.Name(),
 		"candidates", strconv.Itoa(len(live)))
 
@@ -325,8 +329,7 @@ func (r *Router) routeBlocking(ctx context.Context, key fingerprint, path string
 // checker has not ejected it yet (the next pass routes around it). attempts
 // is reported so stream outcomes can carry the engine's Attempts field.
 func (r *Router) routeWithRetry(ctx context.Context, seq int, key fingerprint, path string, body []byte) (status int, resp []byte, attempts int, err error) {
-	retry := r.cfg.retry()
-	maxAttempts := retry.Attempts()
+	maxAttempts := retryPolicy.Attempts()
 	for attempt := 1; ; attempt++ {
 		status, resp, err = r.routeBlocking(ctx, key, path, body)
 		if err == nil || ctx.Err() != nil || attempt >= maxAttempts {
@@ -334,7 +337,7 @@ func (r *Router) routeWithRetry(ctx context.Context, seq int, key fingerprint, p
 		}
 		r.counter("boundary_cluster_retries_total",
 			"Whole-preference-order routing passes retried with backoff.").Inc()
-		timer := time.NewTimer(retry.Backoff(seq, attempt))
+		timer := time.NewTimer(retryPolicy.Backoff(seq, attempt))
 		select {
 		case <-timer.C:
 		case <-ctx.Done():

@@ -41,7 +41,7 @@ func (r *Router) handleStream(w http.ResponseWriter, req *http.Request) {
 // runStream is the router's analogue of the bulk engine's Run loop, with the
 // worker body swapped from "run the pipeline locally" to "route to a peer".
 func (r *Router) runStream(ctx context.Context, src pipeline.Source, sink pipeline.Sink) error {
-	workers := r.cfg.workers(len(r.snapshot().peers))
+	workers := workersPerPeer * len(r.snapshot().peers)
 	window := 4 * workers
 	if window < 16 {
 		window = 16

@@ -8,6 +8,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -20,7 +21,8 @@ import (
 )
 
 // newTracedCluster builds a 3-replica in-process cluster that shares one
-// trace store — the cmd/serve -cluster topology.
+// trace store, the way a cmd/serve node's router and its own replica share
+// one.
 func newTracedCluster(t *testing.T, store *obs.TraceStore, mutate func(*Config)) (*Router, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
@@ -28,6 +30,7 @@ func newTracedCluster(t *testing.T, store *obs.TraceStore, mutate func(*Config))
 		HealthInterval: time.Minute,
 		Metrics:        reg,
 		TraceStore:     store,
+		Fallback:       http.NotFoundHandler(),
 	}
 	for i := 0; i < 3; i++ {
 		name := "local-" + strconv.Itoa(i)

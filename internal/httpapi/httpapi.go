@@ -109,7 +109,7 @@ type Config struct {
 	// /v1/cluster/gossip (and /v1/cluster/join, its alias) exchange views,
 	// GET /v1/cluster/members serves the member table. Membership routes
 	// bypass load shedding and the request timeout so a saturated replica
-	// keeps heartbeating. See docs/MEMBERSHIP.md.
+	// keeps heartbeating. See docs/SCALING.md.
 	Membership *membership.Node
 }
 

@@ -18,7 +18,7 @@ import (
 // All answer 503 when the node runs without a wrapper store, so a publisher
 // hitting a misconfigured peer sees a clean failure, not a 404 it could
 // mistake for a routing bug. Export is the serving half of the joiner warmup
-// state transfer (template.Pull reads it; see docs/MEMBERSHIP.md).
+// state transfer (template.Pull reads it; see docs/SCALING.md).
 
 func registerTemplateRoutes(mux *http.ServeMux, s server) {
 	mux.HandleFunc("POST /v1/template/publish", s.handleTemplatePublish)

@@ -20,7 +20,7 @@
 // makes refutation authoritative.
 //
 // The serving set (Alive + Suspect members) feeds the consistent-hash ring
-// in internal/cluster through Config.OnChange; docs/MEMBERSHIP.md walks
+// in internal/cluster through Config.OnChange; docs/SCALING.md walks
 // through the join flow, the state machine, and the warmup handoff.
 package membership
 

@@ -88,7 +88,7 @@ const MaxSpans = 1024
 
 // Trace records the spans of one request: tag-tree build, highest-fan-out
 // search, candidate extraction, each heuristic's ranking, certainty
-// combination, and — in cluster mode — per-peer hops. Each trace carries a
+// combination, and — on a fleet node — per-peer hops. Each trace carries a
 // TraceID so fragments recorded in different processes can be stitched back
 // together, and each span a SpanID and parent link so the fragments form a
 // tree. A nil *Trace is a valid no-op sink, so the pipeline can be

@@ -11,12 +11,9 @@ import (
 	"repro/internal/obs"
 )
 
-// PublisherConfig configures cluster warming.
+// PublisherConfig configures cluster warming. The targets are not part of
+// it: they follow membership through Publisher.SetTargets.
 type PublisherConfig struct {
-	// Targets are peer base URLs (e.g. "http://10.0.0.2:8080"); each
-	// locally-learned entry is POSTed to every target's
-	// /v1/template/publish endpoint.
-	Targets []string
 	// Client is the HTTP client; nil means a 5-second-timeout default.
 	Client *http.Client
 	// QueueSize bounds the publish backlog; 0 means 256. When the queue
@@ -39,8 +36,9 @@ type Publisher struct {
 	ch  chan *Entry
 	wg  sync.WaitGroup
 
-	mu     sync.Mutex
-	closed bool
+	mu      sync.Mutex
+	closed  bool
+	targets []string // peer base URLs, e.g. "http://10.0.0.2:8080"
 }
 
 // NewPublisher starts a publisher's delivery worker. Close it to drain.
@@ -57,20 +55,22 @@ func NewPublisher(cfg PublisherConfig) *Publisher {
 	return p
 }
 
-// SetTargets replaces the publish target set. The membership layer calls it
-// on every serving-set change, so warming follows the live cluster: joiners
-// start receiving publishes, leavers stop costing delivery attempts.
+// SetTargets replaces the publish target set: peer base URLs whose
+// /v1/template/publish endpoint receives each locally-learned entry. The
+// membership layer calls it on every serving-set change, so warming follows
+// the live cluster: joiners start receiving publishes, leavers stop costing
+// delivery attempts. A new publisher has no targets.
 func (p *Publisher) SetTargets(targets []string) {
 	p.mu.Lock()
-	p.cfg.Targets = append([]string(nil), targets...)
+	p.targets = append([]string(nil), targets...)
 	p.mu.Unlock()
 }
 
-// targets snapshots the current target set for one delivery round.
-func (p *Publisher) targets() []string {
+// currentTargets snapshots the target set for one delivery round.
+func (p *Publisher) currentTargets() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.cfg.Targets
+	return p.targets
 }
 
 // Publish enqueues an entry for delivery to every target, dropping it (with
@@ -113,7 +113,7 @@ func (p *Publisher) run() {
 			p.outcome("error").Inc()
 			continue
 		}
-		for _, target := range p.targets() {
+		for _, target := range p.currentTargets() {
 			p.deliver(target, body)
 		}
 	}

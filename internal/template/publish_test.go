@@ -34,7 +34,8 @@ func TestPublisherDeliversToAllTargets(t *testing.T) {
 	defer p2.Close()
 
 	reg := obs.NewRegistry()
-	pub := NewPublisher(PublisherConfig{Targets: []string{p1.URL, p2.URL}, Metrics: reg})
+	pub := NewPublisher(PublisherConfig{Metrics: reg})
+	pub.SetTargets([]string{p1.URL, p2.URL})
 	e := testEntry("<html><body><hr><hr></body></html>", 0.99)
 	pub.Publish(e)
 	pub.Close() // drains
@@ -59,7 +60,8 @@ func TestPublisherFaultAndErrorOutcomes(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	faults := faultinject.New()
-	pub := NewPublisher(PublisherConfig{Targets: []string{srv.URL}, Metrics: reg, Faults: faults})
+	pub := NewPublisher(PublisherConfig{Metrics: reg, Faults: faults})
+	pub.SetTargets([]string{srv.URL})
 
 	faults.Inject(FaultPublish, faultinject.Fault{Err: errors.New("network down"), Times: 1})
 	pub.Publish(testEntry("<html><body><hr><hr></body></html>", 0.99)) // faulted
@@ -79,7 +81,7 @@ func TestPublisherFaultAndErrorOutcomes(t *testing.T) {
 
 func TestPublisherDropsWhenClosed(t *testing.T) {
 	reg := obs.NewRegistry()
-	pub := NewPublisher(PublisherConfig{Targets: nil, Metrics: reg})
+	pub := NewPublisher(PublisherConfig{Metrics: reg})
 	pub.Close()
 	pub.Publish(testEntry("<html><body><hr><hr></body></html>", 0.99))
 	if v := reg.Counter("boundary_template_publishes_total", "", "outcome", "dropped").Value(); v != 1 {
@@ -100,7 +102,8 @@ func TestStoreOnStoreWiresPublisher(t *testing.T) {
 	}))
 	defer peer.Close()
 
-	pub := NewPublisher(PublisherConfig{Targets: []string{peer.URL}})
+	pub := NewPublisher(PublisherConfig{})
+	pub.SetTargets([]string{peer.URL})
 	s, _ := Open(Config{})
 	defer s.Close()
 	s.OnStore = pub.Publish

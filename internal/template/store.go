@@ -158,9 +158,9 @@ type Config struct {
 }
 
 // Store maps template keys to learned wrappers. It is safe for concurrent
-// use, optionally journaled to disk for warm restarts, and shared: in a
-// cluster every in-process replica holds the same *Store, and remote
-// replicas are warmed through a Publisher wired to OnStore.
+// use and optionally journaled to disk for warm restarts. In a fleet each
+// node holds one *Store, and the other members are warmed through a
+// Publisher wired to OnStore.
 type Store struct {
 	cfg Config
 
