@@ -187,16 +187,18 @@ fuzz:
 	$(GO) test -fuzz='^FuzzCollapsedLen$$' -fuzztime=30s ./internal/tagtree/
 	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=30s ./internal/ontology/
 	$(GO) test -fuzz='^FuzzScanPlan$$' -fuzztime=30s ./internal/recognizer/
+	$(GO) test -fuzz='^FuzzFieldCounts$$' -fuzztime=30s ./internal/recognizer/
 	$(GO) test -fuzz='^FuzzDiscoverRequest$$' -fuzztime=30s ./internal/httpapi/
 	$(GO) test -fuzz='^FuzzEnvelope$$' -fuzztime=30s ./internal/pipeline/
 	$(GO) test -fuzz='^FuzzJournalCrash$$' -fuzztime=30s ./internal/journal/
 
 # The fault-injection chaos suite (see docs/ROBUSTNESS.md) under the race
 # detector: isolated heuristic panics, mid-batch cancellation, load
-# shedding, resource limits, and singleflight dedup.
+# shedding, resource limits, recognizer chunk faults, and singleflight
+# dedup.
 chaos:
 	$(call go_test_run,-race -v,TestChaos,./internal/httpapi/)
-	$(call go_test_run,-race,Panic|Canceled|Fault|Limits,./internal/core/ ./internal/tagtree/)
+	$(call go_test_run,-race,Panic|Canceled|Fault|Limits,./internal/core/ ./internal/tagtree/ ./internal/recognizer/)
 
 # Regenerate every table of the paper, plus quality, scaling, and the
 # threshold ablation.

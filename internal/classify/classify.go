@@ -12,6 +12,7 @@
 package classify
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/ontology"
@@ -87,17 +88,19 @@ func Classify(doc string, ont *ontology.Ontology) (*Result, error) {
 			ont.Name, ontology.MinRecordIdentifyingFields)
 	}
 	tree := tagtree.Parse(doc)
-	// Recognize over the whole document: unlike boundary discovery, the
+	// Count over the whole document: unlike boundary discovery, the
 	// classifier cannot presume records live in the highest-fan-out
 	// subtree (a single-record page has no such concentration).
-	table := recognizer.Recognize(ont, tree, tree.Root)
+	counts, err := recognizer.CountFields(context.Background(), ont, tree, tree.Root, nil)
+	if err != nil {
+		return nil, fmt.Errorf("classify: %w", err)
+	}
 
 	res := &Result{FieldCounts: make(map[string]int, len(fields))}
 	sum := 0
-	for _, f := range fields {
-		n := recognizer.FieldCount(table, f)
-		res.FieldCounts[f.Set.Name] = n
-		sum += n
+	for i, f := range fields {
+		res.FieldCounts[f.Set.Name] = counts[i]
+		sum += counts[i]
 	}
 	res.Estimate = float64(sum) / float64(len(fields))
 

@@ -301,8 +301,9 @@ func DiscoverTreeContext(ctx context.Context, tree *tagtree.Tree, opts Options) 
 		}
 	}
 
-	// The Data-Record Table (regular-expression recognition) is by far the
-	// most expensive context ingredient; skip it when OM is not voting.
+	// Recognition (counting the record-identifying fields' matches for OM)
+	// is by far the most expensive context ingredient; skip it when OM is
+	// not voting.
 	ont := opts.Ontology
 	if !opts.combination().Contains(certainty.OM) {
 		ont = nil

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/obs"
@@ -108,6 +109,65 @@ func TestFaultErrorAtParse(t *testing.T) {
 	faults.Inject("core/parse", faultinject.Fault{Err: boom})
 	if _, err := Discover(paperdoc.Figure2, Options{Faults: faults}); !errors.Is(err, boom) {
 		t.Errorf("err = %v, want injected error", err)
+	}
+}
+
+// TestFaultAtRecognizerChunkFailsDocument: an error or panic armed on the
+// "recognizer/chunk" hook during an armed discovery — the count-only scan
+// of the record-identifying fields — fails the document with an error
+// instead of crashing, and counts it under outcome=error.
+func TestFaultAtRecognizerChunkFailsDocument(t *testing.T) {
+	boom := errors.New("injected chunk failure")
+	for _, fault := range []faultinject.Fault{{Err: boom}, {Panic: "chunk down"}} {
+		faults := faultinject.New()
+		faults.Inject("recognizer/chunk", fault)
+		reg := obs.NewRegistry()
+		res, err := Discover(paperdoc.Figure2, Options{
+			Ontology: ontology.Builtin("obituary"),
+			Metrics:  reg,
+			Faults:   faults,
+		})
+		switch {
+		case res != nil:
+			t.Errorf("%+v: got a result, want a failed document", fault)
+		case fault.Panic != "" && (err == nil || !strings.Contains(err.Error(), "chunk scan panicked")):
+			t.Errorf("panic: err = %v, want a contained panic", err)
+		case fault.Panic == "" && !errors.Is(err, boom):
+			t.Errorf("err = %v, want the injected error", err)
+		}
+		if faults.Fired("recognizer/chunk") == 0 {
+			t.Errorf("%+v: hook never fired", fault)
+		}
+		if got := metricsText(t, reg); !strings.Contains(got, `boundary_documents_total{outcome="error"} 1`) {
+			t.Errorf("%+v: error outcome not counted:\n%s", fault, got)
+		}
+	}
+}
+
+// TestDiscoverCanceledMidRecognition: canceling while an armed discovery's
+// recognizer is scanning returns ctx.Err() and counts the document under
+// outcome=canceled.
+func TestDiscoverCanceledMidRecognition(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	faults := faultinject.New()
+	faults.Inject("recognizer/chunk", faultinject.Fault{Delay: time.Minute, Times: 1})
+	go func() {
+		for faults.Fired("recognizer/chunk") == 0 {
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+	}()
+	reg := obs.NewRegistry()
+	_, err := DiscoverContext(ctx, paperdoc.Figure2, Options{
+		Ontology: ontology.Builtin("obituary"),
+		Metrics:  reg,
+		Faults:   faults,
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if got := metricsText(t, reg); !strings.Contains(got, `boundary_documents_total{outcome="canceled"} 1`) {
+		t.Errorf("canceled outcome not counted:\n%s", got)
 	}
 }
 

@@ -45,14 +45,25 @@ func SDIntervals(ctx *Context) map[string][]float64 {
 }
 
 // OMEstimate returns the record-count estimate OM ranks against (the mean
-// indicator count of the ontology's record-identifying fields). ok is false
-// when OM would decline (no ontology/table, or fewer than three
-// record-identifying fields).
+// indicator count of the ontology's record-identifying fields), from the
+// context's field counts or, when it carries only a Data-Record Table, from
+// the table. ok is false when OM would decline (no ontology or counts, or
+// fewer than three record-identifying fields).
 func OMEstimate(ctx *Context) (estimate float64, ok bool) {
-	if ctx.Ontology == nil || ctx.Table == nil {
+	fields, ok := fieldsOf(ctx.Ontology)
+	switch {
+	case !ok:
 		return 0, false
+	case ctx.FieldCounts != nil:
+		sum := 0
+		for _, n := range ctx.FieldCounts {
+			sum += n
+		}
+		return float64(sum) / float64(len(fields)), true
+	case ctx.Table != nil:
+		return recognizer.EstimateRecordCount(ctx.Ontology, ctx.Table)
 	}
-	return recognizer.EstimateRecordCount(ctx.Ontology, ctx.Table)
+	return 0, false
 }
 
 // DeclineReason reconstructs why the named heuristic declined to answer on
@@ -66,15 +77,14 @@ func DeclineReason(name string, ctx *Context) string {
 	}
 	switch name {
 	case "OM":
-		switch {
-		case ctx.Ontology == nil:
+		if ctx.Ontology == nil {
 			return "no ontology supplied"
-		case ctx.Table == nil:
+		}
+		if _, ok := fieldsOf(ctx.Ontology); !ok {
+			return "fewer than three record-identifying fields matched"
+		}
+		if ctx.FieldCounts == nil && ctx.Table == nil {
 			return "no data-record table built"
-		default:
-			if _, ok := recognizer.EstimateRecordCount(ctx.Ontology, ctx.Table); !ok {
-				return "fewer than three record-identifying fields matched"
-			}
 		}
 	case "RP":
 		if _, any := adjacentPairs(ctx); !any {

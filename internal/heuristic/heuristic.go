@@ -28,7 +28,7 @@ import (
 // Context carries everything a heuristic may consult about one document.
 // Build it once with NewContext and share it across heuristics — this is
 // what keeps the overall process linear: the tag tree, candidate counts, and
-// Data-Record Table are each computed in one pass.
+// OM's field counts are each computed in one pass.
 type Context struct {
 	// Tree is the document's tag tree.
 	Tree *tagtree.Tree
@@ -39,8 +39,16 @@ type Context struct {
 	Candidates []tagtree.Candidate
 	// Ontology is the application ontology; nil disables OM.
 	Ontology *ontology.Ontology
-	// Table is the Data-Record Table over the subtree's plain text; nil
-	// unless an ontology was supplied.
+	// FieldCounts holds, aligned with Ontology.RecordIdentifyingFields(),
+	// each record-identifying field's indicator count over the subtree's
+	// plain text (recognizer.CountFields): the three numbers OM reads.
+	// NewContext fills it when the ontology has enough record-identifying
+	// fields.
+	FieldCounts []int
+	// Table is a Data-Record Table over the subtree's plain text. NewContext
+	// leaves it nil; a context assembled by hand around an extraction
+	// table may set it instead of FieldCounts, and OM then reads its
+	// counts from the table.
 	Table *recognizer.Table
 	// SubtreeTextLens caches, aligned with Tree.SubtreeEvents(Subtree), the
 	// whitespace-collapsed text length of each text event (zero for tag
@@ -74,10 +82,10 @@ type StageFunc func(Stage)
 
 // NewContextTimed is NewContext with per-stage observation: each derivation
 // step — highest-fan-out search, candidate extraction, and (with an
-// ontology) Data-Record Table recognition — is timed and reported to
-// onStage. A nil onStage skips all bookkeeping; this is the hook the
-// pipeline's observability layer uses for trace spans and stage-latency
-// histograms.
+// ontology) recognition of the record-identifying fields — is timed and
+// reported to onStage. A nil onStage skips all bookkeeping; this is the
+// hook the pipeline's observability layer uses for trace spans and
+// stage-latency histograms.
 func NewContextTimed(tree *tagtree.Tree, threshold float64, ont *ontology.Ontology, onStage StageFunc) *Context {
 	hctx, err := NewContextCtx(context.Background(), tree, threshold, ont, onStage, nil)
 	if err != nil {
@@ -89,11 +97,13 @@ func NewContextTimed(tree *tagtree.Tree, threshold float64, ont *ontology.Ontolo
 }
 
 // NewContextCtx is NewContextTimed with cancellation and fault injection:
-// the Data-Record Table recognition — the expensive step — honors ctx and
-// the test-only fault set (see internal/faultinject), so a hung-up caller
-// stops paying for recognition and chaos tests can force failures here. It
-// returns ctx's error when canceled and the recognizer's error when a
-// chunk-scan fault fires.
+// recognition — the expensive step — honors ctx and the test-only fault set
+// (see internal/faultinject), so a hung-up caller stops paying for
+// recognition and chaos tests can force failures here. It returns ctx's
+// error when canceled and the recognizer's error when a chunk-scan fault
+// fires. Recognition counts only the record-identifying fields' matches
+// (recognizer.CountFields); it is skipped when the ontology has fewer than
+// three such fields, since OM declines then whatever the counts.
 func NewContextCtx(ctx context.Context, tree *tagtree.Tree, threshold float64, ont *ontology.Ontology, onStage StageFunc, faults *faultinject.Set) (*Context, error) {
 	start := time.Now()
 	sub := tree.HighestFanOut()
@@ -116,15 +126,19 @@ func NewContextCtx(ctx context.Context, tree *tagtree.Tree, threshold float64, o
 		}})
 		start = time.Now()
 	}
-	if ont != nil {
-		table, err := recognizer.RecognizeContext(ctx, ont, tree, sub, faults)
+	if _, ok := fieldsOf(ont); ok {
+		counts, err := recognizer.CountFields(ctx, ont, tree, sub, faults)
 		if err != nil {
 			return nil, err
 		}
-		hctx.Table = table
+		hctx.FieldCounts = counts
 		if onStage != nil {
+			matches := 0
+			for _, n := range counts {
+				matches += n
+			}
 			onStage(Stage{Name: "recognize", Duration: time.Since(start), Attrs: []string{
-				"entries", strconv.Itoa(hctx.Table.Len()),
+				"matches", strconv.Itoa(matches),
 			}})
 		}
 	}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/ontology"
 	"repro/internal/paperdoc"
+	"repro/internal/recognizer"
 	"repro/internal/tagtree"
 )
 
@@ -302,7 +303,19 @@ func TestNewContextFigure2(t *testing.T) {
 	if ctx.CandidateCount("b") != 8 {
 		t.Errorf("b count = %d, want 8", ctx.CandidateCount("b"))
 	}
-	if ctx.Table == nil || ctx.Table.Len() == 0 {
-		t.Error("Data-Record Table missing")
+	// NewContext counts the record-identifying fields instead of building
+	// the Data-Record Table; the counts are the full table's.
+	if ctx.Table != nil {
+		t.Error("NewContext built a Data-Record Table")
+	}
+	fields, _ := ctx.Ontology.RecordIdentifyingFields()
+	table := recognizer.Recognize(ctx.Ontology, ctx.Tree, ctx.Subtree)
+	if len(ctx.FieldCounts) != len(fields) {
+		t.Fatalf("field counts = %v, want one per field of %d", ctx.FieldCounts, len(fields))
+	}
+	for i, f := range fields {
+		if got, want := ctx.FieldCounts[i], recognizer.FieldCount(table, f); got != want || got == 0 {
+			t.Errorf("%s count = %d, want %d (the table's, nonzero)", f.Set.Name, got, want)
+		}
 	}
 }

@@ -3,7 +3,7 @@ package heuristic
 import (
 	"math"
 
-	"repro/internal/recognizer"
+	"repro/internal/ontology"
 )
 
 // OM is the ontology-matching heuristic (§4.5): the only heuristic that
@@ -13,10 +13,14 @@ import (
 // the number of records, and candidates are ranked by how close their own
 // appearance count comes to that estimate.
 //
-// OM reads its counts from the Data-Record Table, which the larger
-// extraction process of Figure 1 has already computed — this is the basis of
-// the paper's argument that OM contributes O(d) to the overall process
-// rather than a fresh regular-expression pass.
+// OM reads one indicator count per record-identifying field. The paper
+// takes them from the Data-Record Table the larger extraction process of
+// Figure 1 has already computed — the basis of its argument that OM
+// contributes O(d) to the overall process rather than a fresh
+// regular-expression pass. Discovery on its own has no such table, so
+// NewContext runs only the record-identifying fields' rules and keeps just
+// their counts (Context.FieldCounts); a context that carries an extraction
+// table instead (Context.Table) is read from that.
 type OM struct{}
 
 // Name returns "OM".
@@ -24,14 +28,14 @@ func (OM) Name() string { return "OM" }
 
 // Rank estimates the record count from the ontology's record-identifying
 // fields and ranks candidates by |count(tag) − estimate| ascending. ok is
-// false when no ontology or Data-Record Table is available, or when the
+// false when no ontology or field counts are available, or when the
 // ontology has fewer than three record-identifying fields (§4.5's lower
 // bound).
 func (OM) Rank(ctx *Context) (Ranking, bool) {
-	if ctx.Ontology == nil || ctx.Table == nil || len(ctx.Candidates) == 0 {
+	if len(ctx.Candidates) == 0 {
 		return nil, false
 	}
-	estimate, ok := recognizer.EstimateRecordCount(ctx.Ontology, ctx.Table)
+	estimate, ok := OMEstimate(ctx)
 	if !ok {
 		return nil, false
 	}
@@ -40,4 +44,13 @@ func (OM) Rank(ctx *Context) (Ranking, bool) {
 		scores[c.Name] = math.Abs(float64(c.Count) - estimate)
 	}
 	return rankByScore(scores, true), true
+}
+
+// fieldsOf returns the ontology's record-identifying fields; ok is false
+// for a nil ontology.
+func fieldsOf(ont *ontology.Ontology) ([]ontology.RecordIdentifyingField, bool) {
+	if ont == nil {
+		return nil, false
+	}
+	return ont.RecordIdentifyingFields()
 }

@@ -27,7 +27,17 @@ const MinRecordIdentifyingFields = 3
 //     value alone).
 //   - At least 3 fields are required (else OM declines: ok == false); at
 //     most max(3, 20% of the number of object sets) are used.
+//
+// The selection is made once per ontology, together with the discovery
+// rule set (DiscoveryRuleSet), and shared by every caller, so a warm call
+// allocates nothing. Callers must not mutate the returned slice.
 func (o *Ontology) RecordIdentifyingFields() (fields []RecordIdentifyingField, ok bool) {
+	o.compileDiscovery()
+	return o.fields, o.fieldsOK
+}
+
+// selectRecordIdentifyingFields makes RecordIdentifyingFields' selection.
+func (o *Ontology) selectRecordIdentifyingFields() ([]RecordIdentifyingField, bool) {
 	typeCount := map[string]int{}
 	for _, s := range o.ObjectSets {
 		if s.Frame.Type != "" {

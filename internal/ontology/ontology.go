@@ -105,13 +105,15 @@ type Ontology struct {
 	// {Name} interpolation.
 	Lexicons map[string][]string
 
-	// rulesOnce guards the lazily-built, shared matching-rule set (Rules),
-	// the literal automaton over it (Literals) and its scan order
-	// (ScanOrder).
+	// rulesOnce guards the lazily-built, shared full rule set (RuleSet).
 	rulesOnce sync.Once
-	rules     []Rule
-	literals  *LiteralIndex
-	scanOrder []int
+	rules     *RuleSet
+	// discoveryOnce guards the record-identifying fields and the
+	// discovery rule set compiled from them (DiscoveryRuleSet).
+	discoveryOnce sync.Once
+	fields        []RecordIdentifyingField
+	fieldsOK      bool
+	discovery     *RuleSet
 }
 
 // ObjectSet returns the named object set, or nil.

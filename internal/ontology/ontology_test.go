@@ -1,6 +1,8 @@
 package ontology
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -189,6 +191,70 @@ func TestRecordIdentifyingFieldsTwentyPercentCap(t *testing.T) {
 	}
 	if len(fields) != 5 {
 		t.Errorf("field count = %d, want 5 (20%% of 25)", len(fields))
+	}
+}
+
+// TestRecordIdentifyingFieldsWarmCallAllocatesNothing: the selection is
+// made once per ontology and shared, so OM's per-document calls cost no
+// allocation.
+func TestRecordIdentifyingFieldsWarmCallAllocatesNothing(t *testing.T) {
+	for _, src := range []string{tinySrc, ObituarySrc,
+		"ontology X\nentity X\nobject A : one-to-one {\nkeyword `k`\n}"} {
+		o := MustParse(src)
+		first, firstOK := o.RecordIdentifyingFields()
+		if allocs := testing.AllocsPerRun(100, func() { o.RecordIdentifyingFields() }); allocs != 0 {
+			t.Errorf("%s: warm call allocates %.0f times, want 0", o.Name, allocs)
+		}
+		again, ok := o.RecordIdentifyingFields()
+		if ok != firstOK || len(again) != len(first) || len(first) > 0 && &again[0] != &first[0] {
+			t.Errorf("%s: warm call returned a different selection", o.Name)
+		}
+	}
+}
+
+// TestDiscoveryRuleSetHoldsOnlyIndicatorRules: the discovery rule set is,
+// per record-identifying field in order, that field's keyword rules when it
+// is keyword-indicated and its constant rules otherwise, each mapped to its
+// field.
+func TestDiscoveryRuleSetHoldsOnlyIndicatorRules(t *testing.T) {
+	for _, name := range append(BuiltinNames(), "tiny", "short") {
+		var o *Ontology
+		switch name {
+		case "tiny":
+			o = MustParse(tinySrc)
+		case "short":
+			o = MustParse("ontology X\nentity X\nobject A : one-to-one {\nkeyword `k`\n}")
+		default:
+			o = Builtin(name)
+		}
+		fields, ok := o.RecordIdentifyingFields()
+		rs := o.DiscoveryRuleSet()
+		var want []string
+		for i, f := range fields {
+			patterns, kind := f.Set.Frame.ValuePatterns, ConstantRule
+			if f.UseKeywords {
+				patterns, kind = f.Set.Frame.KeywordPatterns, KeywordRule
+			}
+			for _, p := range patterns {
+				want = append(want, fmt.Sprintf("%d %s/%s %s", i, f.Set.Name, kind, p))
+			}
+		}
+		var got []string
+		for i, r := range rs.Rules {
+			if r.Plan == nil {
+				t.Errorf("%s: rule %s has no scan plan", name, r.Descriptor())
+			}
+			got = append(got, fmt.Sprintf("%d %s %s", rs.Field[i], r.Descriptor(), r.Pattern))
+		}
+		if !reflect.DeepEqual(got, want) || !ok && len(rs.Rules) != 0 {
+			t.Errorf("%s: discovery rules\n got %q\nwant %q", name, got, want)
+		}
+		if len(rs.ScanOrder) != len(rs.Rules) {
+			t.Errorf("%s: scan order covers %d of %d rules", name, len(rs.ScanOrder), len(rs.Rules))
+		}
+		if ok && len(rs.Rules) >= len(o.Rules()) {
+			t.Errorf("%s: discovery runs %d rules, the full set %d", name, len(rs.Rules), len(o.Rules()))
+		}
 	}
 }
 

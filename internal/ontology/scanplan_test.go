@@ -240,7 +240,7 @@ func TestScanPlanModes(t *testing.T) {
 // ending at each byte, including those found only through suffix links.
 func TestLiteralIndexOverlappingHits(t *testing.T) {
 	o := MustParse("ontology X\nentity X\nobject A : one-to-one {\nkeyword `she|he|hers|his`\n}")
-	x := o.Literals()
+	x := o.RuleSet().Literals
 	var got []string
 	text := "ushers and his"
 	st := int32(0)

@@ -69,30 +69,7 @@ func TestRecognizeMatchesRegexpOracle(t *testing.T) {
 	// The fan-out path needs at least two workers.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 
-	var docs []*corpus.Document
-	for _, d := range corpus.AllDomains {
-		docs = append(docs, corpus.TrainingDocuments(d)...)
-		sites := append(corpus.TrainingSites(d), corpus.TestSites(d)...)
-		for _, s := range sites {
-			long := *s
-			n := s.Profile.Records[1] * 5
-			long.Profile.Records = [2]int{n, n}
-			docs = append(docs, long.Generate(0))
-		}
-	}
-	docs = append(docs, corpus.TestDocuments()...)
-	if raceEnabled {
-		// The race detector slows the regexp engine some twentyfold. Under
-		// it, check every tenth document, long listings included: the
-		// race run is after the fan-out's interleavings, and the plain run
-		// checks every document.
-		var some []*corpus.Document
-		for i := 0; i < len(docs); i += 10 {
-			some = append(some, docs[i])
-		}
-		docs = some
-	}
-
+	docs := corpusWithLongListings()
 	fannedOut := 0
 	for _, doc := range docs {
 		ont := doc.Site.Domain.Ontology()
@@ -112,6 +89,35 @@ func TestRecognizeMatchesRegexpOracle(t *testing.T) {
 	if fannedOut == 0 {
 		t.Error("no document crossed the fan-out threshold")
 	}
+}
+
+// corpusWithLongListings returns the 220-document corpus plus one long
+// listing per site (five times the site's most records, which puts its
+// text past parallelThreshold). The race detector slows the regexp engine
+// some twentyfold, so under it only every tenth document is returned, long
+// listings included: the race run is after the fan-out's interleavings,
+// and the plain run checks every document.
+func corpusWithLongListings() []*corpus.Document {
+	var docs []*corpus.Document
+	for _, d := range corpus.AllDomains {
+		docs = append(docs, corpus.TrainingDocuments(d)...)
+		sites := append(corpus.TrainingSites(d), corpus.TestSites(d)...)
+		for _, s := range sites {
+			long := *s
+			n := s.Profile.Records[1] * 5
+			long.Profile.Records = [2]int{n, n}
+			docs = append(docs, long.Generate(0))
+		}
+	}
+	docs = append(docs, corpus.TestDocuments()...)
+	if raceEnabled {
+		var some []*corpus.Document
+		for i := 0; i < len(docs); i += 10 {
+			some = append(some, docs[i])
+		}
+		docs = some
+	}
+	return docs
 }
 
 // FuzzScanPlan: a single rule's plan finds exactly the spans its pattern's

@@ -4,9 +4,12 @@
 // Data-Record Table — one row per recognized keyword or constant, carrying a
 // descriptor, the matched string, and its position, ordered by position.
 //
-// The OM heuristic (§4.5) reads its occurrence counts from this table, and
-// the Database-Instance Generator partitions it at the discovered separator
-// positions to build records.
+// The Database-Instance Generator partitions the table at the discovered
+// separator positions to build records. The OM heuristic (§4.5) reads only
+// one occurrence count per record-identifying field from it, so discovery,
+// which has no table of its own, runs CountFields instead: the same scan
+// over just those fields' rules, counting matches without building the
+// table.
 package recognizer
 
 import (
@@ -202,9 +205,16 @@ func RecognizeContext(ctx context.Context, ont *ontology.Ontology, tree *tagtree
 		workers = len(chunks)
 	}
 	if total < parallelThreshold || workers <= 1 {
-		entries, err := scanSerial(ctx, ont, chunks, faults)
-		if err != nil {
+		cs := chunkScratchPool.Get().(*chunkScratch)
+		defer cs.release()
+		if err := scanSerial(ctx, chunks, faults, func(ev tagtree.Event) {
+			cs.out = scanChunk(cs.out, ont, cs, ev)
+		}); err != nil {
 			return nil, err
+		}
+		var entries []Entry
+		if len(cs.out) > 0 {
+			entries = slices.Clone(cs.out)
 		}
 		t := &Table{Entries: entries}
 		t.buildCounts()
@@ -294,37 +304,61 @@ func RecognizeContext(ctx context.Context, ont *ontology.Ontology, tree *tagtree
 	return t, nil
 }
 
-// scanSerial matches every rule against every chunk on the calling
-// goroutine, honoring ctx, containing panics, and firing the per-chunk
-// fault hook. Entries come back sorted by (Pos, ObjectSet, Kind): chunks
-// are in ascending document order and their byte ranges are disjoint, so
-// sorting each chunk's matches locally keeps the concatenation globally
-// sorted.
-func scanSerial(ctx context.Context, ont *ontology.Ontology, chunks []tagtree.Event, faults *faultinject.Set) (entries []Entry, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			entries, err = nil, fmt.Errorf("recognizer: chunk scan panicked: %v", r)
-		}
-	}()
+// CountFields returns, aligned with ont.RecordIdentifyingFields(), each
+// record-identifying field's indicator count over the plain text of the
+// subtree rooted at n: FieldCount over the Data-Record Table Recognize
+// would build, without building it. Only the discovery rule set
+// (ontology.DiscoveryRuleSet) runs, each match adds one to its field's
+// count, and no Entry is made. Rules match independently, so the counts
+// equal the full table's. It returns nil when the ontology has fewer than
+// three record-identifying fields. The scan is serial and, like
+// RecognizeContext's, honors ctx, contains a panicking chunk scan and
+// fires the "recognizer/chunk" hook once per text chunk.
+func CountFields(ctx context.Context, ont *ontology.Ontology, tree *tagtree.Tree, n *tagtree.Node, faults *faultinject.Set) ([]int, error) {
+	fields, ok := ont.RecordIdentifyingFields()
+	if !ok {
+		return nil, nil
+	}
+	rs := ont.DiscoveryRuleSet()
+	counts := make([]int, len(fields))
 	cs := chunkScratchPool.Get().(*chunkScratch)
 	defer cs.release()
-	for i, ev := range chunks {
+	if err := scanSerial(ctx, tree.SubtreeEvents(n), faults, func(ev tagtree.Event) {
+		matchChunk(rs, cs, ev.Text, func(ri, _, _ int) { counts[rs.Field[ri]]++ })
+	}); err != nil {
+		return nil, err
+	}
+	return counts, nil
+}
+
+// scanSerial calls scan for each text event on the calling goroutine,
+// checking ctx every scanCheckEvery chunks, firing the per-chunk fault
+// hook, and turning a panicking scan into an error.
+func scanSerial(ctx context.Context, events []tagtree.Event, faults *faultinject.Set, scan func(tagtree.Event)) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("recognizer: chunk scan panicked: %v", r)
+		}
+	}()
+	i := 0
+	for _, ev := range events {
+		if ev.Kind != tagtree.EventText {
+			continue
+		}
 		if i%scanCheckEvery == scanCheckEvery-1 {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
 		}
+		i++
 		if faults != nil {
 			if err := faults.FireCtx(ctx, "recognizer/chunk"); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		cs.out = scanChunk(cs.out, ont, cs, ev)
+		scan(ev)
 	}
-	if len(cs.out) > 0 {
-		entries = slices.Clone(cs.out)
-	}
-	return entries, nil
+	return nil
 }
 
 // chunkScratch is a scanning goroutine's state: per rule, the starts of its
@@ -357,17 +391,30 @@ func (cs *chunkScratch) release() {
 	chunkScratchPool.Put(cs)
 }
 
-// scanChunk appends one chunk's matches to entries, locally sorted. Each
-// rule's matches are those of its Pattern's FindAllStringIndex over the
-// chunk, found in three steps: one Aho–Corasick pass over the chunk
-// collects every rule's anchor and gate hits; each rule's hits are sorted
-// into candidate starts; and each candidate at or after the end of the
-// rule's previous match is verified (see matchAt). Rules are scanned in
-// the ontology's scan order, so a stable sort by position alone leaves
-// entries at one position ordered by object set, then kind.
+// scanChunk appends one chunk's matches of every rule to entries, locally
+// sorted. matchChunk finds them rule by rule in the ontology's scan order,
+// so a stable sort by position alone leaves entries at one position
+// ordered by object set, then kind.
 func scanChunk(entries []Entry, ont *ontology.Ontology, cs *chunkScratch, ev tagtree.Event) []Entry {
-	rules, lits := ont.Rules(), ont.Literals()
-	text := ev.Text
+	rs := ont.RuleSet()
+	chunkStart := len(entries)
+	matchChunk(rs, cs, ev.Text, func(ri, start, end int) {
+		entries = appendEntry(entries, &rs.Rules[ri], ev, start, end)
+	})
+	sortEntries(entries[chunkStart:])
+	return entries
+}
+
+// matchChunk calls emit with the rule index and span of each of the rule
+// set's matches in text, rule by rule in scan order and, within a rule, in
+// ascending position. Each rule's matches are those of its Pattern's
+// FindAllStringIndex over the chunk, found in three steps: one
+// Aho–Corasick pass over the chunk collects every rule's anchor and gate
+// hits; each rule's hits are sorted into candidate starts; and each
+// candidate at or after the end of the rule's previous match is verified
+// (see matchAt).
+func matchChunk(rs *ontology.RuleSet, cs *chunkScratch, text string, emit func(ri, start, end int)) {
+	rules, lits := rs.Rules, rs.Literals
 	if len(cs.hits) < len(rules) {
 		cs.hits = make([][]int32, len(rules))
 	}
@@ -384,8 +431,7 @@ func scanChunk(entries []Entry, ont *ontology.Ontology, cs *chunkScratch, ev tag
 		}
 	}
 
-	chunkStart := len(entries)
-	for _, ri := range ont.ScanOrder() {
+	for _, ri := range rs.ScanOrder {
 		r := &rules[ri]
 		p := r.Plan
 		hits := cs.hits[ri]
@@ -402,7 +448,7 @@ func scanChunk(entries []Entry, ont *ontology.Ontology, cs *chunkScratch, ev tag
 					continue
 				}
 				if end, ok := matchAt(p, text, int(s)); ok {
-					entries = appendEntry(entries, r, ev, int(s), end)
+					emit(ri, int(s), end)
 					pos = end
 				}
 			}
@@ -412,7 +458,7 @@ func scanChunk(entries []Entry, ont *ontology.Ontology, cs *chunkScratch, ev tag
 					continue
 				}
 				if end, ok := matchAt(p, text, s); ok {
-					entries = appendEntry(entries, r, ev, s, end)
+					emit(ri, s, end)
 					s = end - 1
 				}
 			}
@@ -439,7 +485,7 @@ func scanChunk(entries []Entry, ont *ontology.Ontology, cs *chunkScratch, ev tag
 						continue
 					}
 					if end, ok := matchAt(p, text, s); ok {
-						entries = appendEntry(entries, r, ev, s, end)
+						emit(ri, s, end)
 						s, next = end-1, end
 					}
 				}
@@ -447,12 +493,10 @@ func scanChunk(entries []Entry, ont *ontology.Ontology, cs *chunkScratch, ev tag
 			}
 		default:
 			for _, m := range r.Pattern.FindAllStringIndex(text, -1) {
-				entries = appendEntry(entries, r, ev, m[0], m[1])
+				emit(ri, m[0], m[1])
 			}
 		}
 	}
-	sortEntries(entries[chunkStart:])
-	return entries
 }
 
 // matchAt returns the end of the rule's match starting at s, if there is
