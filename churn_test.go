@@ -68,14 +68,12 @@ func newChurnRouter(t *testing.T, backends ...*churnBackend) (*cluster.Router, *
 		peers = append(peers, b.peer())
 	}
 	router, err := cluster.NewRouter(cluster.Config{
-		Peers:          peers,
-		HealthInterval: 50 * time.Millisecond,
-		Fallback:       http.NotFoundHandler(),
+		Peers:    peers,
+		Fallback: http.NotFoundHandler(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(router.Close)
 	srv := httptest.NewServer(router)
 	t.Cleanup(srv.Close)
 	return router, srv
@@ -158,9 +156,10 @@ func TestChurnConformance(t *testing.T) {
 	})
 
 	// A replica dies without a goodbye: connections severed, listener gone,
-	// still in the ring until the health checker ejects it. Every request —
-	// including those whose preferred owner is the corpse — must fail over
-	// to a survivor and answer the same bytes, with no client-visible error.
+	// still in the ring and in the rotation — no membership layer runs here
+	// to suspect it. Every request — including those whose preferred owner
+	// is the corpse — must pay one failed attempt, fail over to a survivor,
+	// and answer the same bytes, with no client-visible error.
 	t.Run("HardKill", func(t *testing.T) {
 		b0, b1, b2 := newChurnBackend(t, "replica-0"), newChurnBackend(t, "replica-1"), newChurnBackend(t, "replica-2")
 		_, srv := newChurnRouter(t, b0, b1, b2)

@@ -11,7 +11,7 @@
 //	      [-max-doc-bytes 0] [-max-tree-depth 0] [-max-nodes 0]
 //	      [-node-name name] [-join addr,addr,...] [-advertise host:port]
 //	      [-gossip-interval 1s] [-warmup-timeout 5s] [-hedge-after 0]
-//	      [-peer-queue-depth 32] [-health-interval 1s]
+//	      [-peer-queue-depth 32]
 //	      [-trace-capacity 512] [-trace-sample 0]
 //	      [-wrapper-store path] [-spot-check-rate 64]
 //
@@ -63,12 +63,14 @@
 // published to the current members. -advertise overrides the address peers
 // dial (defaults to the bound listener address); -gossip-interval paces
 // heartbeats — suspicion starts after 3 silent intervals, death after 10.
+// Membership is the router's only liveness signal: a Suspect member keeps
+// its ring share but is routed around until it is heard from again, and a
+// Dead one leaves the ring.
 // -hedge-after launches a second attempt on the next member when the
 // primary is slower than the duration (0 disables hedging);
 // -peer-queue-depth bounds each member's queue (saturation sheds
-// interactive requests with 429 and throttles bulk fan-out);
-// -health-interval paces the /healthz probes that eject and readmit
-// members. Shutdown broadcasts a graceful leave.
+// interactive requests with 429 and throttles bulk fan-out). Shutdown
+// broadcasts a graceful leave.
 //
 // Example:
 //
@@ -144,8 +146,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		"hedge a discover request on the next peer when the primary is slower than this; 0 disables")
 	peerQueueDepth := fs.Int("peer-queue-depth", 32,
 		"max in-flight requests per replica; beyond it interactive requests shed 429 and bulk fan-out throttles")
-	healthInterval := fs.Duration("health-interval", time.Second,
-		"period of the per-replica /healthz probes driving ejection and readmission")
 	nodeName := fs.String("node-name", "",
 		"stable name of this node in a gossip-managed fleet (docs/SCALING.md); enables the fleet router")
 	joinSeeds := fs.String("join", "",
@@ -303,6 +303,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 					known[name] = maddr
 				}
 			}
+			// Suspect members keep their ring shares but are routed
+			// around until membership hears from them again.
+			for _, m := range serving {
+				routerRef.SetSuspect(m.Name, m.State == membership.Suspect)
+			}
 			if pubRef != nil {
 				sort.Strings(targets)
 				pubRef.SetTargets(targets)
@@ -350,20 +355,18 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 
 		router, err := cluster.NewRouter(cluster.Config{
-			Peers:          []cluster.Peer{cluster.NewLocalPeer(*nodeName, selfSrv)},
-			HedgeAfter:     *hedgeAfter,
-			QueueDepth:     *peerQueueDepth,
-			HealthInterval: *healthInterval,
-			Metrics:        metrics,
-			Logger:         logger,
-			TraceStore:     traces,
-			Service:        "router",
-			Fallback:       selfSrv,
+			Peers:      []cluster.Peer{cluster.NewLocalPeer(*nodeName, selfSrv)},
+			HedgeAfter: *hedgeAfter,
+			QueueDepth: *peerQueueDepth,
+			Metrics:    metrics,
+			Logger:     logger,
+			TraceStore: traces,
+			Service:    "router",
+			Fallback:   selfSrv,
 		})
 		if err != nil {
 			return err
 		}
-		defer router.Close()
 		peersMu.Lock()
 		routerRef, pubRef = router, publisher
 		peersMu.Unlock()

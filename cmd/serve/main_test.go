@@ -256,12 +256,14 @@ func TestServeClusterMode(t *testing.T) {
 }
 
 // TestServeClusterFlagValidation checks that the removed static-topology
-// flags fail flag parsing, so an old deploy script stops loudly instead of
-// silently serving as one node, and that -join still needs -node-name.
+// flags and the removed /healthz prober's period fail flag parsing, so an
+// old deploy script stops loudly instead of silently running without them,
+// and that -join still needs -node-name.
 func TestServeClusterFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
 		{"-cluster", "2"},
 		{"-peers", "http://127.0.0.1:1"},
+		{"-health-interval", "1s"},
 	} {
 		err := run(context.Background(), args, &lockedBuffer{})
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {

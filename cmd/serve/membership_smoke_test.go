@@ -36,7 +36,6 @@ func startMemberNode(t *testing.T, name, dir string, seeds ...string) *memberNod
 		"-wrapper-store", filepath.Join(dir, "wrappers.ndjson"),
 		"-cache-journal", filepath.Join(dir, "cache.ndjson"),
 		"-warmup-timeout", "5s",
-		"-health-interval", "50ms",
 		"-shutdown-timeout", "2s",
 	}
 	if len(seeds) > 0 {

@@ -34,7 +34,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -517,14 +516,12 @@ func (w *wireResult) String() string {
 func newClusterServer(t *testing.T, peers []cluster.Peer) *httptest.Server {
 	t.Helper()
 	router, err := cluster.NewRouter(cluster.Config{
-		Peers:          peers,
-		HealthInterval: time.Minute, // conformance never exercises health transitions
-		Fallback:       http.NotFoundHandler(),
+		Peers:    peers,
+		Fallback: http.NotFoundHandler(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(router.Close)
 	srv := httptest.NewServer(router)
 	t.Cleanup(srv.Close)
 	return srv

@@ -84,7 +84,8 @@ func TestHedgeSuppressedByArmedFault(t *testing.T) {
 // TestStreamReroutesAroundDeadPeer kills one replica (every attempt on it
 // fails) under a 30-document stream and asserts the no-loss/no-duplication
 // contract: every sequence number appears exactly once, every document
-// succeeds, and the dead peer was passively ejected.
+// succeeds, and the failures reroute without moving the dead peer out of the
+// rotation — only membership suspicion does that.
 func TestStreamReroutesAroundDeadPeer(t *testing.T) {
 	faults := faultinject.New()
 	router, reg := newTestRouter(t, 3, func(c *Config) { c.Faults = faults })
@@ -129,8 +130,11 @@ func TestStreamReroutesAroundDeadPeer(t *testing.T) {
 	if v := reg.Counter("boundary_cluster_reroutes_total", "").Value(); v < 1 {
 		t.Errorf("reroutes_total = %v, want >= 1", v)
 	}
-	if v := reg.Counter("boundary_cluster_ejections_total", "", "peer", "p0").Value(); v < 1 {
-		t.Errorf("ejections_total{p0} = %v, want >= 1 (passive ejection)", v)
+	if v := reg.Counter("boundary_cluster_requests_total", "", "peer", "p0", "outcome", "transport").Value(); v < 1 {
+		t.Errorf("requests_total{p0, transport} = %v, want >= 1", v)
+	}
+	if v := reg.Counter("boundary_cluster_ejections_total", "", "peer", "p0").Value(); v != 0 {
+		t.Errorf("ejections_total{p0} = %v, want 0 (transport failures keep no streak)", v)
 	}
 }
 

@@ -3,7 +3,9 @@
 // remote nodes speaking the single-node HTTP API (HTTPPeer) and the node's
 // own handler called in process (LocalPeer). In production the peer set
 // comes from gossip membership (internal/membership), which adds and removes
-// peers as nodes join and leave.
+// peers as nodes join and leave, and whose failure detector is the router's
+// only liveness signal: a Suspect member stays on the ring but is routed
+// around (SetSuspect) until it is heard from again.
 //
 // The design leans on the pipeline being embarrassingly shardable: each
 // document's boundary discovery (tag tree → highest-fan-out subtree → five
@@ -16,10 +18,11 @@
 //
 // Around the hash ring sit the serving-tier protections:
 //
-//   - per-peer health checking (active /healthz probes plus passive
-//     transport-failure signals) with ejection and readmission, so a dead
+//   - ejection and readmission driven by membership suspicion, so a dead
 //     replica's key range reroutes to its ring successor and snaps back,
-//     caches intact, when it recovers;
+//     caches intact, when it recovers — the ring itself never changes;
+//     until suspicion lands, a request whose attempt fails on a dead peer
+//     reroutes down the preference order;
 //   - bounded per-peer queues, so one saturated replica applies
 //     backpressure (batch/stream fan-out waits; interactive requests
 //     reroute, then shed with 429) instead of queueing unboundedly;
@@ -75,8 +78,6 @@ type Config struct {
 	// <= 0 selects 32. A full queue reroutes interactive requests (429 when
 	// every peer is full) and throttles batch/stream fan-out.
 	QueueDepth int
-	// HealthInterval is the active /healthz probe period; <= 0 selects 1s.
-	HealthInterval time.Duration
 	// Metrics receives the boundary_cluster_* series and the router's HTTP
 	// middleware metrics; nil disables both.
 	Metrics *obs.Registry
@@ -109,26 +110,14 @@ func (c Config) queueDepth() int {
 	return c.QueueDepth
 }
 
-func (c Config) healthInterval() time.Duration {
-	if c.HealthInterval <= 0 {
-		return time.Second
-	}
-	return c.HealthInterval
-}
-
-const (
-	// failAfter consecutive failures (probe or transport) eject a peer from
-	// the rotation; one success readmits it.
-	failAfter = 2
-	// workersPerPeer sizes the batch/stream scatter-gather pool: that many
-	// workers per peer in the current view.
-	workersPerPeer = 4
-)
+// workersPerPeer sizes the batch/stream scatter-gather pool: that many
+// workers per peer in the current view.
+const workersPerPeer = 4
 
 // retryPolicy governs re-routing retries for batch and stream documents
 // whose routing failed on every currently-available peer (transient windows:
-// a peer died but is not yet ejected): 3 attempts with the bulk engine's
-// default backoff.
+// a peer died but membership has not suspected it yet): 3 attempts with the
+// bulk engine's default backoff.
 var retryPolicy = pipeline.RetryPolicy{MaxAttempts: 3}
 
 // hedgeWinnerCacheSize bounds the router's memory of hedge outcomes (see
@@ -161,10 +150,11 @@ func newView(peers []*peerState) *routerView {
 
 // Router is the cluster frontend: an http.Handler owning POST /v1/discover,
 // /v1/discover/batch, /v1/discover/stream, and GET /healthz, delegating
-// everything else to Config.Fallback. Close it when done — it runs a health
-// checker goroutine. The peer set is dynamic: AddPeer/RemovePeer rebalance
-// the ring incrementally (names own ring shares, so only the moved vnodes'
-// keys change owner) while requests keep flowing.
+// everything else to Config.Fallback. It runs no goroutine of its own. The
+// peer set is dynamic: AddPeer/RemovePeer rebalance the ring incrementally
+// (names own ring shares, so only the moved vnodes' keys change owner) while
+// requests keep flowing, and SetSuspect moves a peer out of and back into
+// the rotation without touching the ring.
 type Router struct {
 	cfg Config
 
@@ -176,13 +166,10 @@ type Router struct {
 	// replica that actually answered (and whose cache now holds the result)
 	// instead of paying the hedge delay again. Bounded LRU keyed by peer
 	// NAME (indices are unstable under membership churn); entries for
-	// ejected or departed peers are ignored at lookup.
+	// suspect or departed peers are ignored at lookup.
 	winners *lru.Cache[fingerprint, string]
 
-	handler   http.Handler // observability-wrapped mux for owned routes
-	done      chan struct{}
-	wg        sync.WaitGroup
-	closeOnce sync.Once
+	handler http.Handler // observability-wrapped mux for owned routes
 }
 
 // snapshot returns the current immutable view.
@@ -190,8 +177,8 @@ func (r *Router) snapshot() *routerView {
 	return r.view.Load()
 }
 
-// NewRouter validates cfg, builds the ring, and starts the health checker.
-// The caller must Close the router to stop that goroutine.
+// NewRouter validates cfg and builds the ring. Every peer starts in the
+// rotation.
 func NewRouter(cfg Config) (*Router, error) {
 	if len(cfg.Peers) == 0 {
 		return nil, errors.New("cluster: at least one peer is required")
@@ -214,7 +201,6 @@ func NewRouter(cfg Config) (*Router, error) {
 	r := &Router{
 		cfg:     cfg,
 		winners: lru.New[fingerprint, string](hedgeWinnerCacheSize),
-		done:    make(chan struct{}),
 	}
 	peers := make([]*peerState, 0, len(cfg.Peers))
 	for _, p := range cfg.Peers {
@@ -242,16 +228,14 @@ func NewRouter(cfg Config) (*Router, error) {
 	r.handler = obs.Middleware(mux, cfg.Logger, cfg.Metrics, route, tracing)
 
 	r.healthyGauge().Set(float64(len(peers)))
-	r.wg.Add(1)
-	go r.healthLoop()
 	return r, nil
 }
 
 // AddPeer adds (or, for a rejoining node whose address changed, replaces) a
 // peer and rebalances the ring. Replacement retains nothing of the old
-// peer's state — a rejoined node is a fresh peer with an empty queue and a
-// clean health record. In-flight requests keep routing against the previous
-// view until they finish.
+// peer's state — a rejoined node is a fresh peer with an empty queue, in the
+// rotation until SetSuspect says otherwise. In-flight requests keep routing
+// against the previous view until they finish.
 func (r *Router) AddPeer(p Peer) error {
 	name := p.Name()
 	if name == "" {
@@ -300,7 +284,7 @@ func (r *Router) swapView(peers []*peerState, op, name string) {
 	r.view.Store(newView(peers))
 	r.healthyGauge().Set(float64(r.healthyCount()))
 	r.cfg.Metrics.Gauge("boundary_cluster_peers",
-		"Peers currently in the ring (any health state).").Set(float64(len(peers)))
+		"Peers currently in the ring, suspect or not.").Set(float64(len(peers)))
 	r.counter("boundary_cluster_membership_changes_total",
 		"Dynamic peer-set changes applied to the ring, by operation.", "op", op).Inc()
 	if r.cfg.Logger != nil {
@@ -379,107 +363,54 @@ func (r *Router) handleClusterMetrics(w http.ResponseWriter, req *http.Request) 
 	_ = obs.WriteFederated(w, scrapes)
 }
 
-// Close stops the health checker. Safe to call more than once.
-func (r *Router) Close() {
-	r.closeOnce.Do(func() { close(r.done) })
-	r.wg.Wait()
-}
-
 // handleHealthz reports the cluster's own health: ok while at least one
-// peer is in the rotation, 503 when the whole backend set is ejected — the
-// signal an upstream load balancer uses to stop sending traffic here.
+// peer is in the rotation, 503 when every peer is suspect — the signal an
+// upstream load balancer uses to stop sending traffic here.
 func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	healthy := r.healthyCount()
 	if healthy == 0 {
 		writeErr(w, http.StatusServiceUnavailable,
-			fmt.Errorf("cluster: all %d peers are ejected", len(r.snapshot().peers)))
+			fmt.Errorf("cluster: all %d peers are suspect", len(r.snapshot().peers)))
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
 }
 
-// healthLoop probes every peer each HealthInterval until Close.
-func (r *Router) healthLoop() {
-	defer r.wg.Done()
-	interval := r.cfg.healthInterval()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-r.done:
-			return
-		case <-t.C:
-			r.checkPeers(interval)
+// SetSuspect moves the named peer out of the rotation (suspect) or back into
+// it, leaving the ring unchanged: a suspect peer keeps its ring share, its
+// keys route to the next peer on the ring, and they snap back — caches
+// intact — when it is readmitted. It is the only way a peer leaves or
+// re-enters the rotation; cmd/serve drives it from membership's
+// Alive/Suspect state. It reports whether the peer is in the ring.
+func (r *Router) SetSuspect(name string, suspect bool) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v := r.view.Load()
+	idx, ok := v.index[name]
+	if !ok {
+		return false
+	}
+	if !v.peers[idx].suspect.CompareAndSwap(!suspect, suspect) {
+		return true // already in that state
+	}
+	r.healthyGauge().Set(float64(r.healthyCount()))
+	if suspect {
+		r.counter("boundary_cluster_ejections_total",
+			"Peers moved out of the routing rotation because membership suspects them, by peer.",
+			"peer", name).Inc()
+		if r.cfg.Logger != nil {
+			r.cfg.Logger.Warn("cluster peer ejected", "peer", name)
+		}
+	} else {
+		r.counter("boundary_cluster_readmissions_total",
+			"Suspect peers readmitted to the routing rotation once membership hears from them again, by peer.",
+			"peer", name).Inc()
+		if r.cfg.Logger != nil {
+			r.cfg.Logger.Info("cluster peer readmitted", "peer", name)
 		}
 	}
-}
-
-// checkPeers probes all peers concurrently, bounded by one interval (capped
-// at 2s) so a hung peer cannot stall the next round.
-func (r *Router) checkPeers(interval time.Duration) {
-	timeout := interval
-	if timeout > 2*time.Second {
-		timeout = 2 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	var wg sync.WaitGroup
-	for _, ps := range r.snapshot().peers {
-		wg.Add(1)
-		go func(ps *peerState) {
-			defer wg.Done()
-			if err := ps.peer.Check(ctx); err != nil {
-				r.noteFailure(ps, err)
-			} else {
-				r.noteSuccess(ps)
-			}
-		}(ps)
-	}
-	wg.Wait()
-}
-
-// noteFailure records one failed probe or transport-failed request; crossing
-// failAfter consecutive failures ejects the peer from the rotation.
-func (r *Router) noteFailure(ps *peerState, err error) {
-	ps.mu.Lock()
-	ps.failures++
-	ejectNow := !ps.ejected && ps.failures >= failAfter
-	if ejectNow {
-		ps.ejected = true
-	}
-	ps.mu.Unlock()
-	if !ejectNow {
-		return
-	}
-	r.counter("boundary_cluster_ejections_total",
-		"Peers ejected from the routing rotation after consecutive failures, by peer.",
-		"peer", ps.peer.Name()).Inc()
-	r.healthyGauge().Set(float64(r.healthyCount()))
-	if r.cfg.Logger != nil {
-		r.cfg.Logger.Warn("cluster peer ejected",
-			"peer", ps.peer.Name(), "err", err.Error())
-	}
-}
-
-// noteSuccess records one successful probe or request; it readmits an
-// ejected peer and clears the failure streak.
-func (r *Router) noteSuccess(ps *peerState) {
-	ps.mu.Lock()
-	readmit := ps.ejected
-	ps.failures = 0
-	ps.ejected = false
-	ps.mu.Unlock()
-	if !readmit {
-		return
-	}
-	r.counter("boundary_cluster_readmissions_total",
-		"Ejected peers readmitted to the routing rotation after a successful probe, by peer.",
-		"peer", ps.peer.Name()).Inc()
-	r.healthyGauge().Set(float64(r.healthyCount()))
-	if r.cfg.Logger != nil {
-		r.cfg.Logger.Info("cluster peer readmitted", "peer", ps.peer.Name())
-	}
+	return true
 }
 
 // healthyCount returns how many peers are in the rotation.
@@ -499,7 +430,7 @@ func (r *Router) counter(name, help string, labels ...string) *obs.Counter {
 
 func (r *Router) healthyGauge() *obs.Gauge {
 	return r.cfg.Metrics.Gauge("boundary_cluster_peers_healthy",
-		"Peers currently in the routing rotation.")
+		"Ring peers currently in the routing rotation (not suspect).")
 }
 
 func (r *Router) queueGauge(peer string) *obs.Gauge {

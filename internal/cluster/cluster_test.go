@@ -8,10 +8,9 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/httpapi"
 	"repro/internal/obs"
 	"repro/internal/paperdoc"
@@ -23,9 +22,8 @@ func newTestRouter(t *testing.T, n int, mutate func(*Config)) (*Router, *obs.Reg
 	t.Helper()
 	reg := obs.NewRegistry()
 	cfg := Config{
-		HealthInterval: time.Minute, // tests drive health transitions explicitly
-		Metrics:        reg,
-		Fallback:       http.NotFoundHandler(),
+		Metrics:  reg,
+		Fallback: http.NotFoundHandler(),
 	}
 	for i := 0; i < n; i++ {
 		cfg.Peers = append(cfg.Peers,
@@ -38,7 +36,6 @@ func newTestRouter(t *testing.T, n int, mutate func(*Config)) (*Router, *obs.Reg
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(r.Close)
 	return r, reg
 }
 
@@ -205,24 +202,18 @@ func TestQueueSaturationSheds429(t *testing.T) {
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
 	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/healthz" {
-			fmt.Fprintln(w, "ok")
-			return
-		}
 		entered <- struct{}{}
 		<-release
 		httpapi.NewServeMux().ServeHTTP(w, r)
 	})
 	router, err := NewRouter(Config{
-		Peers:          []Peer{NewLocalPeer("slow", slow)},
-		QueueDepth:     1,
-		HealthInterval: time.Minute,
-		Fallback:       http.NotFoundHandler(),
+		Peers:      []Peer{NewLocalPeer("slow", slow)},
+		QueueDepth: 1,
+		Fallback:   http.NotFoundHandler(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer router.Close()
 
 	// Park one request inside the peer (holding the only queue slot), then
 	// prove the next interactive request is shed instead of queued.
@@ -243,87 +234,168 @@ func TestQueueSaturationSheds429(t *testing.T) {
 	}
 }
 
-func TestEjectionAndClusterHealthz(t *testing.T) {
-	dead := httptest.NewServer(nil)
-	dead.Close() // a peer whose address refuses connections
-	reg := obs.NewRegistry()
-	router, err := NewRouter(Config{
-		Peers:          []Peer{NewHTTPPeer("dead", dead.URL, nil)},
-		HealthInterval: 20 * time.Millisecond,
-		Metrics:        reg,
-		Fallback:       http.NotFoundHandler(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer router.Close()
+// getHealthz asks the router for its own health.
+func getHealthz(router http.Handler) int {
+	w := httptest.NewRecorder()
+	router.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	return w.Code
+}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for router.healthyCount() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("dead peer was never ejected")
+// TestEjectionAndClusterHealthz: membership suspicion of every peer empties
+// the rotation, so the router's own /healthz and discover answer 503; each
+// transition is counted once, however often it is reported.
+func TestEjectionAndClusterHealthz(t *testing.T) {
+	router, reg := newTestRouter(t, 2, nil)
+	for _, name := range []string{"p0", "p1", "p0"} {
+		if !router.SetSuspect(name, true) {
+			t.Fatalf("SetSuspect(%s) reported the peer absent", name)
 		}
-		time.Sleep(10 * time.Millisecond)
 	}
-	if v := reg.Counter("boundary_cluster_ejections_total", "", "peer", "dead").Value(); v < 1 {
-		t.Errorf("ejections_total = %v, want >= 1", v)
+	if router.SetSuspect("nobody", true) {
+		t.Error("SetSuspect on a peer outside the ring reported it present")
+	}
+	if v := reg.Counter("boundary_cluster_ejections_total", "", "peer", "p0").Value(); v != 1 {
+		t.Errorf("ejections_total{p0} = %v, want 1 (a repeated suspicion is no new ejection)", v)
 	}
 	if v := reg.Gauge("boundary_cluster_peers_healthy", "").Value(); v != 0 {
 		t.Errorf("peers_healthy = %v, want 0", v)
 	}
-
-	req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
-	w := httptest.NewRecorder()
-	router.ServeHTTP(w, req)
-	if w.Code != http.StatusServiceUnavailable {
-		t.Errorf("cluster /healthz with all peers ejected = %d, want 503", w.Code)
+	if names := router.PeerNames(); len(names) != 2 {
+		t.Errorf("ring members = %v, want both suspects still on the ring", names)
+	}
+	if code := getHealthz(router); code != http.StatusServiceUnavailable {
+		t.Errorf("cluster /healthz with all peers suspect = %d, want 503", code)
 	}
 	if dw := postRouter(t, router, "/v1/discover", discoverBody("")); dw.Code != http.StatusServiceUnavailable {
-		t.Errorf("discover with all peers ejected = %d, want 503", dw.Code)
+		t.Errorf("discover with all peers suspect = %d, want 503", dw.Code)
 	}
 }
 
+// TestReadmissionAfterRecovery: clearing the suspicion puts the peer back in
+// the rotation, and the router answers 200 again.
 func TestReadmissionAfterRecovery(t *testing.T) {
-	var down atomic.Bool
-	flaky := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if down.Load() {
-			w.WriteHeader(http.StatusInternalServerError)
-			return
-		}
-		httpapi.NewServeMux().ServeHTTP(w, r)
-	})
-	reg := obs.NewRegistry()
-	router, err := NewRouter(Config{
-		Peers:          []Peer{NewLocalPeer("flaky", flaky)},
-		HealthInterval: 20 * time.Millisecond,
-		Metrics:        reg,
-		Fallback:       http.NotFoundHandler(),
-	})
-	if err != nil {
-		t.Fatal(err)
+	router, reg := newTestRouter(t, 1, nil)
+	router.SetSuspect("p0", true)
+	if dw := postRouter(t, router, "/v1/discover", discoverBody("")); dw.Code != http.StatusServiceUnavailable {
+		t.Fatalf("discover with the only peer suspect = %d, want 503", dw.Code)
 	}
-	defer router.Close()
-
-	down.Store(true)
-	waitFor(t, "ejection", func() bool { return router.healthyCount() == 0 })
-	down.Store(false)
-	waitFor(t, "readmission", func() bool { return router.healthyCount() == 1 })
-	if v := reg.Counter("boundary_cluster_readmissions_total", "", "peer", "flaky").Value(); v < 1 {
-		t.Errorf("readmissions_total = %v, want >= 1", v)
+	router.SetSuspect("p0", false)
+	router.SetSuspect("p0", false)
+	if v := reg.Counter("boundary_cluster_readmissions_total", "", "peer", "p0").Value(); v != 1 {
+		t.Errorf("readmissions_total = %v, want 1", v)
+	}
+	if v := reg.Gauge("boundary_cluster_peers_healthy", "").Value(); v != 1 {
+		t.Errorf("peers_healthy = %v, want 1", v)
+	}
+	if code := getHealthz(router); code != http.StatusOK {
+		t.Errorf("cluster /healthz after readmission = %d, want 200", code)
 	}
 	if w := postRouter(t, router, "/v1/discover", discoverBody("")); w.Code != http.StatusOK {
 		t.Errorf("discover after readmission = %d: %s", w.Code, w.Body)
 	}
 }
 
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
+// TestSuspectPeerRoutesToRingSuccessor: a suspect owner's keys go to its
+// ring successor while the ring itself stays as it was, and come back to
+// the owner on readmission.
+func TestSuspectPeerRoutesToRingSuccessor(t *testing.T) {
+	router, reg := newTestRouter(t, 3, nil)
+	body := discoverBody("")
+	view := router.snapshot()
+	order := view.ring.order(routingKey([]byte(body)))
+	owner, successor := view.peers[order[0]].peer.Name(), view.peers[order[1]].peer.Name()
+	served := func(name string) float64 {
+		return reg.Counter("boundary_cluster_requests_total", "",
+			"peer", name, "outcome", "ok").Value()
+	}
+	post := func(phase string) {
+		t.Helper()
+		if w := postRouter(t, router, "/v1/discover", body); w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", phase, w.Code, w.Body)
 		}
-		time.Sleep(10 * time.Millisecond)
+	}
+
+	post("healthy")
+	router.SetSuspect(owner, true)
+	post("owner suspect")
+	if router.snapshot() != view {
+		t.Error("SetSuspect published a new view; the ring must stay unchanged")
+	}
+	if got := served(successor); got != 1 {
+		t.Errorf("successor %s served %v requests while %s was suspect, want 1", successor, got, owner)
+	}
+	router.SetSuspect(owner, false)
+	post("owner readmitted")
+	if got := served(owner); got != 2 {
+		t.Errorf("owner %s served %v requests, want 2 (before suspicion and after readmission)", owner, got)
+	}
+	if got := served(successor); got != 1 {
+		t.Errorf("successor %s served %v requests, want still 1 after readmission", successor, got)
+	}
+}
+
+// TestSetSuspectUnderTraffic flips one peer's suspicion while requests are
+// routed against the same view: with a second peer always in the rotation,
+// every request answers 200 (run under -race, the flips race the lookups).
+func TestSetSuspectUnderTraffic(t *testing.T) {
+	router, _ := newTestRouter(t, 2, nil)
+	stop := make(chan struct{})
+	flipped := make(chan struct{})
+	go func() {
+		defer close(flipped)
+		for suspect := true; ; suspect = !suspect {
+			select {
+			case <-stop:
+				router.SetSuspect("p0", false)
+				return
+			default:
+				router.SetSuspect("p0", suspect)
+			}
+		}
+	}()
+	for i := 0; i < 40; i++ {
+		if w := postRouter(t, router, "/v1/discover", discoverBody(strconv.Itoa(i))); w.Code != http.StatusOK {
+			t.Errorf("request %d during suspicion flips = %d: %s", i, w.Code, w.Body)
+		}
+	}
+	close(stop)
+	<-flipped
+	if n := router.healthyCount(); n != 2 {
+		t.Errorf("healthyCount after the flips = %d, want 2", n)
+	}
+}
+
+// TestLocalPeerHandlerPanicIsContained: a panic in the node's own handler,
+// which runs on the router's attempt goroutine, fails that one request
+// like an aborted connection would — the process survives and the next
+// request is answered.
+func TestLocalPeerHandlerPanicIsContained(t *testing.T) {
+	faults := faultinject.New()
+	self, err := httpapi.NewServer(httpapi.Config{Faults: faults})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { self.Close() })
+	reg := obs.NewRegistry()
+	router, err := NewRouter(Config{
+		Peers:    []Peer{NewLocalPeer("self", self)},
+		Metrics:  reg,
+		Fallback: self,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults.Inject("httpapi/discover", faultinject.Fault{Panic: "boom", Times: 1})
+
+	w := postRouter(t, router, "/v1/discover", discoverBody(""))
+	if w.Code != http.StatusServiceUnavailable || !strings.Contains(w.Body.String(), "boom") {
+		t.Errorf("discover through a panicking handler = %d %s, want 503 naming the panic", w.Code, w.Body)
+	}
+	if v := reg.Counter("boundary_cluster_requests_total", "", "peer", "self", "outcome", "transport").Value(); v != 1 {
+		t.Errorf("requests_total{outcome=transport} = %v, want 1", v)
+	}
+	if w := postRouter(t, router, "/v1/discover", discoverBody("")); w.Code != http.StatusOK {
+		t.Errorf("discover after the panic = %d: %s", w.Code, w.Body)
 	}
 }
 
@@ -331,9 +403,6 @@ func TestHTTPPeerAgainstRealServer(t *testing.T) {
 	srv := httptest.NewServer(httpapi.NewHandler(httpapi.Config{}))
 	defer srv.Close()
 	p := NewHTTPPeer("real", srv.URL, nil)
-	if err := p.Check(t.Context()); err != nil {
-		t.Fatalf("Check: %v", err)
-	}
 	status, resp, err := p.Do(t.Context(), "/v1/discover", []byte(discoverBody("")))
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/obs"
 )
@@ -30,8 +30,6 @@ type Peer interface {
 	// not reached (transport failure); peer-side failures come back as
 	// status/body.
 	Do(ctx context.Context, path string, body []byte) (status int, resp []byte, err error)
-	// Check probes the peer's health (GET /healthz).
-	Check(ctx context.Context) error
 	// ScrapeMetrics returns the peer's GET /metrics exposition for the
 	// /metrics/cluster federation.
 	ScrapeMetrics(ctx context.Context) ([]byte, error)
@@ -91,24 +89,6 @@ func (p *HTTPPeer) Do(ctx context.Context, path string, body []byte) (int, []byt
 	return resp.StatusCode, data, nil
 }
 
-// Check probes GET /healthz.
-func (p *HTTPPeer) Check(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.base+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: %s /healthz answered %d", p.name, resp.StatusCode)
-	}
-	return nil
-}
-
 // ScrapeMetrics fetches the peer's GET /metrics exposition for federation.
 func (p *HTTPPeer) ScrapeMetrics(ctx context.Context) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.base+"/metrics", nil)
@@ -152,8 +132,12 @@ func (p *LocalPeer) Name() string { return p.name }
 // Do runs one in-memory round trip through the replica's handler. Like the
 // HTTP transport, it propagates trace context via the traceparent header —
 // the replica's middleware reads headers, not context values, so local and
-// remote replicas stitch traces identically.
-func (p *LocalPeer) Do(ctx context.Context, path string, body []byte) (int, []byte, error) {
+// remote replicas stitch traces identically. A panic in the handler becomes
+// an error, which is what an HTTPPeer sees when a remote server's
+// per-connection recover aborts the connection: the handler runs on the
+// router's attempt goroutine, where net/http's recover does not reach, and
+// an unrecovered panic there would kill the whole node.
+func (p *LocalPeer) Do(ctx context.Context, path string, body []byte) (status int, resp []byte, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://cluster.local"+path, bytes.NewReader(body))
 	if err != nil {
 		return 0, nil, err
@@ -162,23 +146,14 @@ func (p *LocalPeer) Do(ctx context.Context, path string, body []byte) (int, []by
 	if sc := obs.SpanContextFromContext(ctx); sc.Valid() {
 		req.Header.Set(obs.TraceparentHeader, sc.Header())
 	}
+	defer func() {
+		if v := recover(); v != nil {
+			status, resp, err = 0, nil, fmt.Errorf("cluster: %s handler panicked: %v", p.name, v)
+		}
+	}()
 	w := newMemWriter()
 	p.h.ServeHTTP(w, req)
 	return w.status(), w.buf.Bytes(), nil
-}
-
-// Check runs GET /healthz through the replica's handler.
-func (p *LocalPeer) Check(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://cluster.local/healthz", nil)
-	if err != nil {
-		return err
-	}
-	w := newMemWriter()
-	p.h.ServeHTTP(w, req)
-	if w.status() != http.StatusOK {
-		return fmt.Errorf("cluster: %s /healthz answered %d", p.name, w.status())
-	}
-	return nil
 }
 
 // ScrapeMetrics runs GET /metrics through the replica's handler.
@@ -232,14 +207,11 @@ func (w *memWriter) status() int {
 
 // peerState pairs a Peer with the router-side serving state: the bounded
 // per-peer queue (a semaphore — slots held for the duration of an attempt)
-// and the health record the checker and the passive request path both feed.
+// and whether membership suspects the peer (Router.SetSuspect).
 type peerState struct {
-	peer  Peer
-	slots chan struct{}
-
-	mu       sync.Mutex
-	failures int  // consecutive failures (probe or transport)
-	ejected  bool // true while the peer is out of the rotation
+	peer    Peer
+	slots   chan struct{}
+	suspect atomic.Bool // true while the peer is out of the rotation
 }
 
 // tryAcquire takes a queue slot without waiting; it reports false when the
@@ -269,8 +241,4 @@ func (p *peerState) acquire(ctx context.Context) bool {
 func (p *peerState) release() { <-p.slots }
 
 // healthy reports whether the peer is in the rotation.
-func (p *peerState) healthy() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return !p.ejected
-}
+func (p *peerState) healthy() bool { return !p.suspect.Load() }

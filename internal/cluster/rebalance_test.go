@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strconv"
 	"testing"
-	"time"
 
 	"repro/internal/httpapi"
 	"repro/internal/obs"
@@ -208,8 +207,6 @@ func (p *blockingPeer) Do(context.Context, string, []byte) (int, []byte, error) 
 	return http.StatusOK, []byte(`{}`), nil
 }
 
-func (p *blockingPeer) Check(context.Context) error { return nil }
-
 func (p *blockingPeer) ScrapeMetrics(context.Context) ([]byte, error) { return nil, nil }
 
 // TestQueueGaugeSurvivesPeerReplacement forces the interleaving that gossip's
@@ -223,15 +220,13 @@ func TestQueueGaugeSurvivesPeerReplacement(t *testing.T) {
 	oldPeer, newPeer := newBlockingPeer("p"), newBlockingPeer("p")
 	reg := obs.NewRegistry()
 	r, err := NewRouter(Config{
-		Peers:          []Peer{oldPeer},
-		HealthInterval: time.Minute,
-		Metrics:        reg,
-		Fallback:       http.NotFoundHandler(),
+		Peers:    []Peer{oldPeer},
+		Metrics:  reg,
+		Fallback: http.NotFoundHandler(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
 	gauge := reg.Gauge("boundary_cluster_peer_queue_depth", "", "peer", "p")
 	oldState := r.snapshot().peers[0]
 

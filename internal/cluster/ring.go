@@ -21,8 +21,8 @@ type ringPoint struct {
 }
 
 // ring is an immutable consistent-hash ring over the configured peers.
-// Ejection does not rebuild the ring — lookups simply skip ejected peers —
-// so a peer that comes back owns exactly the key range it had before, and
+// Suspicion does not rebuild the ring — lookups simply skip suspect peers
+// (Router.SetSuspect) — so a peer that comes back owns exactly the key range it had before, and
 // the caches it warmed stay valid.
 type ring struct {
 	points []ringPoint // sorted by hash

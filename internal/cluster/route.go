@@ -78,8 +78,7 @@ func (r *Router) preference(v *routerView, key fingerprint) []int {
 }
 
 // attempt runs one request against one peer: queue slot, fault hooks, the
-// wire call, per-peer metrics, a per-hop trace span, and the passive health
-// signal. blocking selects backpressure (wait for a slot) over shedding
+// wire call, per-peer metrics, and a per-hop trace span. blocking selects backpressure (wait for a slot) over shedding
 // (errBusy when the queue is full) — batch/stream fan-out blocks, the
 // interactive path and hedges never do.
 func (r *Router) attempt(ctx context.Context, v *routerView, idx int, path string, body []byte, blocking bool) (int, []byte, error) {
@@ -117,39 +116,37 @@ func (r *Router) attempt(ctx context.Context, v *routerView, idx int, path strin
 	}
 
 	if err := r.cfg.Faults.FireCtx(ctx, "cluster/peer"); err != nil {
-		r.finishAttempt(ps, name, path, 0, 0, err, span)
+		r.finishAttempt(name, path, 0, 0, err, span)
 		return 0, nil, err
 	}
 	if err := r.cfg.Faults.FireCtx(ctx, "cluster/peer/"+name); err != nil {
-		r.finishAttempt(ps, name, path, 0, 0, err, span)
+		r.finishAttempt(name, path, 0, 0, err, span)
 		return 0, nil, err
 	}
 
 	start := time.Now()
 	status, resp, err := ps.peer.Do(ctx, path, body)
-	r.finishAttempt(ps, name, path, status, time.Since(start), err, span)
+	r.finishAttempt(name, path, status, time.Since(start), err, span)
 	if err != nil {
 		return 0, nil, err
 	}
 	return status, resp, nil
 }
 
-// finishAttempt records one attempt's metrics, trace span, and health signal.
-// A transport failure caused by our own context ending (a lost hedge race, a
-// hung-up client) says nothing about the peer and is counted separately.
-func (r *Router) finishAttempt(ps *peerState, name, path string, status int, elapsed time.Duration, err error, span *obs.Span) {
+// finishAttempt records one attempt's metrics and trace span. A transport
+// failure reroutes its request but leaves the peer in the rotation: only
+// membership suspicion moves it out (Router.SetSuspect). A transport
+// failure caused by our own context ending (a lost hedge race, a hung-up
+// client) says nothing about the peer and is counted separately.
+func (r *Router) finishAttempt(name, path string, status int, elapsed time.Duration, err error, span *obs.Span) {
 	outcome := "ok"
 	switch {
 	case err != nil && ctxRelated(err):
 		outcome = "canceled"
 	case err != nil:
 		outcome = "transport"
-		r.noteFailure(ps, err)
-	default:
-		r.noteSuccess(ps)
-		if status >= 500 {
-			outcome = "error"
-		}
+	case status >= 500:
+		outcome = "error"
 	}
 	r.counter("boundary_cluster_requests_total",
 		"Requests routed to peers, by peer and outcome.",
@@ -325,8 +322,9 @@ func (r *Router) routeBlocking(ctx context.Context, key fingerprint, path string
 }
 
 // routeWithRetry wraps routeBlocking in the bulk engine's retry/backoff
-// policy, covering the transient window where a peer died but the health
-// checker has not ejected it yet (the next pass routes around it). attempts
+// policy, covering the transient window where a peer died but membership has
+// not suspected it yet (each pass falls through to the dead peer's ring
+// successor). attempts
 // is reported so stream outcomes can carry the engine's Attempts field.
 func (r *Router) routeWithRetry(ctx context.Context, seq int, key fingerprint, path string, body []byte) (status int, resp []byte, attempts int, err error) {
 	maxAttempts := retryPolicy.Attempts()

@@ -27,10 +27,9 @@ func newTracedCluster(t *testing.T, store *obs.TraceStore, mutate func(*Config))
 	t.Helper()
 	reg := obs.NewRegistry()
 	cfg := Config{
-		HealthInterval: time.Minute,
-		Metrics:        reg,
-		TraceStore:     store,
-		Fallback:       http.NotFoundHandler(),
+		Metrics:    reg,
+		TraceStore: store,
+		Fallback:   http.NotFoundHandler(),
 	}
 	for i := 0; i < 3; i++ {
 		name := "local-" + strconv.Itoa(i)
@@ -49,7 +48,6 @@ func newTracedCluster(t *testing.T, store *obs.TraceStore, mutate func(*Config))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(r.Close)
 	return r, reg
 }
 

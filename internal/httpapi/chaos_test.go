@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -303,6 +304,64 @@ func TestChaosSingleflightDedup(t *testing.T) {
 	// Exactly one pipeline run served all five requests.
 	if got := faults.Fired("httpapi/discover"); got != 1 {
 		t.Errorf("httpapi/discover fired %d times, want 1 (followers must not recompute)", got)
+	}
+}
+
+// TestChaosSingleflightLeaderPanic: a single-flight leader whose pipeline
+// panics loses its own connection (net/http's per-connection recover) but
+// must not strand its key: a follower already waiting gets a 500 and a
+// later identical request computes afresh, instead of either waiting on
+// an in-flight entry nobody will ever complete.
+func TestChaosSingleflightLeaderPanic(t *testing.T) {
+	faults := faultinject.New()
+	// The delay holds the leader in flight so a follower can join it before
+	// the panic.
+	faults.Inject("httpapi/discover", faultinject.Fault{Delay: 300 * time.Millisecond, Panic: "boom", Times: 1})
+	reg := obs.NewRegistry()
+	h, err := NewServer(Config{Metrics: reg, CacheSize: 8, Faults: faults})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { h.Close() })
+	srv := httptest.NewUnstartedServer(h)
+	srv.Config.ErrorLog = log.New(io.Discard, "", 0) // the recovered panic is expected
+	srv.Start()
+	t.Cleanup(srv.Close)
+	client := &http.Client{Timeout: 5 * time.Second}
+	body := `{"html":"<div><hr><b>A</b> x<hr><b>B</b> y<hr></div>"}`
+	send := func() (int, error) {
+		resp, err := client.Post(srv.URL+"/v1/discover", "application/json", strings.NewReader(body))
+		if err != nil {
+			return 0, err
+		}
+		defer resp.Body.Close()
+		_, _ = io.Copy(io.Discard, resp.Body)
+		return resp.StatusCode, nil
+	}
+
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := send()
+		leaderErr <- err
+	}()
+	waitFired(t, faults, "httpapi/discover", 1)
+	followerCode, followerErr := send()
+	if err := <-leaderErr; err == nil {
+		t.Error("the panicking leader's request got a response; want its connection aborted")
+	}
+	if followerErr != nil {
+		t.Fatalf("request arriving during the leader's run: %v", followerErr)
+	}
+	// Scheduled after the panic instead, the request led a fresh computation.
+	joined := reg.Counter("boundary_cache_inflight_dedup_total", "").Value() == 1
+	switch {
+	case joined && followerCode != http.StatusInternalServerError:
+		t.Errorf("follower of the panicking leader = %d, want 500", followerCode)
+	case !joined && followerCode != http.StatusOK:
+		t.Errorf("request after the panicking leader = %d, want 200", followerCode)
+	}
+	if code, err := send(); err != nil || code != http.StatusOK {
+		t.Errorf("identical request after the panic = %d, %v; want 200", code, err)
 	}
 }
 

@@ -20,6 +20,7 @@ package httpapi
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"expvar"
@@ -485,9 +486,7 @@ func (s server) discoverOne(ctx context.Context, req *request) (*discoverRespons
 		}
 		call, leader := s.cache.join(key)
 		if leader {
-			resp, apiErr := s.computeDiscover(ctx, mode, doc, req)
-			s.cache.complete(key, call, resp, apiErr)
-			return resp, apiErr
+			return s.lead(ctx, key, call, mode, doc, req)
 		}
 		s.cache.metrics.Counter("boundary_cache_inflight_dedup_total",
 			"Discovery requests answered by waiting on an identical in-flight computation.").Inc()
@@ -504,6 +503,25 @@ func (s server) discoverOne(ctx context.Context, req *request) (*discoverRespons
 			return nil, pipelineError(ctx.Err())
 		}
 	}
+}
+
+// lead computes key's result as the single-flight leader and publishes it
+// to the followers. A panicking pipeline still completes the call — with a
+// 500 that is never cached — before the panic goes on to the connection's
+// recover: otherwise the in-flight entry would outlive the leader, and every
+// later identical request would wait on it until its own deadline, or for
+// good without one.
+func (s server) lead(ctx context.Context, key [sha256.Size]byte, call *inflightCall, mode, doc string, req *request) (*discoverResponse, *apiError) {
+	defer func() {
+		if v := recover(); v != nil {
+			s.cache.complete(key, call, nil, &apiError{http.StatusInternalServerError,
+				fmt.Errorf("discovery panicked: %v", v)})
+			panic(v)
+		}
+	}()
+	resp, apiErr := s.computeDiscover(ctx, mode, doc, req)
+	s.cache.complete(key, call, resp, apiErr)
+	return resp, apiErr
 }
 
 // computeDiscover is the cache-miss path: resolve the ontology and run the

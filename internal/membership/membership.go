@@ -6,9 +6,11 @@
 // SWIM-style rules, so views converge without any coordinator.
 //
 // Failure detection is timeout-driven with refutation. A member that has not
-// been heard from for SuspectAfter becomes Suspect — still in the serving
-// set, because a slow peer must not be ejected by one missed heartbeat. Only
-// after DeadAfter does it become Dead and leave the serving set. A node that
+// been heard from for SuspectAfter becomes Suspect: it stays in the serving
+// set, keeping its share of the consistent-hash ring, but the router routes
+// around it until it is heard from again — so a slow peer's keys move to its
+// ring successor and snap back without a rebalance. Only after DeadAfter
+// does it become Dead and leave the serving set (and the ring). A node that
 // learns it is suspected refutes by bumping its own incarnation and
 // re-announcing itself Alive; the higher incarnation wins everywhere, so the
 // suspicion clears without flapping. Graceful shutdown broadcasts Left,
@@ -19,9 +21,11 @@
 // Left). Only a node itself ever raises its own incarnation — that is what
 // makes refutation authoritative.
 //
-// The serving set (Alive + Suspect members) feeds the consistent-hash ring
-// in internal/cluster through Config.OnChange; docs/SCALING.md walks
-// through the join flow, the state machine, and the warmup handoff.
+// The serving set (Alive + Suspect members, each with its state) feeds the
+// consistent-hash ring in internal/cluster through Config.OnChange, which
+// fires on membership changes and on Alive↔Suspect transitions alike; it is
+// the router's only liveness signal. docs/SCALING.md walks through the join
+// flow, the state machine, and the warmup handoff.
 package membership
 
 import (
@@ -48,8 +52,8 @@ const (
 	// Alive members heartbeat on schedule and serve traffic.
 	Alive State = iota
 	// Suspect members missed heartbeats past SuspectAfter. They stay in
-	// the serving set — suspicion is a grace period, not an ejection — and
-	// clear it by refuting with a higher incarnation.
+	// the serving set and keep their ring shares, but are routed around;
+	// they clear the suspicion by refuting with a higher incarnation.
 	Suspect
 	// Dead members missed heartbeats past DeadAfter and are out of the
 	// serving set. A Dead node that comes back refutes its way in again.
@@ -145,7 +149,8 @@ type Config struct {
 	// Transport carries gossip; required.
 	Transport Transport
 	// OnChange observes every serving-set change (Alive+Suspect members,
-	// sorted by name), including the initial set. Called from the gossip
+	// sorted by name), including the initial set and every Alive↔Suspect
+	// transition of a serving member. Called from the gossip
 	// goroutine outside the node's lock; it must not call back into the
 	// Node. The cluster router's dynamic peer set hangs off this.
 	OnChange func([]Member)
@@ -337,8 +342,9 @@ func (n *Node) Members() []Member {
 }
 
 // Serving returns the serving set — Alive and Suspect members, sorted by
-// name. Suspect members stay in: suspicion is a grace period, and ejecting
-// on it would flap the ring on every slow heartbeat.
+// name. Suspect members stay in so they keep their ring shares: removing
+// them would rebalance the ring on every slow heartbeat, whereas routing
+// around them (their State says to) lets their keys snap back untouched.
 func (n *Node) Serving() []Member {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -523,8 +529,9 @@ func (n *Node) requestTimeout() time.Duration {
 }
 
 // detect advances the failure detector: Alive members silent past
-// SuspectAfter turn Suspect; Suspect members silent past DeadAfter turn
-// Dead (and leave the serving set, firing OnChange).
+// SuspectAfter turn Suspect (still serving, but routed around); Suspect
+// members silent past DeadAfter turn Dead and leave the serving set. Either
+// transition fires OnChange.
 func (n *Node) detect() {
 	n.mu.Lock()
 	before := servingSignature(n.servingLocked())
@@ -580,14 +587,16 @@ func (n *Node) setStateGauges() {
 	}
 }
 
-// servingSignature fingerprints a serving set by name+addr, the identity the
-// ring cares about.
+// servingSignature fingerprints a serving set by name, addr and state: the
+// identity the ring cares about plus whether the router routes to it.
 func servingSignature(members []Member) string {
 	var b strings.Builder
 	for _, m := range members {
 		b.WriteString(m.Name)
 		b.WriteByte('|')
 		b.WriteString(m.Addr)
+		b.WriteByte('|')
+		b.WriteString(m.State.String())
 		b.WriteByte(';')
 	}
 	return b.String()

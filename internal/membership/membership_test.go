@@ -219,6 +219,45 @@ func TestHeartbeatLossSuspectsWithoutEjection(t *testing.T) {
 	}
 }
 
+// TestOnChangeFiresOnSuspicionAndRefutation: the router routes around
+// Suspect members, so OnChange must deliver Alive→Suspect and the refuting
+// Suspect→Alive even though the serving set's names never change.
+func TestOnChangeFiresOnSuspicionAndRefutation(t *testing.T) {
+	mt := newMemTransport()
+	var mu sync.Mutex
+	var states []State // node-1's state per delivery, consecutive repeats folded
+	onChange := func(ms []Member) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, m := range ms {
+			if m.Name == "node-1" && (len(states) == 0 || states[len(states)-1] != m.State) {
+				states = append(states, m.State)
+			}
+		}
+	}
+	interval := 5 * time.Millisecond
+	a := startNode(t, mt, 0, interval, onChange)
+	b := startNode(t, mt, 1, interval, nil)
+	if err := b.node.Join(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	waitConverged(t, []*fleetNode{a, b}, 2)
+
+	a.faults.Inject(FaultHeartbeat, faultinject.Fault{Err: errors.New("partitioned"), Times: 5})
+	b.faults.Inject(FaultHeartbeat, faultinject.Fault{Err: errors.New("partitioned"), Times: 5})
+	waitUntil(t, 5*time.Second, "OnChange to deliver node-1 alive, suspect, then alive again", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		want := []State{Alive, Suspect, Alive}
+		for i := 0; i+len(want) <= len(states); i++ {
+			if states[i] == want[0] && states[i+1] == want[1] && states[i+2] == want[2] {
+				return true
+			}
+		}
+		return false
+	})
+}
+
 // TestHardKillDetectsDeadThenRejoinRefutes: a crashed node is detected
 // Suspect→Dead and drops from the serving set; its restart (same name,
 // fresh incarnation 1) refutes the stale Dead record during Join and

@@ -44,22 +44,10 @@ type Entry struct {
 // Descriptor renders the entry's descriptor, e.g. "DeathDate/keyword".
 func (e Entry) Descriptor() string { return e.ObjectSet + "/" + e.Kind.String() }
 
-// countKey identifies one (object set, rule kind) occurrence-count bucket.
-type countKey struct {
-	objectSet string
-	kind      ontology.RuleKind
-}
-
 // Table is the Data-Record Table: entries sorted by position in the
 // document (ties broken by object-set name, then kind).
 type Table struct {
 	Entries []Entry
-
-	// counts caches per-(objectSet, kind) entry counts. Recognize fills it
-	// so the OM heuristic's per-field lookups are O(1) instead of a fresh
-	// scan of all entries; tables assembled by hand leave it nil and fall
-	// back to the linear count.
-	counts map[countKey]int
 }
 
 // Len returns the number of entries ("lines" in the paper's O(d) analysis).
@@ -75,10 +63,9 @@ func (t *Table) CountConstant(objectSet string) int {
 	return t.count(objectSet, ontology.ConstantRule)
 }
 
+// count scans the entries linearly. Discovery reads CountFields instead of
+// a table, so only extraction-side callers and hand-built contexts pay it.
 func (t *Table) count(objectSet string, kind ontology.RuleKind) int {
-	if t.counts != nil {
-		return t.counts[countKey{objectSet, kind}]
-	}
 	n := 0
 	for _, e := range t.Entries {
 		if e.ObjectSet == objectSet && e.Kind == kind {
@@ -86,14 +73,6 @@ func (t *Table) count(objectSet string, kind ontology.RuleKind) int {
 		}
 	}
 	return n
-}
-
-// buildCounts precomputes the per-(objectSet, kind) counts.
-func (t *Table) buildCounts() {
-	t.counts = make(map[countKey]int)
-	for _, e := range t.Entries {
-		t.counts[countKey{e.ObjectSet, e.Kind}]++
-	}
 }
 
 // Slice returns the entries with Pos in [from, to), preserving order. It is
@@ -216,9 +195,7 @@ func RecognizeContext(ctx context.Context, ont *ontology.Ontology, tree *tagtree
 		if len(cs.out) > 0 {
 			entries = slices.Clone(cs.out)
 		}
-		t := &Table{Entries: entries}
-		t.buildCounts()
-		return t, nil
+		return &Table{Entries: entries}, nil
 	}
 
 	// Workers claim batches of consecutive chunks from a shared cursor and
@@ -299,9 +276,7 @@ func RecognizeContext(ctx context.Context, ont *ontology.Ontology, tree *tagtree
 	for _, sp := range spans {
 		entries = append(entries, scans[sp.worker].out[sp.lo:sp.hi]...)
 	}
-	t := &Table{Entries: entries}
-	t.buildCounts()
-	return t, nil
+	return &Table{Entries: entries}, nil
 }
 
 // CountFields returns, aligned with ont.RecordIdentifyingFields(), each

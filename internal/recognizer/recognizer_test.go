@@ -129,33 +129,6 @@ func TestEstimateRequiresThreeFields(t *testing.T) {
 	}
 }
 
-// TestCountsPrecomputed: Recognize fills the per-(objectSet, kind) count
-// map, and the O(1) lookups agree with a linear scan of the entries.
-func TestCountsPrecomputed(t *testing.T) {
-	ont, tree, hf := obituarySetup(t)
-	table := Recognize(ont, tree, hf)
-	if table.counts == nil {
-		t.Fatal("Recognize left counts nil")
-	}
-	linear := func(set string, kind ontology.RuleKind) int {
-		n := 0
-		for _, e := range table.Entries {
-			if e.ObjectSet == set && e.Kind == kind {
-				n++
-			}
-		}
-		return n
-	}
-	for _, s := range ont.ObjectSets {
-		if got, want := table.CountKeyword(s.Name), linear(s.Name, ontology.KeywordRule); got != want {
-			t.Errorf("CountKeyword(%s) = %d, want %d", s.Name, got, want)
-		}
-		if got, want := table.CountConstant(s.Name), linear(s.Name, ontology.ConstantRule); got != want {
-			t.Errorf("CountConstant(%s) = %d, want %d", s.Name, got, want)
-		}
-	}
-}
-
 // TestCountFallbackOnHandBuiltTable: a table assembled directly (no counts
 // map) still counts correctly via the linear fallback.
 func TestCountFallbackOnHandBuiltTable(t *testing.T) {

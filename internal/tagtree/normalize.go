@@ -18,7 +18,7 @@ import (
 	"repro/internal/htmlparse"
 )
 
-// impliedClose reports whether an arriving start-tag implicitly closes the
+// ImpliedClose reports whether an arriving start-tag implicitly closes the
 // innermost open element. This encodes the HTML 3.2/4.0 optional-end-tag
 // rules that 1998-era documents rely on (<li> items, <p> runs, table cells
 // without </td>). It realizes the paper's rule that a region with no end-tag
@@ -26,7 +26,7 @@ import (
 // standard. No rule closes a <table>, so the implied-close search stops
 // there: an arriving <tr> never closes a <td> of an *outer* table. A switch
 // rather than a map: it runs for every start-tag.
-func impliedClose(arriving, open string) bool {
+func ImpliedClose(arriving, open string) bool {
 	switch arriving {
 	case "li", "p", "option", "colgroup":
 		return open == arriving
@@ -56,7 +56,7 @@ type tokenSink interface {
 // Appendix A step 2: comments, doctypes, and orphan end-tags are
 // discarded; missing end-tags are inserted (marked Synthetic). In HTML mode
 // void elements (br, hr, img, ...) are leaves and the optional-end-tag
-// rules of impliedClose apply; in XML mode only explicit self-closing tags
+// rules of ImpliedClose apply; in XML mode only explicit self-closing tags
 // are leaves and nothing closes implicitly.
 type normalizer struct {
 	xml   bool
@@ -90,7 +90,7 @@ func (n *normalizer) push(tok *htmlparse.Token, out tokenSink) error {
 		}
 		// Optional-end-tag rule: the arriving tag may implicitly close
 		// open elements (e.g. a new <li> closes the previous <li>).
-		for len(n.stack) > 0 && impliedClose(tok.Name, n.stack[len(n.stack)-1]) {
+		for len(n.stack) > 0 && ImpliedClose(tok.Name, n.stack[len(n.stack)-1]) {
 			if err := n.pop(tok.Pos, out); err != nil {
 				return err
 			}

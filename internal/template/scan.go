@@ -6,14 +6,16 @@ import (
 	"sync"
 
 	"repro/internal/htmlparse"
+	"repro/internal/tagtree"
 )
 
 // FingerprintDoc fingerprints a raw HTML document without building the tag
 // tree: a single tag-only pass that skips text, entity decoding, and
 // attribute materialization. The tag grammar comes from the htmlparse scan
 // core (the same primitives the arena tokenizer runs on), and the balancing
-// rules replicate tagtree.Normalize (void elements, implied closings, orphan
-// end-tags, raw-text content). It returns exactly what
+// decisions call tagtree.Normalize's own predicates (htmlparse.IsVoid,
+// tagtree.ImpliedClose, htmlparse.IsRawText) — only the orphan-end-tag and
+// EOF bookkeeping is the scanner's. It returns exactly what
 // FingerprintTree(tagtree.Parse(doc)) returns, at a small fraction of the
 // cost — this is what lets a template hit undercut full discovery by ~50×.
 func FingerprintDoc(doc string) Fingerprint {
@@ -170,10 +172,10 @@ func (sc *docScanner) leaf(id int32) {
 // RawTextEnd), so the grammar — what counts as markup, how comments and
 // bogus comments terminate, how quoted attribute values hide '>', when a
 // start tag is self-closing, and how raw-text content ends — is the
-// tokenizer's own, not a replica. The balancing decisions mirror
-// tagtree.Normalize: voids and self-closing tags are leaves, arriving tags
-// imply closings per the HTML 3.2/4.0 optional-end-tag rules (stopped at a
-// table boundary), orphan end-tags are dropped, and EOF closes everything.
+// tokenizer's own, not a replica. The balancing decisions are
+// tagtree.Normalize's: voids and self-closing tags are leaves, arriving tags
+// imply closings per tagtree.ImpliedClose, orphan end-tags are dropped, and
+// EOF closes everything.
 func (sc *docScanner) scan(doc string) {
 	i, n := 0, len(doc)
 	for i < n {
@@ -219,7 +221,7 @@ func (sc *docScanner) endTag(s string, i int) int {
 	j := htmlparse.NameEnd(s, start)
 	id := sc.intern(s[start:j])
 	j = skipPast(s, j, '>')
-	if isVoidID(id) {
+	if htmlparse.IsVoid(sc.name(id)) {
 		return j // </br> and friends: orphan by definition.
 	}
 	match := -1
@@ -242,44 +244,30 @@ func (sc *docScanner) startTag(s string, i int) int {
 	start := i + 1
 	j := htmlparse.NameEnd(s, start)
 	id := sc.intern(s[start:j])
+	name := sc.name(id)
 	// nil visit: the fingerprint only needs structure, so attribute spans are
 	// scanned (for the quote-aware '>' rules) but never materialized.
 	j, selfClosing := htmlparse.ScanTagAttrs(s, j, nil)
 
-	if isVoidID(id) {
+	if htmlparse.IsVoid(name) {
 		sc.leaf(id)
 		return j
 	}
-	if closes := autoCloseIDs[id]; closes != nil {
-		for len(sc.stack) > 0 {
-			top := sc.stack[len(sc.stack)-1]
-			if !contains(closes, top) || top == tableID {
-				break
-			}
-			sc.pop()
-		}
+	for len(sc.stack) > 0 && tagtree.ImpliedClose(name, sc.name(sc.stack[len(sc.stack)-1])) {
+		sc.pop()
 	}
 	if selfClosing {
 		sc.leaf(id)
 		return j
 	}
 	sc.push(id)
-	if isRawTextID(id) {
+	if htmlparse.IsRawText(name) {
 		// Raw-text content runs to the first case-insensitive "</name" (no
 		// delimiter check after the name, exactly like the tokenizer); the
 		// end-tag itself is then parsed by the main loop.
-		j = htmlparse.RawTextEnd(s, j, sc.name(id))
+		j = htmlparse.RawTextEnd(s, j, name)
 	}
 	return j
-}
-
-func contains(ids []int32, id int32) bool {
-	for _, v := range ids {
-		if v == id {
-			return true
-		}
-	}
-	return false
 }
 
 // fingerprint picks the highest-fan-out region (HighestFanOut's exact tie
@@ -329,18 +317,17 @@ func (sc *docScanner) appendEvents(buf []byte, from, to int32) []byte {
 const rootName = "#document"
 
 // The built-in name table: fixed IDs shared by every scan so the hot path
-// never allocates a tag name. It must cover every name with normalization
-// semantics (voids, raw-text elements, optional-end-tag participants); other
-// common names are included purely to dodge the per-scan intern path.
+// never allocates a tag name. It is purely an intern fast path — the
+// balancing predicates take names, so a tag outside it interns per scan and
+// normalizes the same way.
 var baseNames = []string{
-	// Voids (htmlparse.IsVoid must hold for each).
+	// Voids (htmlparse.IsVoid).
 	"area", "base", "basefont", "bgsound", "br", "col", "embed", "frame",
 	"hr", "img", "input", "isindex", "keygen", "link", "meta", "param",
 	"source", "spacer", "track", "wbr",
 	// Raw-text elements (htmlparse.IsRawText).
 	"script", "style", "textarea", "title", "xmp", "plaintext",
-	// Optional-end-tag participants (tagtree's impliedClose) and the table
-	// scope barrier.
+	// Optional-end-tag participants (tagtree.ImpliedClose).
 	"li", "p", "dt", "dd", "option", "tr", "td", "th", "thead", "tbody",
 	"tfoot", "colgroup", "table",
 	// Common structural names.
@@ -351,59 +338,13 @@ var baseNames = []string{
 	"article", "section", "nav", "header", "footer", "main", "aside",
 }
 
-var (
-	baseIDs      = make(map[string]int32, len(baseNames))
-	baseVoid     []bool
-	baseRaw      []bool
-	autoCloseIDs map[int32][]int32
-	tableID      int32
-)
-
-func init() {
-	baseVoid = make([]bool, len(baseNames))
-	baseRaw = make([]bool, len(baseNames))
+var baseIDs = func() map[string]int32 {
+	ids := make(map[string]int32, len(baseNames))
 	for i, n := range baseNames {
-		if _, dup := baseIDs[n]; dup {
+		if _, dup := ids[n]; dup {
 			panic("template: duplicate base name " + n)
 		}
-		baseIDs[n] = int32(i)
-		baseVoid[i] = htmlparse.IsVoid(n)
-		baseRaw[i] = htmlparse.IsRawText(n)
+		ids[n] = int32(i)
 	}
-	// Every name the normalization rules special-case must be in the base
-	// table, or the ID predicates below would miss it.
-	for _, n := range []string{
-		"area", "base", "basefont", "bgsound", "br", "col", "embed",
-		"frame", "hr", "img", "input", "isindex", "keygen", "link", "meta",
-		"param", "source", "spacer", "track", "wbr",
-	} {
-		if !htmlparse.IsVoid(n) {
-			panic("template: base table lists non-void " + n)
-		}
-	}
-	tableID = baseIDs["table"]
-	autoCloseIDs = make(map[int32][]int32)
-	for arriving, closes := range map[string][]string{
-		"li":       {"li"},
-		"p":        {"p"},
-		"dt":       {"dt", "dd"},
-		"dd":       {"dt", "dd"},
-		"option":   {"option"},
-		"tr":       {"td", "th", "tr"},
-		"td":       {"td", "th"},
-		"th":       {"td", "th"},
-		"thead":    {"td", "th", "tr"},
-		"tbody":    {"td", "th", "tr", "thead"},
-		"tfoot":    {"td", "th", "tr", "tbody"},
-		"colgroup": {"colgroup"},
-	} {
-		var ids []int32
-		for _, c := range closes {
-			ids = append(ids, baseIDs[c])
-		}
-		autoCloseIDs[baseIDs[arriving]] = ids
-	}
-}
-
-func isVoidID(id int32) bool    { return int(id) < len(baseVoid) && baseVoid[id] }
-func isRawTextID(id int32) bool { return int(id) < len(baseRaw) && baseRaw[id] }
+	return ids
+}()
