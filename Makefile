@@ -190,6 +190,8 @@ fuzz:
 	$(GO) test -fuzz='^FuzzFieldCounts$$' -fuzztime=30s ./internal/recognizer/
 	$(GO) test -fuzz='^FuzzDiscoverRequest$$' -fuzztime=30s ./internal/httpapi/
 	$(GO) test -fuzz='^FuzzEnvelope$$' -fuzztime=30s ./internal/pipeline/
+	$(GO) test -fuzz='^FuzzWireEncoding$$' -fuzztime=30s ./internal/pipeline/
+	$(GO) test -fuzz='^FuzzFingerprintDoc$$' -fuzztime=30s ./internal/template/
 	$(GO) test -fuzz='^FuzzJournalCrash$$' -fuzztime=30s ./internal/journal/
 
 # The fault-injection chaos suite (see docs/ROBUSTNESS.md) under the race

@@ -163,7 +163,7 @@ func TestServeCacheAndBatchFlags(t *testing.T) {
 	doc := `{"html":"<div><hr><b>A</b> x<hr><b>B</b> y<hr><b>C</b> z</div>"}`
 	for i := 0; i < 2; i++ {
 		code, body := post(t, "http://"+addr+"/v1/discover", doc)
-		if code != 200 || !strings.Contains(body, `"separator": "hr"`) {
+		if code != 200 || !strings.Contains(body, `"separator":"hr"`) {
 			t.Fatalf("discover %d = %d %q", i, code, body)
 		}
 	}
@@ -178,7 +178,7 @@ func TestServeCacheAndBatchFlags(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("batch = %d %q", code, body)
 	}
-	if hr, e := strings.Index(body, `"separator": "hr"`), strings.Index(body, `"separator": "e"`); hr < 0 || e < 0 || hr > e {
+	if hr, e := strings.Index(body, `"separator":"hr"`), strings.Index(body, `"separator":"e"`); hr < 0 || e < 0 || hr > e {
 		t.Errorf("batch results out of order or missing: %q", body)
 	}
 
@@ -214,12 +214,12 @@ func TestServeClusterMode(t *testing.T) {
 	doc := `{"html":"<div><hr><b>A</b> x<hr><b>B</b> y<hr><b>C</b> z</div>"}`
 	xmlDoc := `{"xml":"<f><e>a b</e><e>c d</e><e>e f</e></f>"}`
 	if code, body := post(t, "http://"+addr+"/v1/discover", doc); code != 200 ||
-		!strings.Contains(body, `"separator": "hr"`) {
+		!strings.Contains(body, `"separator":"hr"`) {
 		t.Fatalf("routed discover = %d %q", code, body)
 	}
 	if code, body := post(t, "http://"+addr+"/v1/discover/batch",
 		`{"documents":[`+doc+`,`+xmlDoc+`]}`); code != 200 ||
-		!strings.Contains(body, `"separator": "hr"`) || !strings.Contains(body, `"separator": "e"`) {
+		!strings.Contains(body, `"separator":"hr"`) || !strings.Contains(body, `"separator":"e"`) {
 		t.Fatalf("routed batch = %d %q", code, body)
 	}
 	if code, body := post(t, "http://"+addr+"/v1/discover/stream", doc+"\n"+xmlDoc+"\n"); code != 200 ||

@@ -29,20 +29,13 @@ type rawBatch struct {
 // request's end cut off before dispatch.
 const codeNotAttempted = "not_attempted"
 
-// batchErrorItem is a per-document failure row; field order matches the
-// single node's batchItem (result fields, then error, then code) so the
-// reassembled response is byte-identical.
-type batchErrorItem struct {
-	Error string `json:"error,omitempty"`
-	Code  string `json:"code,omitempty"`
-}
-
 // handleBatch scatter-gathers one batch across the cluster: each document is
 // routed independently by its own fingerprint (different documents land on
 // different replicas — this is where the cluster's parallelism comes from)
 // and the per-document response bytes are merged back in input order.
 // Validation mirrors the single node exactly; per-document results are the
-// peers' bytes verbatim, re-indented uniformly by the outer encoder.
+// peers' compact bodies verbatim, assembled by the single node's
+// httpapi.WriteBatch.
 func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	body, ok := readBody(w, req)
 	if !ok {
@@ -77,7 +70,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	}
 
 	attempted := make([]bool, len(raw.Documents))
-	items := make([]json.RawMessage, len(raw.Documents))
+	items := make([][]byte, len(raw.Documents))
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -111,38 +104,31 @@ dispatch:
 
 	for i := range items {
 		if !attempted[i] {
-			items[i] = mustMarshal(batchErrorItem{
-				Error: "batch request ended before this document was attempted",
-				Code:  codeNotAttempted,
-			})
+			items[i] = httpapi.BatchErrorItem("batch request ended before this document was attempted", codeNotAttempted)
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": items})
+	httpapi.WriteBatch(w, items)
 }
 
 // batchDocument routes one document and converts the peer's answer into the
-// batch item shape: a 200 body passes through verbatim; a peer error becomes
-// the single node's inline {"error": ...} row.
-func (r *Router) batchDocument(ctx context.Context, seq int, doc json.RawMessage) json.RawMessage {
+// batch item shape: a 200 body passes through compacted (a no-op on a
+// current peer's body, which is one compact line); a peer error becomes the
+// single node's inline {"error": ...} row.
+func (r *Router) batchDocument(ctx context.Context, seq int, doc json.RawMessage) []byte {
 	status, resp, _, err := r.routeWithRetry(ctx, seq, routingKey(doc), "/v1/discover", doc)
 	if err != nil {
-		return mustMarshal(batchErrorItem{Error: err.Error()})
+		return httpapi.BatchErrorItem(err.Error(), "")
 	}
 	if status == http.StatusOK {
-		return json.RawMessage(resp)
+		var item bytes.Buffer
+		if err := json.Compact(&item, resp); err != nil {
+			return httpapi.BatchErrorItem(fmt.Sprintf("cluster: undecodable peer response: %v", err), "")
+		}
+		return item.Bytes()
 	}
 	var peerErr errorBody
 	if jsonErr := json.Unmarshal(resp, &peerErr); jsonErr != nil || peerErr.Error == "" {
 		peerErr.Error = fmt.Sprintf("peer answered status %d", status)
 	}
-	return mustMarshal(batchErrorItem{Error: peerErr.Error})
-}
-
-// mustMarshal marshals a value that cannot fail (plain structs of strings).
-func mustMarshal(v any) json.RawMessage {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(err) // unreachable: inputs are fixed-shape structs
-	}
-	return b
+	return httpapi.BatchErrorItem(peerErr.Error, "")
 }

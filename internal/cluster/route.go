@@ -397,14 +397,12 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// writeJSON mirrors the single-node encoder (two-space indent) so
+// writeJSON mirrors the single-node encoder (one compact line) so
 // router-originated bodies render like every other body in the system.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeErr(w http.ResponseWriter, status int, err error) {

@@ -126,22 +126,6 @@ func (r *Router) runStream(ctx context.Context, src pipeline.Source, sink pipeli
 	}
 }
 
-// peerDiscoverResponse decodes a replica's /v1/discover answer for
-// repackaging into the bulk outcome envelope. Numbers round-trip exactly
-// (float64 in, shortest-form float64 out, the same encoding the replica
-// used) and map keys re-sort identically, so the re-marshaled line matches
-// what the local engine would have written.
-type peerDiscoverResponse struct {
-	Separator        string                          `json:"separator"`
-	TopTags          []string                        `json:"top_tags"`
-	Scores           []pipeline.Score                `json:"scores"`
-	Rankings         map[string][]pipeline.RankEntry `json:"rankings"`
-	Candidates       []pipeline.Candidate            `json:"candidates"`
-	Subtree          string                          `json:"subtree"`
-	Degraded         bool                            `json:"degraded"`
-	FailedHeuristics []string                        `json:"failed_heuristics"`
-}
-
 // streamOutcome turns one task into one outcome, replicating the engine's
 // per-task validation (invalid lines and unknown modes fail inline with the
 // same wording) and otherwise routing the document to its replica.
@@ -179,21 +163,22 @@ func (r *Router) streamOutcome(ctx context.Context, t *pipeline.Task) *pipeline.
 		}
 		o.Error = peerErr.Error
 	default:
-		var res peerDiscoverResponse
-		if jsonErr := json.Unmarshal(resp, &res); jsonErr != nil {
+		// The replica's body carries exactly the outcome's result fields,
+		// and the outcome encoder omits the empty ones, so the line matches
+		// what the local engine would have written.
+		if jsonErr := json.Unmarshal(resp, &o.Result); jsonErr != nil {
+			o.Result = pipeline.Result{}
 			o.Error = fmt.Sprintf("cluster: undecodable peer response: %v", jsonErr)
-			break
 		}
-		o.Separator = res.Separator
-		o.TopTags = res.TopTags
-		o.Scores = res.Scores
-		if len(res.Rankings) > 0 {
-			o.Rankings = res.Rankings
-		}
-		o.Candidates = res.Candidates
-		o.Subtree = res.Subtree
-		o.Degraded = res.Degraded
-		o.FailedHeuristics = res.FailedHeuristics
 	}
 	return o
+}
+
+// mustMarshal marshals a value that cannot fail (plain structs of strings).
+func mustMarshal(v any) json.RawMessage {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic(err) // unreachable: inputs are fixed-shape structs
+	}
+	return b
 }

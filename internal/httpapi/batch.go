@@ -1,6 +1,8 @@
 package httpapi
 
 import (
+	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -20,10 +22,9 @@ type batchRequest struct {
 	Documents []request `json:"documents"`
 }
 
-// batchItem is one per-document outcome, in input order. Exactly one of the
-// embedded result fields or Error is populated.
-type batchItem struct {
-	*discoverResponse
+// batchError is one per-document failure in the results list; a document
+// that succeeded is its discover body instead.
+type batchError struct {
 	// Error carries the per-document failure; the batch itself still
 	// answers 200 so one bad document cannot mask the others' results.
 	Error string `json:"error,omitempty"`
@@ -31,6 +32,32 @@ type batchItem struct {
 	// batch never dispatched because the request's context was canceled or
 	// timed out mid-batch; clients should resubmit only those.
 	Code string `json:"code,omitempty"`
+}
+
+// BatchErrorItem encodes one per-document batch failure, as the single node
+// and the fleet router both write it.
+func BatchErrorItem(msg, code string) []byte {
+	b, _ := json.Marshal(batchError{Error: msg, Code: code}) // two strings cannot fail
+	return b
+}
+
+// WriteBatch writes a 200 batch body from its encoded items, in order: each
+// a compact JSON object without a trailing newline.
+func WriteBatch(w http.ResponseWriter, items [][]byte) {
+	n := len(`{"results":[]}`) + len(items) + 1
+	for _, it := range items {
+		n += len(it)
+	}
+	body := make([]byte, 0, n)
+	body = append(body, `{"results":[`...)
+	for i, it := range items {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = append(body, it...)
+	}
+	body = append(body, "]}\n"...)
+	writeBody(w, body)
 }
 
 // codeNotAttempted marks batch documents skipped because the request ended
@@ -74,8 +101,8 @@ func (s server) handleDiscoverBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	ctx := r.Context()
-	attempted := make([]bool, len(req.Documents))
-	items := make([]batchItem, len(req.Documents))
+	items := make([][]byte, len(req.Documents))
+	outcomes := make([]string, len(req.Documents)) // "" until dispatched
 	var wg sync.WaitGroup
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -88,13 +115,7 @@ func (s server) handleDiscoverBatch(w http.ResponseWriter, r *http.Request) {
 					if !ok {
 						return
 					}
-					attempted[i] = true
-					resp, apiErr := s.discoverOne(ctx, &req.Documents[i])
-					if apiErr != nil {
-						items[i] = batchItem{Error: apiErr.err.Error()}
-					} else {
-						items[i] = batchItem{discoverResponse: resp}
-					}
+					items[i], outcomes[i] = s.batchDocument(ctx, &req.Documents[i])
 				case <-ctx.Done():
 					return
 				}
@@ -113,25 +134,30 @@ dispatch:
 	wg.Wait()
 
 	for i := range items {
-		if !attempted[i] {
-			items[i] = batchItem{
-				Error: "batch request ended before this document was attempted",
-				Code:  codeNotAttempted,
-			}
-		}
-	}
-
-	for _, item := range items {
-		outcome := "ok"
-		switch {
-		case item.Code == codeNotAttempted:
-			outcome = codeNotAttempted
-		case item.Error != "":
-			outcome = "error"
+		if outcomes[i] == "" {
+			items[i] = BatchErrorItem("batch request ended before this document was attempted", codeNotAttempted)
+			outcomes[i] = codeNotAttempted
 		}
 		s.cfg.Metrics.Counter("boundary_batch_documents_total",
 			"Documents processed by the batch endpoint, by outcome.",
-			"outcome", outcome).Inc()
+			"outcome", outcomes[i]).Inc()
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"results": items})
+	WriteBatch(w, items)
+}
+
+// batchDocument answers one batch document: its discover body without the
+// newline, or an inline error item. A panic while computing it fails only
+// this document — the single-flight leader has already completed its call
+// before re-panicking, and nothing above a batch worker would recover it.
+func (s server) batchDocument(ctx context.Context, req *request) (item []byte, outcome string) {
+	defer func() {
+		if v := recover(); v != nil {
+			item, outcome = BatchErrorItem(fmt.Sprintf("discovery panicked: %v", v), ""), "error"
+		}
+	}()
+	body, apiErr := s.discoverOne(ctx, req)
+	if apiErr != nil {
+		return BatchErrorItem(apiErr.err.Error(), ""), "error"
+	}
+	return body[:len(body)-1], "ok"
 }

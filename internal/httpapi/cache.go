@@ -17,9 +17,10 @@ import (
 
 // resultCache memoizes discovery responses keyed by a fingerprint of the
 // document and every option that can change the answer. Cached values are
-// the wire-form responses, which are immutable once built and far smaller
-// than a core.Result (no tag tree retained), so sharing them across
-// concurrent requests is safe and cheap.
+// the encoded discover bodies (see encodeDiscover), immutable once built
+// and far smaller than a core.Result (no tag tree retained), so a hit
+// shares them across concurrent requests and costs one header and one
+// write.
 //
 // It also deduplicates in-flight computations (singleflight): while one
 // request is computing a key, identical requests join its inflightCall and
@@ -28,12 +29,11 @@ import (
 // is appended to an NDJSON journal (the same torn-tail-tolerant, compacting
 // machinery behind the wrapper store), so a restarted replica replays its
 // memory and serves its first requests warm instead of stampeding the
-// heuristics. Cached responses are wire-form JSON, and the encoder's
-// canonical output (shortest-form floats, sorted map keys) makes the
-// journaled round trip byte-identical — the same property the cluster
-// stream merge already relies on.
+// heuristics. A journal line carries the cached body verbatim as its
+// "resp" object, so the journaled round trip is byte-identical by
+// construction.
 type resultCache struct {
-	c       *lru.Cache[[sha256.Size]byte, *discoverResponse]
+	c       *lru.Cache[[sha256.Size]byte, []byte]
 	metrics *obs.Registry
 	journal *journal.Journal // nil when memory-only
 
@@ -41,18 +41,19 @@ type resultCache struct {
 	inflight map[[sha256.Size]byte]*inflightCall
 }
 
-// cacheLine is the journaled wire form of one cached result.
+// cacheLine is the journaled wire form of one cached result:
+// {"key":"<hex>","resp":<the body without its newline>}.
 type cacheLine struct {
-	Key  string            `json:"key"` // hex request fingerprint
-	Resp *discoverResponse `json:"resp"`
+	Key  string          `json:"key"` // hex request fingerprint
+	Resp json.RawMessage `json:"resp"`
 }
 
 // inflightCall is one in-progress computation that followers wait on. done
-// is closed exactly once, after resp and err are set; followers must only
+// is closed exactly once, after body and err are set; followers must only
 // read them after <-done.
 type inflightCall struct {
 	done chan struct{}
-	resp *discoverResponse
+	body []byte
 	err  *apiError
 }
 
@@ -70,7 +71,7 @@ func newResultCache(size int, journalPath string, metrics *obs.Registry, faults 
 		return nil, nil
 	}
 	rc := &resultCache{
-		c:        lru.New[[sha256.Size]byte, *discoverResponse](size),
+		c:        lru.New[[sha256.Size]byte, []byte](size),
 		metrics:  metrics,
 		inflight: make(map[[sha256.Size]byte]*inflightCall),
 	}
@@ -91,7 +92,8 @@ func newResultCache(size int, journalPath string, metrics *obs.Registry, faults 
 	return rc, nil
 }
 
-// applyPut replays one journaled result into the cache.
+// applyPut replays one journaled result into the cache. The journal wrote
+// resp as the compact body, so the replayed body is the bytes first served.
 func (rc *resultCache) applyPut(put json.RawMessage) error {
 	var ln cacheLine
 	if err := json.Unmarshal(put, &ln); err != nil {
@@ -101,10 +103,11 @@ func (rc *resultCache) applyPut(put json.RawMessage) error {
 	if err != nil {
 		return err
 	}
-	if ln.Resp == nil {
+	if len(ln.Resp) == 0 || ln.Resp[0] != '{' {
 		return errors.New("cache line missing response")
 	}
-	rc.c.Add(key, ln.Resp)
+	body := append(ln.Resp, '\n')
+	rc.c.Add(key, body[:len(body):len(body)])
 	return nil
 }
 
@@ -124,13 +127,18 @@ func (rc *resultCache) snapshot() []json.RawMessage {
 	items := rc.c.Items()
 	out := make([]json.RawMessage, 0, len(items))
 	for _, it := range items {
-		b, err := json.Marshal(cacheLine{Key: hex.EncodeToString(it.Key[:]), Resp: it.Value})
-		if err != nil {
-			continue
-		}
-		out = append(out, b)
+		out = append(out, appendCacheLine(nil, it.Key, it.Value))
 	}
 	return out
+}
+
+// appendCacheLine appends the journal payload for one cached body.
+func appendCacheLine(dst []byte, key [sha256.Size]byte, body []byte) []byte {
+	dst = append(dst, `{"key":"`...)
+	dst = hex.AppendEncode(dst, key[:])
+	dst = append(dst, `","resp":`...)
+	dst = append(dst, body[:len(body)-1]...)
+	return append(dst, '}')
 }
 
 // parseCacheKey decodes a hex fingerprint back into the cache key.
@@ -184,13 +192,13 @@ func RequestFingerprint(mode, doc, ontologySrc string, separatorList []string) [
 	return key
 }
 
-// get returns the cached response for key, counting the hit or miss. A nil
+// get returns the cached body for key, counting the hit or miss. A nil
 // cache misses everything and counts nothing.
-func (rc *resultCache) get(key [sha256.Size]byte) (*discoverResponse, bool) {
+func (rc *resultCache) get(key [sha256.Size]byte) ([]byte, bool) {
 	if rc == nil {
 		return nil, false
 	}
-	resp, ok := rc.c.Get(key)
+	body, ok := rc.c.Get(key)
 	if ok {
 		rc.metrics.Counter("boundary_cache_hits_total",
 			"Discovery requests served from the result cache.").Inc()
@@ -198,17 +206,18 @@ func (rc *resultCache) get(key [sha256.Size]byte) (*discoverResponse, bool) {
 		rc.metrics.Counter("boundary_cache_misses_total",
 			"Discovery requests that missed the result cache.").Inc()
 	}
-	return resp, ok
+	return body, ok
 }
 
-// put stores a response, counting any eviction, updating the entry gauge,
+// put stores a body, counting any eviction, updating the entry gauge,
 // and journaling both the put and any capacity eviction when durable. A
 // failed journal write is dropped: it costs only warmth after a restart.
-func (rc *resultCache) put(key [sha256.Size]byte, resp *discoverResponse) {
+func (rc *resultCache) put(key [sha256.Size]byte, body []byte) {
 	if rc == nil {
 		return
 	}
-	evictedKey, evicted := rc.c.Add(key, resp)
+	// Capped so that no holder can append to the shared bytes in place.
+	evictedKey, evicted := rc.c.Add(key, body[:len(body):len(body)])
 	if evicted {
 		rc.metrics.Counter("boundary_cache_evictions_total",
 			"Result-cache entries evicted to make room.").Inc()
@@ -221,9 +230,7 @@ func (rc *resultCache) put(key [sha256.Size]byte, resp *discoverResponse) {
 	if evicted {
 		_ = rc.journal.AppendEvict(hex.EncodeToString(evictedKey[:]), rc.c.Len())
 	}
-	if b, err := json.Marshal(cacheLine{Key: hex.EncodeToString(key[:]), Resp: resp}); err == nil {
-		_ = rc.journal.Append(b, rc.c.Len())
-	}
+	_ = rc.journal.Append(appendCacheLine(nil, key, body), rc.c.Len())
 }
 
 // join registers interest in key's computation. The first caller becomes the
@@ -241,16 +248,16 @@ func (rc *resultCache) join(key [sha256.Size]byte) (call *inflightCall, leader b
 }
 
 // complete publishes the leader's outcome to followers and retires the
-// in-flight entry. Successful, non-degraded responses are cached; degraded
+// in-flight entry. Successful, non-degraded bodies are cached; degraded
 // ones are not — a later retry with all heuristics healthy should get the
 // chance to compute (and then cache) the full answer.
-func (rc *resultCache) complete(key [sha256.Size]byte, call *inflightCall, resp *discoverResponse, err *apiError) {
-	if err == nil && resp != nil && !resp.Degraded {
-		rc.put(key, resp)
+func (rc *resultCache) complete(key [sha256.Size]byte, call *inflightCall, body []byte, degraded bool, err *apiError) {
+	if err == nil && body != nil && !degraded {
+		rc.put(key, body)
 	}
 	rc.mu.Lock()
 	delete(rc.inflight, key)
 	rc.mu.Unlock()
-	call.resp, call.err = resp, err
+	call.body, call.err = body, err
 	close(call.done)
 }

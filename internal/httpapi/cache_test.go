@@ -129,7 +129,7 @@ func TestCacheConcurrentDiscover(t *testing.T) {
 				}
 				body, _ := io.ReadAll(resp.Body)
 				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(`"separator": "hr"`)) {
+				if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(`"separator":"hr"`)) {
 					t.Errorf("status %d body %.120s", resp.StatusCode, body)
 					return
 				}

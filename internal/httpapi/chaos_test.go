@@ -365,6 +365,55 @@ func TestChaosSingleflightLeaderPanic(t *testing.T) {
 	}
 }
 
+// TestChaosBatchDocumentPanic: a panic while computing one batch document
+// fails that document alone — it answers inline as a "discovery panicked"
+// error, counted as outcome="error", while the batch answers 200 and the
+// process lives. With the result cache the panic passes through the
+// single-flight leader, which completes its call and re-panics; without it
+// the pipeline's panic reaches the batch worker directly.
+func TestChaosBatchDocumentPanic(t *testing.T) {
+	for _, cacheSize := range []int{0, 8} {
+		t.Run(fmt.Sprintf("cache=%d", cacheSize), func(t *testing.T) {
+			faults := faultinject.New()
+			faults.Inject("httpapi/discover", faultinject.Fault{Panic: "boom", Times: 1})
+			reg := obs.NewRegistry()
+			// One worker takes the documents in order, so the panic lands
+			// on the first.
+			srv := newChaosServer(t, Config{Metrics: reg, CacheSize: cacheSize, BatchWorkers: 1, Faults: faults})
+			doc := `{"html":"<div><hr><b>A</b> x<hr><b>B</b> y<hr></div>"}`
+			resp, err := http.Post(srv.URL+"/v1/discover/batch", "application/json",
+				strings.NewReader(`{"documents":[`+doc+`,`+doc+`]}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var out struct {
+				Results []struct {
+					Separator string `json:"separator"`
+					Error     string `json:"error"`
+				} `json:"results"`
+			}
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK || len(out.Results) != 2 {
+				t.Fatalf("batch = %d with %d results, want 200 with 2", resp.StatusCode, len(out.Results))
+			}
+			if got := out.Results[0]; got.Error != "discovery panicked: faultinject: boom" || got.Separator != "" {
+				t.Errorf("panicking document answered %+v, want the inline panic error", got)
+			}
+			if got := out.Results[1]; got.Error != "" || got.Separator != "hr" {
+				t.Errorf("healthy document answered %+v, want separator hr", got)
+			}
+			for outcome, want := range map[string]float64{"error": 1, "ok": 1} {
+				if got := reg.Counter("boundary_batch_documents_total", "", "outcome", outcome).Value(); got != want {
+					t.Errorf("boundary_batch_documents_total{outcome=%q} = %v, want %v", outcome, got, want)
+				}
+			}
+		})
+	}
+}
+
 // TestChaosTemplateStoreDegraded: an armed template/lookup fault must not
 // surface to clients — a request that would have been a wrapper-store hit
 // silently pays full discovery instead, returning bytes identical to the

@@ -277,12 +277,18 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// writeJSON writes v as one compact line of JSON.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // headers already sent; nothing useful to do on error
+	_ = json.NewEncoder(w).Encode(v) // headers already sent; nothing useful to do on error
+}
+
+// writeBody writes an already encoded 200 body: one header and one write.
+func writeBody(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }
 
 func writeErr(w http.ResponseWriter, status int, err error) {
@@ -368,61 +374,25 @@ type errReader struct{ err error }
 
 func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
-// discoverResponse mirrors core.Result in wire-friendly form.
-type discoverResponse struct {
-	Separator  string               `json:"separator"`
-	TopTags    []string             `json:"top_tags"`
-	Scores     []scoreBody          `json:"scores"`
-	Rankings   map[string][]rankRow `json:"rankings"`
-	Candidates []candidateBody      `json:"candidates"`
-	Subtree    string               `json:"subtree"`
-	// Degraded and FailedHeuristics surface isolated heuristic failures:
-	// the answer was computed from the surviving heuristics only.
-	Degraded         bool     `json:"degraded,omitempty"`
-	FailedHeuristics []string `json:"failed_heuristics,omitempty"`
-	// Explain carries per-heuristic certainty evidence; present only when
-	// the request asked for it with ?explain=1.
-	Explain *core.Explanation `json:"explain,omitempty"`
-}
+// discoverBuffers holds the scratch buffers encodeDiscover encodes into
+// before copying each body out at its exact size.
+var discoverBuffers = sync.Pool{New: func() any { return new([]byte) }}
 
-type scoreBody struct {
-	Tag string  `json:"tag"`
-	CF  float64 `json:"cf"`
-}
-
-type rankRow struct {
-	Tag  string `json:"tag"`
-	Rank int    `json:"rank"`
-}
-
-type candidateBody struct {
-	Tag   string `json:"tag"`
-	Count int    `json:"count"`
-}
-
-func toDiscoverResponse(res *core.Result) *discoverResponse {
-	out := &discoverResponse{
-		Separator:        res.Separator,
-		TopTags:          res.TopTags,
-		Subtree:          res.Subtree.Name,
-		Rankings:         map[string][]rankRow{},
-		Degraded:         res.Degraded,
-		FailedHeuristics: res.FailedHeuristics,
+// encodeDiscover encodes r as a discover body: the /v1/discover answer as
+// one compact JSON object and its newline, exactly the bytes written to
+// the client. The result cache, the single-flight call and the batch share
+// bodies across requests, so a body is never modified once built; its
+// capacity equals its length, so an append to it always copies.
+func encodeDiscover(r pipeline.Result) ([]byte, *apiError) {
+	bp := discoverBuffers.Get().(*[]byte)
+	defer discoverBuffers.Put(bp)
+	b, err := pipeline.AppendDiscover((*bp)[:0], &r)
+	*bp = b[:0]
+	if err != nil {
+		return nil, &apiError{http.StatusInternalServerError,
+			fmt.Errorf("encoding the discovery result: %w", err)}
 	}
-	for _, s := range res.Scores {
-		out.Scores = append(out.Scores, scoreBody{Tag: s.Tag, CF: s.CF})
-	}
-	for name, ranking := range res.Rankings {
-		rows := make([]rankRow, 0, len(ranking))
-		for _, e := range ranking {
-			rows = append(rows, rankRow{Tag: e.Tag, Rank: e.Rank})
-		}
-		out.Rankings[name] = rows
-	}
-	for _, c := range res.Candidates {
-		out.Candidates = append(out.Candidates, candidateBody{Tag: c.Name, Count: c.Count})
-	}
-	return out
+	return append(make([]byte, 0, len(b)), b...), nil
 }
 
 // apiError pairs a client-visible error with the HTTP status it maps to.
@@ -466,7 +436,7 @@ func pipelineError(err error) *apiError {
 // one leader computes while followers wait on its result (see
 // resultCache.join), so a thundering herd for a hot document costs one
 // pipeline run instead of N.
-func (s server) discoverOne(ctx context.Context, req *request) (*discoverResponse, *apiError) {
+func (s server) discoverOne(ctx context.Context, req *request) ([]byte, *apiError) {
 	if (req.HTML == "") == (req.XML == "") {
 		return nil, &apiError{http.StatusBadRequest,
 			errors.New("exactly one of html or xml is required")}
@@ -476,13 +446,14 @@ func (s server) discoverOne(ctx context.Context, req *request) (*discoverRespons
 		mode, doc = "xml", req.XML
 	}
 	if s.cache == nil {
-		return s.computeDiscover(ctx, mode, doc, req)
+		body, _, apiErr := s.computeDiscover(ctx, mode, doc, req)
+		return body, apiErr
 	}
 	key := RequestFingerprint(mode, doc, req.Ontology, req.SeparatorList)
 	for {
-		if resp, ok := s.cache.get(key); ok {
+		if body, ok := s.cache.get(key); ok {
 			obs.TraceFrom(ctx).Add("cache/hit", 0)
-			return resp, nil
+			return body, nil
 		}
 		call, leader := s.cache.join(key)
 		if leader {
@@ -498,7 +469,7 @@ func (s server) discoverOne(ctx context.Context, req *request) (*discoverRespons
 				// cache check, then leadership election.
 				continue
 			}
-			return call.resp, call.err
+			return call.body, call.err
 		case <-ctx.Done():
 			return nil, pipelineError(ctx.Err())
 		}
@@ -511,26 +482,28 @@ func (s server) discoverOne(ctx context.Context, req *request) (*discoverRespons
 // recover: otherwise the in-flight entry would outlive the leader, and every
 // later identical request would wait on it until its own deadline, or for
 // good without one.
-func (s server) lead(ctx context.Context, key [sha256.Size]byte, call *inflightCall, mode, doc string, req *request) (*discoverResponse, *apiError) {
+func (s server) lead(ctx context.Context, key [sha256.Size]byte, call *inflightCall, mode, doc string, req *request) ([]byte, *apiError) {
 	defer func() {
 		if v := recover(); v != nil {
-			s.cache.complete(key, call, nil, &apiError{http.StatusInternalServerError,
+			s.cache.complete(key, call, nil, false, &apiError{http.StatusInternalServerError,
 				fmt.Errorf("discovery panicked: %v", v)})
 			panic(v)
 		}
 	}()
-	resp, apiErr := s.computeDiscover(ctx, mode, doc, req)
-	s.cache.complete(key, call, resp, apiErr)
-	return resp, apiErr
+	body, degraded, apiErr := s.computeDiscover(ctx, mode, doc, req)
+	s.cache.complete(key, call, body, degraded, apiErr)
+	return body, apiErr
 }
 
-// computeDiscover is the cache-miss path: resolve the ontology and run the
-// full pipeline under the request context. With a wrapper store configured,
-// HTML documents first try the template fast path — a fingerprint lookup
+// computeDiscover is the cache-miss path: resolve the ontology, run the
+// full pipeline under the request context, and encode the answer's body;
+// degraded reports an answer computed from the surviving heuristics only.
+// With a wrapper store configured, HTML documents first try the template
+// fast path — a fingerprint lookup
 // that skips parsing and heuristics entirely on a hit (see docs/WRAPPER.md);
 // XML documents use the tree-level fast path inside core instead, because
 // the raw-document scanner speaks only HTML's grammar.
-func (s server) computeDiscover(ctx context.Context, mode, doc string, req *request) (*discoverResponse, *apiError) {
+func (s server) computeDiscover(ctx context.Context, mode, doc string, req *request) (body []byte, degraded bool, apiErr *apiError) {
 	if s.cfg.Templates != nil && mode == "html" {
 		return s.computeDiscoverTemplated(ctx, doc, req)
 	}
@@ -538,9 +511,10 @@ func (s server) computeDiscover(ctx context.Context, mode, doc string, req *requ
 	defer arena.Release()
 	res, _, apiErr := s.runDiscover(ctx, mode, doc, req, true, arena)
 	if apiErr != nil {
-		return nil, apiErr
+		return nil, false, apiErr
 	}
-	return toDiscoverResponse(res), nil
+	body, apiErr = encodeDiscover(pipeline.NewResult(res))
+	return body, res.Degraded, apiErr
 }
 
 // computeDiscoverTemplated is the document-level template fast path for HTML
@@ -552,20 +526,21 @@ func (s server) computeDiscover(ctx context.Context, mode, doc string, req *requ
 // disabled: the lookup already happened here, and double-counting misses (or
 // re-hitting the entry this request is about to verify) would corrupt both
 // the metrics and the spot-check.
-func (s server) computeDiscoverTemplated(ctx context.Context, doc string, req *request) (*discoverResponse, *apiError) {
+func (s server) computeDiscoverTemplated(ctx context.Context, doc string, req *request) (body []byte, degraded bool, apiErr *apiError) {
 	store := s.cfg.Templates
 	start := time.Now()
 	e, key, ok := store.LookupDoc(doc, template.Salt("html", req.Ontology, req.SeparatorList))
 	if ok && !store.SpotCheck() {
 		obs.TraceFrom(ctx).Add("template/hit", time.Since(start),
 			"separator", e.Separator, "key", e.Key)
-		return responseFromEntry(e), nil
+		body, apiErr = encodeDiscover(resultFromEntry(e))
+		return body, false, apiErr
 	}
 	arena := tagtree.AcquireArena()
 	defer arena.Release()
 	res, _, apiErr := s.runDiscover(ctx, "html", doc, req, false, arena)
 	if apiErr != nil {
-		return nil, apiErr
+		return nil, false, apiErr
 	}
 	// Degraded answers are never learned: the result came from surviving
 	// heuristics only (same completeness rule as the result cache).
@@ -581,7 +556,8 @@ func (s server) computeDiscoverTemplated(ctx context.Context, doc string, req *r
 		}
 		_ = store.Put(fresh)
 	}
-	return toDiscoverResponse(res), nil
+	body, apiErr = encodeDiscover(pipeline.NewResult(res))
+	return body, res.Degraded, apiErr
 }
 
 // runDiscover runs the full pipeline and also returns the options it ran
@@ -640,12 +616,12 @@ func (s server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 		s.handleDiscoverExplain(w, r, req)
 		return
 	}
-	resp, apiErr := s.discoverOne(r.Context(), req)
+	body, apiErr := s.discoverOne(r.Context(), req)
 	if apiErr != nil {
 		writeErr(w, apiErr.status, apiErr.err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeBody(w, body)
 }
 
 // handleDiscoverExplain is /v1/discover?explain=1: the same discovery, with
@@ -653,7 +629,8 @@ func (s server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 // attached to the response and the request's trace. It bypasses the result
 // cache and the in-flight dedup on purpose — the plain path must stay
 // byte-identical across cluster and single-node serving, and an explain
-// response cached for a plain request (or vice versa) would break that.
+// response cached for a plain request (or vice versa) would break that. The
+// explanation is spliced in as the body's last field, "explain".
 func (s server) handleDiscoverExplain(w http.ResponseWriter, r *http.Request, req *request) {
 	if (req.HTML == "") == (req.XML == "") {
 		writeErr(w, http.StatusBadRequest,
@@ -673,10 +650,23 @@ func (s server) handleDiscoverExplain(w http.ResponseWriter, r *http.Request, re
 		writeErr(w, apiErr.status, apiErr.err)
 		return
 	}
-	resp := toDiscoverResponse(res)
-	resp.Explain = core.NewExplanation(res, opts)
-	obs.TraceFrom(r.Context()).Add("explain", 0, resp.Explain.TraceAttrs()...)
-	writeJSON(w, http.StatusOK, resp)
+	explain := core.NewExplanation(res, opts)
+	obs.TraceFrom(r.Context()).Add("explain", 0, explain.TraceAttrs()...)
+	ej, err := json.Marshal(explain)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, fmt.Errorf("encoding the explanation: %w", err))
+		return
+	}
+	result := pipeline.NewResult(res)
+	body, err := pipeline.AppendDiscover(nil, &result)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, fmt.Errorf("encoding the discovery result: %w", err))
+		return
+	}
+	// The body ends in "}\n"; explain goes in before the closing brace.
+	body = append(body[:len(body)-2], `,"explain":`...)
+	body = append(append(body, ej...), '}', '\n')
+	writeBody(w, body)
 }
 
 // recordBody is one split record on the wire.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 
+	"repro/internal/pipeline"
 	"repro/internal/template"
 )
 
@@ -73,28 +74,36 @@ func (s server) handleTemplateExport(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// responseFromEntry rebuilds the wire response from a stored wrapper entry,
-// field-for-field the way toDiscoverResponse builds it from a fresh result —
-// the conformance suite holds the two byte-identical.
-func responseFromEntry(e *template.Entry) *discoverResponse {
-	out := &discoverResponse{
+// resultFromEntry rebuilds the wire fields from a stored wrapper entry,
+// field-for-field the way pipeline.NewResult builds them from a fresh
+// result — the conformance suite holds the two byte-identical.
+func resultFromEntry(e *template.Entry) pipeline.Result {
+	r := pipeline.Result{
 		Separator: e.Separator,
-		TopTags:   append([]string(nil), e.TopTags...),
 		Subtree:   e.Subtree,
-		Rankings:  map[string][]rankRow{},
+		Rankings:  make(map[string][]pipeline.RankEntry, len(e.Rankings)),
 	}
-	for _, s := range e.Scores {
-		out.Scores = append(out.Scores, scoreBody{Tag: s.Tag, CF: s.CF})
+	if len(e.TopTags) > 0 {
+		r.TopTags = e.TopTags
+	}
+	if len(e.Scores) > 0 {
+		r.Scores = make([]pipeline.Score, len(e.Scores))
+		for i, s := range e.Scores {
+			r.Scores[i] = pipeline.Score(s)
+		}
 	}
 	for name, rows := range e.Rankings {
-		rr := make([]rankRow, 0, len(rows))
-		for _, row := range rows {
-			rr = append(rr, rankRow{Tag: row.Tag, Rank: row.Rank})
+		rr := make([]pipeline.RankEntry, len(rows))
+		for i, row := range rows {
+			rr[i] = pipeline.RankEntry(row)
 		}
-		out.Rankings[name] = rr
+		r.Rankings[name] = rr
 	}
-	for _, c := range e.Candidates {
-		out.Candidates = append(out.Candidates, candidateBody{Tag: c.Tag, Count: c.Count})
+	if len(e.Candidates) > 0 {
+		r.Candidates = make([]pipeline.Candidate, len(e.Candidates))
+		for i, c := range e.Candidates {
+			r.Candidates[i] = pipeline.Candidate(c)
+		}
 	}
-	return out
+	return r
 }

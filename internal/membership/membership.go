@@ -480,9 +480,15 @@ func (n *Node) mergeSelfLocked(in Member) {
 }
 
 // loop is the gossip goroutine: heartbeat every Interval, then run the
-// failure detector.
+// failure detector. Heartbeat exchanges run concurrently, but every reply
+// is merged here, one at a time, so OnChange fires serially and in order.
+// Closing the node cancels the exchanges still in flight and waits for them.
 func (n *Node) loop() {
 	defer n.wg.Done()
+	ctx, cancel := context.WithCancel(context.Background())
+	g := &gossip{replies: make(chan gossipReply), pending: make(map[string]bool)}
+	defer g.exchanges.Wait()
+	defer cancel()
 	ticker := time.NewTicker(n.cfg.Interval)
 	defer ticker.Stop()
 	for {
@@ -490,37 +496,86 @@ func (n *Node) loop() {
 		case <-n.done:
 			return
 		case <-ticker.C:
-			n.gossipRound()
+			n.gossipRound(ctx, g)
 			n.detect()
+		case r := <-g.replies:
+			n.finishExchange(g, r)
 		}
 	}
 }
 
-// gossipRound heartbeats every gossipable peer with our view and merges
-// replies. The membership/heartbeat fault drops a heartbeat outright —
-// neither our view nor the reply arrives — which is exactly what a
-// partition looks like to both sides.
-func (n *Node) gossipRound() {
+// gossip is the loop goroutine's record of its heartbeat exchanges.
+type gossip struct {
+	replies   chan gossipReply
+	pending   map[string]bool // targets with an exchange in flight
+	exchanges sync.WaitGroup
+}
+
+// gossipReply is one finished heartbeat exchange.
+type gossipReply struct {
+	target string
+	reply  Message
+	err    error
+}
+
+// gossipRound heartbeats every gossipable peer with our view, all at once,
+// and merges replies as they arrive until every exchange has answered or
+// one interval has passed; a later reply is merged by the loop. A member
+// with an exchange still in flight is skipped, so a stalled member holds
+// one exchange at a time and delays no other member's heartbeat. The
+// membership/heartbeat fault drops a heartbeat outright — neither our view
+// nor the reply arrives — which is exactly what a partition looks like to
+// both sides.
+func (n *Node) gossipRound(ctx context.Context, g *gossip) {
 	msg := n.view()
 	for _, m := range n.gossipTargets() {
+		if g.pending[m.Name] {
+			continue
+		}
 		if err := n.cfg.Faults.Fire(FaultHeartbeat); err != nil {
 			n.mDropped.Inc()
 			continue
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), n.requestTimeout())
-		reply, err := n.cfg.Transport.Gossip(ctx, m.Addr, msg)
-		cancel()
-		if err != nil {
-			n.mErrors.Inc()
-			continue
+		g.pending[m.Name] = true
+		g.exchanges.Add(1)
+		go func(m Member) {
+			defer g.exchanges.Done()
+			rctx, cancel := context.WithTimeout(ctx, n.requestTimeout())
+			reply, err := n.cfg.Transport.Gossip(rctx, m.Addr, msg)
+			cancel()
+			select {
+			case g.replies <- gossipReply{target: m.Name, reply: reply, err: err}:
+			case <-ctx.Done():
+			}
+		}(m)
+	}
+	timer := time.NewTimer(n.cfg.Interval)
+	defer timer.Stop()
+	for len(g.pending) > 0 {
+		select {
+		case r := <-g.replies:
+			n.finishExchange(g, r)
+		case <-timer.C:
+			return
+		case <-n.done:
+			return
 		}
-		n.mHeartbeats.Inc()
-		n.merge(reply.Members, m.Name)
 	}
 }
 
-// requestTimeout bounds one gossip exchange: long enough for a slow peer,
-// short enough that a dead one doesn't stall the round past the interval.
+// finishExchange retires one heartbeat exchange and merges its reply.
+func (n *Node) finishExchange(g *gossip, r gossipReply) {
+	delete(g.pending, r.target)
+	if r.err != nil {
+		n.mErrors.Inc()
+		return
+	}
+	n.mHeartbeats.Inc()
+	n.merge(r.reply.Members, r.target)
+}
+
+// requestTimeout bounds one gossip exchange: long enough for a slow peer.
+// A stalled peer holds only its own exchange (see gossipRound).
 func (n *Node) requestTimeout() time.Duration {
 	if t := 2 * n.cfg.Interval; t < defaultRequestTimeout {
 		return defaultRequestTimeout

@@ -366,3 +366,97 @@ func TestNewValidatesConfig(t *testing.T) {
 		}
 	}
 }
+
+// stallTransport is a memTransport whose stalled addresses never answer: a
+// gossip to one blocks until its context ends, as a SIGSTOPped process
+// holds a TCP exchange open.
+type stallTransport struct {
+	*memTransport
+	mu      sync.Mutex
+	stalled map[string]bool
+}
+
+func (st *stallTransport) stall(addr string) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.stalled[addr] = true
+}
+
+func (st *stallTransport) Gossip(ctx context.Context, addr string, msg Message) (Message, error) {
+	st.mu.Lock()
+	stalled := st.stalled[addr]
+	st.mu.Unlock()
+	if stalled {
+		<-ctx.Done()
+		return Message{}, ctx.Err()
+	}
+	return st.memTransport.Gossip(ctx, addr, msg)
+}
+
+// TestStalledMemberDelaysNoRound: one stalled member holds only its own
+// heartbeat exchange. Each exchange may take requestTimeout (2 s here,
+// twenty intervals), yet the healthy members keep hearing from each other
+// every interval — neither ever turns Suspect — while the stalled member is
+// suspected on schedule.
+func TestStalledMemberDelaysNoRound(t *testing.T) {
+	st := &stallTransport{memTransport: newMemTransport(), stalled: make(map[string]bool)}
+	interval := 100 * time.Millisecond
+	fleet := make([]*fleetNode, 3)
+	for i := range fleet {
+		faults := faultinject.New()
+		var seeds []string
+		if i > 0 {
+			seeds = []string{"addr-0"}
+		}
+		node, err := New(Config{
+			Name: fmt.Sprintf("node-%d", i), Addr: fmt.Sprintf("addr-%d", i), Seeds: seeds,
+			Interval: interval, Transport: st, Metrics: obs.NewRegistry(), Faults: faults,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(node.Close)
+		st.register(fmt.Sprintf("addr-%d", i), node)
+		fleet[i] = &fleetNode{node: node, faults: faults}
+	}
+	for _, f := range fleet[1:] {
+		if err := f.node.Join(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitConverged(t, fleet, 3)
+	if rt := fleet[0].node.requestTimeout(); rt < 10*interval {
+		t.Fatalf("requestTimeout %v is too short to tell a stalled exchange from a failed one", rt)
+	}
+
+	// node-2 stops: it sends nothing, and exchanges to it hang.
+	fleet[2].node.Close()
+	st.stall("addr-2")
+	start := time.Now()
+	state := func(of *fleetNode, name string) State {
+		for _, m := range of.node.Members() {
+			if m.Name == name {
+				return m.State
+			}
+		}
+		return Left
+	}
+	suspectedAfter := time.Duration(0)
+	for time.Since(start) < 3*time.Second {
+		for i, f := range fleet[:2] {
+			other := fmt.Sprintf("node-%d", 1-i)
+			if s := state(f, other); s != Alive {
+				t.Fatalf("node-%d saw healthy %s turn %s %v after node-2 stalled", i, other, s, time.Since(start))
+			}
+		}
+		if suspectedAfter == 0 && state(fleet[0], "node-2") != Alive {
+			suspectedAfter = time.Since(start)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// SuspectAfter is three intervals; a detector stalled behind node-2's
+	// exchange would need its full 2 s.
+	if suspectedAfter == 0 || suspectedAfter > 10*interval {
+		t.Fatalf("node-0 suspected the stalled node-2 after %v, want within %v", suspectedAfter, 10*interval)
+	}
+}

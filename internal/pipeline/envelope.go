@@ -245,6 +245,16 @@ func (d *EnvelopeDecoder) unescape(data []byte, start, i int) (string, int, bool
 			case 't':
 				buf = append(buf, '\t')
 			case 'u':
+				// json.Marshal escapes <, > and & as six-byte \u00XX
+				// sequences: decode \u00XX below 0x80 to its byte
+				// before the general path.
+				if i+6 <= len(data) && data[i+2] == '0' && data[i+3] == '0' {
+					if hi, lo := hexVal[data[i+4]], hexVal[data[i+5]]; hi >= 0 && hi < 8 && lo >= 0 {
+						buf = append(buf, byte(hi)<<4|byte(lo))
+						i += 6
+						continue
+					}
+				}
 				r := hex4(data, i+2)
 				if r < 0 {
 					return "", 0, false

@@ -37,6 +37,7 @@ var fastEnvelopes = func() []string {
 		`{"html":"\u003cp\u003e \u0026amp; \"q\" \\ \/ \b\f\n\r\t"}`,
 		`{"html":"\ud83d\ude00 \u00e9 \u4e2d"}`,
 		`{"html":"a\u0000b"}`,
+		`{"html":"\u007f\u0080\u00FF \u001F\u00Ab\u0041\u00410"}`,
 		"{\"html\":\"\xef\xbf\xbd\"}",
 		`{"separator_list":[]}`,
 		`{"html":"x","id":"i","shard":"s"}`,

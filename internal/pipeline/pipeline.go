@@ -237,7 +237,7 @@ func (e *Engine) Run(ctx context.Context, src Source, sink Sink, jr *Journal) (S
 		go func() {
 			defer wg.Done()
 			// One arena per worker for the byte-level hot path: each attempt
-			// resets and reuses it, and fillResult deep-copies everything an
+			// resets and reuses it, and NewResult copies everything an
 			// Outcome carries before the next task overwrites the tree.
 			arena := tagtree.AcquireArena()
 			defer arena.Release()
@@ -353,7 +353,7 @@ func (e *Engine) process(ctx context.Context, t *Task, retries *atomic.Int64, ar
 		}
 		res, err := e.attempt(ctx, t, ont, arena)
 		if err == nil {
-			o.fillResult(res)
+			o.Result = NewResult(res)
 			if attempt > 1 {
 				o.Attempts = attempt
 			}

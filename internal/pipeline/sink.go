@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -29,6 +28,7 @@ type ShardedFileSink struct {
 	mu      sync.Mutex
 	files   map[string]*os.File // file name → open handle
 	offsets map[string]int64    // file name → current end offset
+	line    []byte              // reused encoding buffer, under mu
 }
 
 // NewShardedFileSink creates dir if needed and returns an empty sink.
@@ -96,15 +96,14 @@ func (s *ShardedFileSink) Truncate(offsets map[string]int64) error {
 
 // Write appends the outcome to its shard file.
 func (s *ShardedFileSink) Write(o *Outcome) (string, int64, error) {
-	line, err := json.Marshal(o)
-	if err != nil {
-		return "", 0, err
-	}
-	line = append(line, '\n')
-
 	name := ShardFile(o.Shard)
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	line, err := AppendOutcome(s.line[:0], o)
+	s.line = line
+	if err != nil {
+		return "", 0, err
+	}
 	f, ok := s.files[name]
 	if !ok {
 		f, err = os.OpenFile(filepath.Join(s.dir, name), os.O_CREATE|os.O_WRONLY, 0o644)
@@ -155,6 +154,7 @@ type WriterSink struct {
 	w     io.Writer
 	flush func()
 	off   int64
+	line  []byte // reused encoding buffer
 }
 
 // NewWriterSink wraps w; flush may be nil.
@@ -162,13 +162,14 @@ func NewWriterSink(w io.Writer, flush func()) *WriterSink {
 	return &WriterSink{w: w, flush: flush}
 }
 
-// Write emits one NDJSON line.
+// Write emits one NDJSON line. Like the engine's emitter, it must not be
+// called concurrently.
 func (s *WriterSink) Write(o *Outcome) (string, int64, error) {
-	line, err := json.Marshal(o)
+	line, err := AppendOutcome(s.line[:0], o)
+	s.line = line
 	if err != nil {
 		return "", 0, err
 	}
-	line = append(line, '\n')
 	n, err := s.w.Write(line)
 	s.off += int64(n)
 	if err != nil {

@@ -69,6 +69,58 @@ type Candidate struct {
 	Count int    `json:"count"`
 }
 
+// Result is a discovery answer's wire fields, in wire order: the
+// /v1/discover body's result fields and the NDJSON outcome's. Outcome embeds
+// it, so both surfaces carry one shape; AppendOutcome and AppendDiscover
+// encode it (see wire.go).
+type Result struct {
+	Separator  string                 `json:"separator,omitempty"`
+	TopTags    []string               `json:"top_tags,omitempty"`
+	Scores     []Score                `json:"scores,omitempty"`
+	Rankings   map[string][]RankEntry `json:"rankings,omitempty"`
+	Candidates []Candidate            `json:"candidates,omitempty"`
+	Subtree    string                 `json:"subtree,omitempty"`
+
+	// Degraded and FailedHeuristics surface isolated heuristic failures:
+	// the answer was computed from the surviving heuristics only.
+	Degraded         bool     `json:"degraded,omitempty"`
+	FailedHeuristics []string `json:"failed_heuristics,omitempty"`
+}
+
+// NewResult copies a discovery result into its wire fields. Rankings is
+// never nil, so a discover body always carries a rankings object; Scores
+// and Candidates are nil when empty.
+func NewResult(res *core.Result) Result {
+	r := Result{
+		Separator:        res.Separator,
+		TopTags:          res.TopTags,
+		Rankings:         make(map[string][]RankEntry, len(res.Rankings)),
+		Subtree:          res.Subtree.Name,
+		Degraded:         res.Degraded,
+		FailedHeuristics: res.FailedHeuristics,
+	}
+	if len(res.Scores) > 0 {
+		r.Scores = make([]Score, len(res.Scores))
+		for i, s := range res.Scores {
+			r.Scores[i] = Score{Tag: s.Tag, CF: s.CF}
+		}
+	}
+	for name, ranking := range res.Rankings {
+		rows := make([]RankEntry, len(ranking))
+		for i, e := range ranking {
+			rows[i] = RankEntry{Tag: e.Tag, Rank: e.Rank}
+		}
+		r.Rankings[name] = rows
+	}
+	if len(res.Candidates) > 0 {
+		r.Candidates = make([]Candidate, len(res.Candidates))
+		for i, c := range res.Candidates {
+			r.Candidates[i] = Candidate{Tag: c.Name, Count: c.Count}
+		}
+	}
+	return r
+}
+
 // Outcome is one document's bulk-discovery result as written to the output
 // stream — the same shape as the /v1/discover response body plus the bulk
 // envelope (seq, id, shard, attempts, error). Exactly one of Separator or
@@ -80,15 +132,7 @@ type Outcome struct {
 	// Attempts is recorded only when retries happened (>1).
 	Attempts int `json:"attempts,omitempty"`
 
-	Separator  string                 `json:"separator,omitempty"`
-	TopTags    []string               `json:"top_tags,omitempty"`
-	Scores     []Score                `json:"scores,omitempty"`
-	Rankings   map[string][]RankEntry `json:"rankings,omitempty"`
-	Candidates []Candidate            `json:"candidates,omitempty"`
-	Subtree    string                 `json:"subtree,omitempty"`
-
-	Degraded         bool     `json:"degraded,omitempty"`
-	FailedHeuristics []string `json:"failed_heuristics,omitempty"`
+	Result
 
 	// Error carries the per-document failure; the run itself keeps going,
 	// mirroring the batch endpoint's inline-error contract.
@@ -100,29 +144,4 @@ type Outcome struct {
 	// canceled marks a task abandoned because the run context ended; it is
 	// never written or journaled, so a resumed run re-processes it.
 	canceled bool
-}
-
-// fillResult copies a discovery result into the outcome's wire fields.
-func (o *Outcome) fillResult(res *core.Result) {
-	o.Separator = res.Separator
-	o.TopTags = res.TopTags
-	o.Subtree = res.Subtree.Name
-	o.Degraded = res.Degraded
-	o.FailedHeuristics = res.FailedHeuristics
-	for _, s := range res.Scores {
-		o.Scores = append(o.Scores, Score{Tag: s.Tag, CF: s.CF})
-	}
-	if len(res.Rankings) > 0 {
-		o.Rankings = make(map[string][]RankEntry, len(res.Rankings))
-		for name, ranking := range res.Rankings {
-			rows := make([]RankEntry, 0, len(ranking))
-			for _, e := range ranking {
-				rows = append(rows, RankEntry{Tag: e.Tag, Rank: e.Rank})
-			}
-			o.Rankings[name] = rows
-		}
-	}
-	for _, c := range res.Candidates {
-		o.Candidates = append(o.Candidates, Candidate{Tag: c.Name, Count: c.Count})
-	}
 }
