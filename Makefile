@@ -138,8 +138,8 @@ go_test_run = for pkg in $(3); do \
 
 # The fleet serving tier (see docs/SCALING.md) under the race detector:
 # routing/conformance suites, the chaos scenarios (hedging, peer death,
-# total backend loss), and the cmd/serve boot tests of one gossip node and
-# of the removed static-topology flags.
+# suspicion mid-attempt, total backend loss), and the cmd/serve boot tests
+# of one gossip node and of the removed static-topology flags.
 cluster:
 	$(GO) test -race ./internal/cluster/
 	$(call go_test_run,-race -v,TestClusterConformance,.)
@@ -147,10 +147,12 @@ cluster:
 
 # Observability smoke (see docs/OBSERVABILITY.md): boots cmd/serve as one
 # gossip node, makes a traced request, and checks /metrics and
-# /metrics/cluster parse as Prometheus exposition and /debug/traces returns
-# the stitched trace — plus the trace/federation unit suites under -race.
+# /metrics/cluster parse as Prometheus exposition, /debug/traces returns
+# the request's one fragment with its routing spans, and the request is
+# counted, logged and traced once — plus the trace/federation unit suites
+# under -race.
 obs-smoke:
-	$(call go_test_run,-race -v,TestObservabilitySmoke,./cmd/serve/)
+	$(call go_test_run,-race -v,TestObservabilitySmoke|TestFleetNodeCountsRequestOnce,./cmd/serve/)
 	$(GO) test -race ./internal/obs/
 	$(call go_test_run,-race,Trace|Federat|Explain,./internal/cluster/)
 

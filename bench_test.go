@@ -12,9 +12,11 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -22,10 +24,12 @@ import (
 	"testing"
 
 	"repro/internal/certainty"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/eval"
 	"repro/internal/httpapi"
+	"repro/internal/obs"
 	"repro/internal/ontology"
 	"repro/internal/paperdoc"
 	"repro/internal/recognizer"
@@ -546,6 +550,78 @@ func BenchmarkServeBatchThroughput(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkServeOneNodeFleet measures what a fleet node's routing costs a
+// request: a one-node fleet wired as cmd/serve -node-name wires it (the
+// node's handler forwarding every discover document through a router whose
+// one peer is the node itself) against the bare single-node handler, both
+// with metrics, tracing and request logging on. Requests run in process
+// through ServeHTTP over 100 corpus documents, each re-crawled exact and
+// corpus.Mangle'd, after a pass that warms the result cache, so the gap
+// between the two is the self-hop.
+func BenchmarkServeOneNodeFleet(b *testing.B) {
+	docs, _ := benchCorpus()
+	docs = docs[:100]
+	var bodies [][]byte
+	var total int64
+	for i, d := range docs {
+		for _, html := range []string{d.HTML, corpus.Mangle(d.HTML, int64(i))} {
+			body, err := json.Marshal(map[string]string{"html": html})
+			if err != nil {
+				b.Fatal(err)
+			}
+			bodies = append(bodies, body)
+			total += int64(len(body))
+		}
+	}
+	nodeConfig := func() httpapi.Config {
+		return httpapi.Config{
+			Logger:    slog.New(slog.NewJSONHandler(io.Discard, nil)),
+			Metrics:   obs.NewRegistry(),
+			Traces:    obs.NewTraceStore(obs.TraceStoreConfig{}),
+			CacheSize: 1024,
+		}
+	}
+	run := func(b *testing.B, h http.Handler) {
+		serve := func(body []byte) {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/discover", bytes.NewReader(body)))
+			if w.Code != http.StatusOK {
+				b.Fatalf("status = %d: %s", w.Code, w.Body)
+			}
+		}
+		for _, body := range bodies {
+			serve(body)
+		}
+		b.SetBytes(total / int64(len(bodies)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			serve(bodies[i%len(bodies)])
+		}
+	}
+	b.Run("bare", func(b *testing.B) {
+		run(b, httpapi.NewHandler(nodeConfig()))
+	})
+	b.Run("fleet", func(b *testing.B) {
+		cfg := nodeConfig()
+		var node *httpapi.Server
+		router, err := cluster.NewRouter(cluster.Config{
+			Peers: []cluster.Peer{cluster.NewLocalPeer("solo", func(ctx context.Context, body []byte) (int, []byte) {
+				return node.DiscoverLocal(ctx, body)
+			}, cfg.Metrics)},
+			Metrics: cfg.Metrics,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg.Forward = router.Forward
+		if node, err = httpapi.NewServer(cfg); err != nil {
+			b.Fatal(err)
+		}
+		run(b, node)
+	})
 }
 
 // benchCorpus assembles the 220-document benchmark corpus — every domain's

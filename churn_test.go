@@ -59,22 +59,20 @@ func (b *churnBackend) hardKill() {
 	b.srv.Close()
 }
 
-// newChurnRouter serves a router over the given backends and returns both,
-// so tests can mutate the peer set mid-traffic.
+// newChurnRouter serves a fleet entry node that routes over the given
+// backends and returns the router with it, so tests can mutate the peer set
+// mid-traffic.
 func newChurnRouter(t *testing.T, backends ...*churnBackend) (*cluster.Router, *httptest.Server) {
 	t.Helper()
 	var peers []cluster.Peer
 	for _, b := range backends {
 		peers = append(peers, b.peer())
 	}
-	router, err := cluster.NewRouter(cluster.Config{
-		Peers:    peers,
-		Fallback: http.NotFoundHandler(),
-	})
+	router, err := cluster.NewRouter(cluster.Config{Peers: peers})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(router)
+	srv := httptest.NewServer(httpapi.NewHandler(httpapi.Config{Forward: router.Forward}))
 	t.Cleanup(srv.Close)
 	return router, srv
 }

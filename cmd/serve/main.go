@@ -20,8 +20,8 @@
 // traceparent headers are honoured, so fleet hops stitch into one trace.
 // -trace-capacity bounds the in-memory store behind /debug/traces and
 // -trace-sample head-samples 1 in N healthy traces (errored, degraded, shed,
-// and tail-latency traces are always kept). A fleet node's router also
-// serves /metrics/cluster, a federated view of every member's registry.
+// and tail-latency traces are always kept). A fleet node also serves
+// /metrics/cluster, a federated view of every member's registry.
 //
 // -ops-addr starts a second, operations-only listener carrying the
 // net/http/pprof profiling handlers (plus /metrics and /debug/vars again) so
@@ -44,17 +44,21 @@
 //
 // Robustness knobs (see docs/ROBUSTNESS.md; each 0 disables its limit):
 // -max-inflight sheds /v1/ requests beyond N in flight with 429 +
-// Retry-After; -request-timeout aborts a /v1/ request's pipeline work after
-// the duration and answers 503; -max-doc-bytes (413), -max-tree-depth (422),
-// and -max-nodes (422) bound per-document parse resources.
+// Retry-After; -request-timeout aborts a /v1/ request's work after the
+// duration and answers 503 — on a fleet node both bound every /v1/ request
+// the node accepts, forwarded ones included; -max-doc-bytes (413),
+// -max-tree-depth (422), and -max-nodes (422) bound per-document parse
+// resources.
 //
 // Fleets (see docs/SCALING.md): -node-name turns the process into one
 // member of a gossip-managed fleet, and -join lists seed members to join
 // through (without it the node starts a fleet of its own). The node learns
-// the live member set by gossip and feeds it into a consistent-hash router
-// in front of its own handler: discover traffic is routed by document
-// fingerprint for cache affinity, /v1/discover/batch and /v1/discover/stream
-// scatter-gather across the members, and peers join and leave the ring at
+// the live member set by gossip and feeds it into a consistent-hash router.
+// The node's own handler is its only HTTP stack: it hands every discover
+// document — a /v1/discover request, each /v1/discover/batch document, each
+// /v1/discover/stream line — to the router, which sends it to the member
+// owning its fingerprint (for cache affinity) and reaches the node's own
+// share of the ring by direct call. Peers join and leave the ring at
 // runtime with no restart or flag change. Without -node-name the process
 // serves alone with no router. With a wrapper store configured, a joiner
 // first pulls the fleet's learned wrapper state from an already-serving
@@ -69,7 +73,7 @@
 // -hedge-after launches a second attempt on the next member when the
 // primary is slower than the duration (0 disables hedging);
 // -peer-queue-depth bounds each member's queue (saturation sheds
-// interactive requests with 429 and throttles bulk fan-out). Shutdown
+// interactive requests with 429 and makes bulk documents wait). Shutdown
 // broadcasts a graceful leave.
 //
 // Example:
@@ -210,9 +214,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		MaxDepth: *maxTreeDepth,
 		MaxNodes: *maxNodes,
 	}
-	// One trace store is shared by the router and the node's own replica, so
-	// the fragments of one distributed request merge into a single trace at
-	// /debug/traces.
+	// The node's trace store; a request's routing spans land on its
+	// fragment, and members' fragments of the same trace are stitched by
+	// trace ID.
 	traces := obs.NewTraceStore(obs.TraceStoreConfig{
 		Capacity:    *traceCapacity,
 		SampleEvery: *traceSample,
@@ -264,10 +268,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 		seeds := splitList(*joinSeeds)
 
-		// The router and publisher don't exist yet when the node is built
-		// (they need the node's self handler), so OnChange goes through
-		// nil-guarded references; both are set before Join, and nothing
-		// changes the serving set before that.
+		// The router and publisher don't exist yet when the node is built,
+		// so OnChange goes through nil-guarded references; both are set
+		// before Join, and nothing changes the serving set before that.
 		var peersMu sync.Mutex
 		known := map[string]string{} // member name → addr currently wired into the router
 		var routerRef *cluster.Router
@@ -332,13 +335,33 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 		defer node.Close()
 
-		// The self replica: the full single-node service plus the gossip
-		// surface and, with -cache-journal, the durable result cache.
+		// The router reaches the node's own share of the ring by direct
+		// call into the node's server, built just below; nothing is routed
+		// before the listener serves.
+		var selfSrv *httpapi.Server
+		self := cluster.NewLocalPeer(*nodeName, func(ctx context.Context, body []byte) (int, []byte) {
+			return selfSrv.DiscoverLocal(ctx, body)
+		}, metrics)
+		router, err := cluster.NewRouter(cluster.Config{
+			Peers:      []cluster.Peer{self},
+			HedgeAfter: *hedgeAfter,
+			QueueDepth: *peerQueueDepth,
+			Metrics:    metrics,
+			Logger:     logger,
+		})
+		if err != nil {
+			return err
+		}
+
+		// The node's server: the full single-node service plus the gossip
+		// surface, with -cache-journal the durable result cache, and every
+		// discover document forwarded through the router.
 		selfCfg := apiCfg
 		selfCfg.Service = *nodeName
 		selfCfg.CacheJournal = *cacheJournal
 		selfCfg.Membership = node
-		selfSrv, err := httpapi.NewServer(selfCfg)
+		selfCfg.Forward = router.Forward
+		selfSrv, err = httpapi.NewServer(selfCfg)
 		if err != nil {
 			return fmt.Errorf("-cache-journal: %w", err)
 		}
@@ -354,19 +377,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			templates.OnStore = publisher.Publish
 		}
 
-		router, err := cluster.NewRouter(cluster.Config{
-			Peers:      []cluster.Peer{cluster.NewLocalPeer(*nodeName, selfSrv)},
-			HedgeAfter: *hedgeAfter,
-			QueueDepth: *peerQueueDepth,
-			Metrics:    metrics,
-			Logger:     logger,
-			TraceStore: traces,
-			Service:    "router",
-			Fallback:   selfSrv,
-		})
-		if err != nil {
-			return err
-		}
 		peersMu.Lock()
 		routerRef, pubRef = router, publisher
 		peersMu.Unlock()
@@ -398,7 +408,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 				}
 			}
 		}
-		handler = router
+		mux := http.NewServeMux()
+		mux.HandleFunc("GET /metrics/cluster", router.ServeClusterMetrics)
+		mux.Handle("/", selfSrv)
+		handler = mux
 		fmt.Fprintf(out, "membership: node %s advertising %s (%d seeds)\n",
 			*nodeName, advertiseAddr, len(seeds))
 	} else {

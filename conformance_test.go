@@ -17,11 +17,12 @@ package repro
 // exactly the regression class this suite pins down. Run under -race it
 // doubles as a concurrency check on the batch and stream paths.
 //
-// TestClusterConformance extends the matrix to the scale-out tier: a
-// consistent-hash router over three replicas (in-process backends in one
-// topology, real HTTP servers in the other) must be byte-for-byte
-// indistinguishable from a single node on the interactive, cached, batch,
-// and stream surfaces.
+// TestClusterConformance extends the matrix to the scale-out tier: a fleet
+// entered through a node handler whose discover documents a consistent-hash
+// router spreads over three replicas (in-process nodes in one topology,
+// real HTTP servers in the other) must be byte-for-byte indistinguishable
+// from a single node on the interactive, cached, batch, and stream
+// surfaces.
 
 import (
 	"bufio"
@@ -491,12 +492,7 @@ func TestTemplateFastPathConformance(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { store.Close() })
-		var peers []cluster.Peer
-		for i := 0; i < 3; i++ {
-			peers = append(peers, cluster.NewLocalPeer(fmt.Sprintf("replica-%d", i),
-				httpapi.NewHandler(httpapi.Config{Templates: store})))
-		}
-		srv := newClusterServer(t, peers)
+		srv := newInProcessFleet(t, 3, httpapi.Config{Templates: store})
 		checkPasses(t, srv.URL)
 		assertFastPath(t, store)
 	})
@@ -512,17 +508,47 @@ func (w *wireResult) String() string {
 	return string(data)
 }
 
-// newClusterServer serves a consistent-hash router over the given replicas.
+// newClusterServer serves a fleet entry node: a node handler with no share
+// of the ring whose discover documents the router sends to the given
+// members.
 func newClusterServer(t *testing.T, peers []cluster.Peer) *httptest.Server {
 	t.Helper()
-	router, err := cluster.NewRouter(cluster.Config{
-		Peers:    peers,
-		Fallback: http.NotFoundHandler(),
-	})
+	router, err := cluster.NewRouter(cluster.Config{Peers: peers})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(router)
+	srv := httptest.NewServer(httpapi.NewHandler(httpapi.Config{Forward: router.Forward}))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// newInProcessFleet serves an n-node in-process fleet wired the way
+// cmd/serve wires a node: replica-0's handler, forwarding through the
+// router, is the entry, and the router reaches every replica — replica-0
+// included — by direct call (cluster.LocalPeer over DiscoverLocal). Every
+// replica runs with cfg.
+func newInProcessFleet(t *testing.T, n int, cfg httpapi.Config) *httptest.Server {
+	t.Helper()
+	nodes := make([]*httpapi.Server, n)
+	var peers []cluster.Peer
+	for i := range nodes {
+		peers = append(peers, cluster.NewLocalPeer(fmt.Sprintf("replica-%d", i),
+			func(ctx context.Context, body []byte) (int, []byte) { return nodes[i].DiscoverLocal(ctx, body) }, nil))
+	}
+	router, err := cluster.NewRouter(cluster.Config{Peers: peers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range nodes {
+		nodeCfg := cfg
+		if i == 0 {
+			nodeCfg.Forward = router.Forward
+		}
+		if nodes[i], err = httpapi.NewServer(nodeCfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := httptest.NewServer(nodes[0])
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -554,12 +580,7 @@ func TestClusterConformance(t *testing.T) {
 
 	topologies := map[string]func(t *testing.T) *httptest.Server{
 		"InProcessReplicas": func(t *testing.T) *httptest.Server {
-			var peers []cluster.Peer
-			for i := 0; i < 3; i++ {
-				peers = append(peers, cluster.NewLocalPeer(fmt.Sprintf("replica-%d", i),
-					httpapi.NewHandler(httpapi.Config{CacheSize: 64})))
-			}
-			return newClusterServer(t, peers)
+			return newInProcessFleet(t, 3, httpapi.Config{CacheSize: 64})
 		},
 		"HTTPPeers": func(t *testing.T) *httptest.Server {
 			var peers []cluster.Peer

@@ -2,7 +2,8 @@ package cluster
 
 // Cluster chaos tests: every scenario arms internal/faultinject hooks on the
 // router's own hook points (cluster/route, cluster/peer[/<name>],
-// cluster/hedge) and asserts the router degrades the way docs/SCALING.md
+// cluster/hedge), sends traffic through a fleet's entry node, and asserts
+// the fleet degrades the way docs/SCALING.md
 // promises — hedges beat slow peers, dead peers are routed around without
 // losing or duplicating documents, and a fully-dead backend set answers
 // clean errors instead of hanging.
@@ -94,9 +95,10 @@ func TestStreamReroutesAroundDeadPeer(t *testing.T) {
 	const docs = 30
 	var in bytes.Buffer
 	for i := 0; i < docs; i++ {
-		fmt.Fprintf(&in, "%s\n", mustMarshal(map[string]string{
+		line, _ := json.Marshal(map[string]string{
 			"html": paperdoc.Figure2 + fmt.Sprintf("<!-- doc %d -->", i),
-		}))
+		})
+		fmt.Fprintf(&in, "%s\n", line)
 	}
 	w := postRouter(t, router, "/v1/discover/stream", in.String())
 	if w.Code != http.StatusOK {

@@ -1,11 +1,14 @@
-// Package cluster is the horizontal scale-out tier: a router/frontend that
-// consistent-hash routes discovery requests across the replicas of a fleet —
-// remote nodes speaking the single-node HTTP API (HTTPPeer) and the node's
-// own handler called in process (LocalPeer). In production the peer set
-// comes from gossip membership (internal/membership), which adds and removes
-// peers as nodes join and leave, and whose failure detector is the router's
-// only liveness signal: a Suspect member stays on the ring but is routed
-// around (SetSuspect) until it is heard from again.
+// Package cluster is the routing core of a fleet: a consistent-hash router
+// that decides which member answers each discovery document — a remote
+// member speaking the single-node HTTP API (HTTPPeer) or the node's own
+// share of the ring, called in process (LocalPeer). It has no HTTP surface
+// of its own: a fleet node's httpapi handler calls Router.Forward for every
+// discover document (httpapi.Config.Forward), so each request passes one
+// HTTP stack once. In production the peer set comes from gossip membership
+// (internal/membership), which adds and removes peers as nodes join and
+// leave, and whose failure detector is the router's only liveness signal: a
+// Suspect member stays on the ring but is routed around (SetSuspect) until
+// it is heard from again.
 //
 // The design leans on the pipeline being embarrassingly shardable: each
 // document's boundary discovery (tag tree → highest-fan-out subtree → five
@@ -21,31 +24,32 @@
 //   - ejection and readmission driven by membership suspicion, so a dead
 //     replica's key range reroutes to its ring successor and snaps back,
 //     caches intact, when it recovers — the ring itself never changes;
-//     until suspicion lands, a request whose attempt fails on a dead peer
-//     reroutes down the preference order;
+//     suspicion also ends the attempts in flight to the suspect, which
+//     reroute down the preference order, and until it lands a request
+//     whose attempt fails on a dead peer reroutes the same way;
 //   - bounded per-peer queues, so one saturated replica applies
-//     backpressure (batch/stream fan-out waits; interactive requests
-//     reroute, then shed with 429) instead of queueing unboundedly;
+//     backpressure (bulk documents wait; interactive requests reroute, then
+//     shed with 429) instead of queueing unboundedly;
 //   - hedged requests: when the primary has not answered within
 //     Config.HedgeAfter, a second attempt fires at the next peer on the
 //     ring and the first result wins — cutting tail latency when one
 //     replica stalls;
-//   - scatter-gather fan-out for /v1/discover/batch and
-//     /v1/discover/stream with in-order merge, reusing the bulk engine's
-//     retry/backoff machinery (pipeline.RetryPolicy) for transient peer
-//     failures.
+//   - retry passes for bulk documents (batch items and stream lines),
+//     reusing the bulk engine's backoff (pipeline.RetryPolicy) for
+//     transient peer failures.
 //
 // Every surface is conformance-tested byte-identical to the single-node
 // service (see conformance_test.go at the repo root): the router forwards
 // request bytes verbatim and returns replica response bytes verbatim, so a
-// cluster is indistinguishable from one node except in throughput.
+// fleet is indistinguishable from one node except in throughput.
 //
 // Observability: boundary_cluster_* metrics (per-peer requests, hedges
-// fired/won, ejections, queue depth) in Config.Metrics, per-hop trace spans
-// in each request's trace (Config.TraceStore), and the same request-logging
-// middleware as the single-node surface. Chaos hooks cluster/route,
-// cluster/peer[/<name>], and cluster/hedge arm the fault-injection tests
-// (internal/faultinject).
+// fired/won, ejections, queue depth) in Config.Metrics, and per-hop spans
+// (cluster/route, cluster/peer/<name>) on the calling request's trace; a
+// remote hop injects traceparent so the member's fragment nests under its
+// hop span. ServeClusterMetrics federates every member's /metrics. Chaos
+// hooks cluster/route, cluster/peer[/<name>], and cluster/hedge arm the
+// fault-injection tests (internal/faultinject).
 package cluster
 
 import (
@@ -76,31 +80,15 @@ type Config struct {
 	HedgeAfter time.Duration
 	// QueueDepth bounds each peer's in-flight requests from this router;
 	// <= 0 selects 32. A full queue reroutes interactive requests (429 when
-	// every peer is full) and throttles batch/stream fan-out.
+	// every peer is full) and makes bulk documents wait.
 	QueueDepth int
-	// Metrics receives the boundary_cluster_* series and the router's HTTP
-	// middleware metrics; nil disables both.
+	// Metrics receives the boundary_cluster_* series; nil disables them.
 	Metrics *obs.Registry
-	// Logger receives one structured "request" record per routed request;
-	// nil disables request logging.
+	// Logger receives membership changes, ejections and readmissions; nil
+	// disables them.
 	Logger *slog.Logger
-	// TraceStore enables per-request distributed tracing: every routed
-	// request gets (or continues, via its traceparent header) a trace with a
-	// cluster/route span per routing decision and a cluster/peer/<name> span
-	// per peer attempt, peer hops inject traceparent downstream so replica
-	// fragments stitch under the hop span, and finished fragments land
-	// here. GET /debug/traces is NOT served by the router itself — mount
-	// TraceStore.Handler on an ops mux (cmd/serve does). Nil disables
-	// per-request tracing.
-	TraceStore *obs.TraceStore
-	// Service names the router in trace fragments; empty means "router".
-	Service string
 	// Faults is the test-only fault-injection hook set; nil in production.
 	Faults *faultinject.Set
-	// Fallback serves every route the router does not own (/v1/records,
-	// /v1/extract, /metrics, ...); it is required. cmd/serve passes the
-	// node's own single-node server.
-	Fallback http.Handler
 }
 
 func (c Config) queueDepth() int {
@@ -109,10 +97,6 @@ func (c Config) queueDepth() int {
 	}
 	return c.QueueDepth
 }
-
-// workersPerPeer sizes the batch/stream scatter-gather pool: that many
-// workers per peer in the current view.
-const workersPerPeer = 4
 
 // retryPolicy governs re-routing retries for batch and stream documents
 // whose routing failed on every currently-available peer (transient windows:
@@ -148,13 +132,12 @@ func newView(peers []*peerState) *routerView {
 	return &routerView{peers: peers, ring: newRing(names), index: index}
 }
 
-// Router is the cluster frontend: an http.Handler owning POST /v1/discover,
-// /v1/discover/batch, /v1/discover/stream, and GET /healthz, delegating
-// everything else to Config.Fallback. It runs no goroutine of its own. The
-// peer set is dynamic: AddPeer/RemovePeer rebalance the ring incrementally
-// (names own ring shares, so only the moved vnodes' keys change owner) while
-// requests keep flowing, and SetSuspect moves a peer out of and back into
-// the rotation without touching the ring.
+// Router routes each discover document to its ring owner (Forward). It runs
+// no goroutine of its own. The peer set is dynamic: AddPeer/RemovePeer
+// rebalance the ring incrementally (names own ring shares, so only the
+// moved vnodes' keys change owner) while requests keep flowing, and
+// SetSuspect moves a peer out of and back into the rotation without
+// touching the ring.
 type Router struct {
 	cfg Config
 
@@ -168,8 +151,6 @@ type Router struct {
 	// NAME (indices are unstable under membership churn); entries for
 	// suspect or departed peers are ignored at lookup.
 	winners *lru.Cache[fingerprint, string]
-
-	handler http.Handler // observability-wrapped mux for owned routes
 }
 
 // snapshot returns the current immutable view.
@@ -182,9 +163,6 @@ func (r *Router) snapshot() *routerView {
 func NewRouter(cfg Config) (*Router, error) {
 	if len(cfg.Peers) == 0 {
 		return nil, errors.New("cluster: at least one peer is required")
-	}
-	if cfg.Fallback == nil {
-		return nil, errors.New("cluster: a fallback handler is required")
 	}
 	seen := make(map[string]bool, len(cfg.Peers))
 	for i, p := range cfg.Peers {
@@ -204,29 +182,9 @@ func NewRouter(cfg Config) (*Router, error) {
 	}
 	peers := make([]*peerState, 0, len(cfg.Peers))
 	for _, p := range cfg.Peers {
-		peers = append(peers, &peerState{
-			peer:  p,
-			slots: make(chan struct{}, cfg.queueDepth()),
-		})
+		peers = append(peers, newPeerState(p, cfg.queueDepth()))
 	}
 	r.view.Store(newView(peers))
-
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/discover", r.handleDiscover)
-	mux.HandleFunc("POST /v1/discover/batch", r.handleBatch)
-	mux.HandleFunc("POST /v1/discover/stream", r.handleStream)
-	mux.HandleFunc("GET /healthz", r.handleHealthz)
-	mux.HandleFunc("GET /metrics/cluster", r.handleClusterMetrics)
-	route := func(req *http.Request) string {
-		_, pattern := mux.Handler(req)
-		return pattern
-	}
-	var tracing *obs.Tracing
-	if cfg.TraceStore != nil {
-		tracing = &obs.Tracing{Store: cfg.TraceStore, Service: r.serviceName()}
-	}
-	r.handler = obs.Middleware(mux, cfg.Logger, cfg.Metrics, route, tracing)
-
 	r.healthyGauge().Set(float64(len(peers)))
 	return r, nil
 }
@@ -251,10 +209,7 @@ func (r *Router) AddPeer(p Peer) error {
 		}
 		peers = append(peers, ps)
 	}
-	peers = append(peers, &peerState{
-		peer:  p,
-		slots: make(chan struct{}, r.cfg.queueDepth()),
-	})
+	peers = append(peers, newPeerState(p, r.cfg.queueDepth()))
 	r.swapView(peers, "add", name)
 	return nil
 }
@@ -303,43 +258,15 @@ func (r *Router) PeerNames() []string {
 	return names
 }
 
-// ServeHTTP dispatches owned routes through the router (with its own
-// logging/metrics middleware) and everything else to the fallback.
-func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
-	if r.owned(req) {
-		r.handler.ServeHTTP(w, req)
-		return
-	}
-	r.cfg.Fallback.ServeHTTP(w, req)
-}
-
-// owned reports whether the router itself serves the request's route.
-func (r *Router) owned(req *http.Request) bool {
-	switch req.URL.Path {
-	case "/v1/discover", "/v1/discover/batch", "/v1/discover/stream":
-		return req.Method == http.MethodPost
-	case "/healthz", "/metrics/cluster":
-		return req.Method == http.MethodGet
-	}
-	return false
-}
-
-// serviceName is the router's name in trace fragments and its own federated
-// metrics.
-func (r *Router) serviceName() string {
-	if r.cfg.Service != "" {
-		return r.cfg.Service
-	}
-	return "router"
-}
-
-// handleClusterMetrics is GET /metrics/cluster: the federation endpoint. It
-// scrapes every peer's /metrics concurrently (bounded by a short timeout so
-// one hung replica cannot stall the scrape), merges them with the router's
-// own registry, and re-emits every series with a peer="<name>" label — one
-// scrape shows the whole ring. Peers that cannot be scraped are reported as
-// boundary_federation_peers{peer}=0 plus a comment, not an error status.
-func (r *Router) handleClusterMetrics(w http.ResponseWriter, req *http.Request) {
+// ServeClusterMetrics serves GET /metrics/cluster, the federation endpoint
+// cmd/serve mounts beside the node's handler. It scrapes every peer's
+// /metrics concurrently (bounded by a short timeout so one hung replica
+// cannot stall the scrape), merges them with the router's own registry
+// (labelled peer="router"), and re-emits every series with a peer="<name>"
+// label — one scrape shows the whole ring. Peers that cannot be scraped are
+// reported as boundary_federation_peers{peer}=0 plus a comment, not an
+// error status.
+func (r *Router) ServeClusterMetrics(w http.ResponseWriter, req *http.Request) {
 	ctx, cancel := context.WithTimeout(req.Context(), 2*time.Second)
 	defer cancel()
 
@@ -358,31 +285,19 @@ func (r *Router) handleClusterMetrics(w http.ResponseWriter, req *http.Request) 
 	_ = r.cfg.Metrics.WritePrometheus(&self)
 	wg.Wait()
 
-	scrapes := append([]obs.Scrape{{Peer: r.serviceName(), Data: self.Bytes()}}, results...)
+	scrapes := append([]obs.Scrape{{Peer: "router", Data: self.Bytes()}}, results...)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = obs.WriteFederated(w, scrapes)
-}
-
-// handleHealthz reports the cluster's own health: ok while at least one
-// peer is in the rotation, 503 when every peer is suspect — the signal an
-// upstream load balancer uses to stop sending traffic here.
-func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	healthy := r.healthyCount()
-	if healthy == 0 {
-		writeErr(w, http.StatusServiceUnavailable,
-			fmt.Errorf("cluster: all %d peers are suspect", len(r.snapshot().peers)))
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
 }
 
 // SetSuspect moves the named peer out of the rotation (suspect) or back into
 // it, leaving the ring unchanged: a suspect peer keeps its ring share, its
 // keys route to the next peer on the ring, and they snap back — caches
-// intact — when it is readmitted. It is the only way a peer leaves or
-// re-enters the rotation; cmd/serve drives it from membership's
-// Alive/Suspect state. It reports whether the peer is in the ring.
+// intact — when it is readmitted. Turning suspect also ends the attempts in
+// flight to the peer, which reroute down their preference order (counted
+// under outcome="suspected"). It is the only way a peer leaves or re-enters
+// the rotation; cmd/serve drives it from membership's Alive/Suspect state.
+// It reports whether the peer is in the ring.
 func (r *Router) SetSuspect(name string, suspect bool) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -391,7 +306,7 @@ func (r *Router) SetSuspect(name string, suspect bool) bool {
 	if !ok {
 		return false
 	}
-	if !v.peers[idx].suspect.CompareAndSwap(!suspect, suspect) {
+	if !v.peers[idx].setSuspect(suspect) {
 		return true // already in that state
 	}
 	r.healthyGauge().Set(float64(r.healthyCount()))

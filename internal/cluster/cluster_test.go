@@ -2,13 +2,16 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/httpapi"
@@ -16,18 +19,64 @@ import (
 	"repro/internal/paperdoc"
 )
 
-// newTestRouter builds an n-replica in-process cluster. mutate, when non-nil,
-// adjusts the config before the router starts.
-func newTestRouter(t *testing.T, n int, mutate func(*Config)) (*Router, *obs.Registry) {
+// testFleet is a fleet entered the way cmd/serve enters one: through a node
+// handler whose discover documents go to the router (httpapi.Config.Forward).
+// It embeds the router, so tests drive membership on it directly, and
+// serves HTTP through the entry handler.
+type testFleet struct {
+	*Router
+	entry http.Handler
+}
+
+func (f *testFleet) ServeHTTP(w http.ResponseWriter, r *http.Request) { f.entry.ServeHTTP(w, r) }
+
+// newFleet builds the router from cfg and an entry node in front of it that
+// holds no share of the ring itself. entryCfg configures the entry's
+// handler; its Metrics default to the router's registry and its Forward is
+// the router's.
+func newFleet(t *testing.T, cfg Config, entryCfg httpapi.Config) *testFleet {
+	t.Helper()
+	r, err := NewRouter(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if entryCfg.Metrics == nil {
+		entryCfg.Metrics = cfg.Metrics
+	}
+	entryCfg.Forward = r.Forward
+	return &testFleet{Router: r, entry: newNode(t, entryCfg)}
+}
+
+// newNode builds one node server.
+func newNode(t *testing.T, cfg httpapi.Config) *httpapi.Server {
+	t.Helper()
+	srv, err := httpapi.NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv
+}
+
+// localPeer wraps a node server as the in-process peer named name.
+func localPeer(name string, srv *httpapi.Server) *LocalPeer {
+	return NewLocalPeer(name, srv.DiscoverLocal, nil)
+}
+
+// newTestRouter builds an n-node in-process fleet wired like cmd/serve
+// nodes: node 0 is the entry, its handler forwards through the router, and
+// the router reaches every node — node 0 included — through a LocalPeer.
+// mutate, when non-nil, adjusts the router config before the router
+// starts. The registry holds the router's series and the entry's HTTP
+// metrics.
+func newTestRouter(t *testing.T, n int, mutate func(*Config)) (*testFleet, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	cfg := Config{
-		Metrics:  reg,
-		Fallback: http.NotFoundHandler(),
-	}
+	cfg := Config{Metrics: reg}
+	nodes := make([]*httpapi.Server, n)
 	for i := 0; i < n; i++ {
-		cfg.Peers = append(cfg.Peers,
-			NewLocalPeer("p"+strconv.Itoa(i), httpapi.NewHandler(httpapi.Config{CacheSize: 64})))
+		cfg.Peers = append(cfg.Peers, NewLocalPeer("p"+strconv.Itoa(i),
+			func(ctx context.Context, body []byte) (int, []byte) { return nodes[i].DiscoverLocal(ctx, body) }, nil))
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -36,7 +85,14 @@ func newTestRouter(t *testing.T, n int, mutate func(*Config)) (*Router, *obs.Reg
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r, reg
+	for i := range nodes {
+		nodeCfg := httpapi.Config{CacheSize: 64}
+		if i == 0 {
+			nodeCfg.Metrics, nodeCfg.Forward = reg, r.Forward
+		}
+		nodes[i] = newNode(t, nodeCfg)
+	}
+	return &testFleet{Router: r, entry: nodes[0]}, reg
 }
 
 func postRouter(t *testing.T, h http.Handler, path, body string) *httptest.ResponseRecorder {
@@ -49,9 +105,16 @@ func postRouter(t *testing.T, h http.Handler, path, body string) *httptest.Respo
 }
 
 func discoverBody(suffix string) string {
-	doc := paperdoc.Figure2 + suffix
-	b := mustMarshal(discoverEnvelope{HTML: doc, Ontology: "obituary"})
+	b, err := json.Marshal(map[string]string{"html": paperdoc.Figure2 + suffix, "ontology": "obituary"})
+	if err != nil {
+		panic(err)
+	}
 	return string(b)
+}
+
+// discoverKey is discoverBody(suffix)'s routing key.
+func discoverKey(suffix string) [sha256.Size]byte {
+	return httpapi.RequestFingerprint("html", paperdoc.Figure2+suffix, "obituary", nil)
 }
 
 func TestRingOrderIsDeterministicAndComplete(t *testing.T) {
@@ -110,19 +173,16 @@ func TestRingSpreadsKeys(t *testing.T) {
 }
 
 func TestNewRouterValidation(t *testing.T) {
-	h := httpapi.NewServeMux()
-	if _, err := NewRouter(Config{Fallback: h}); err == nil {
+	node := newNode(t, httpapi.Config{})
+	if _, err := NewRouter(Config{}); err == nil {
 		t.Error("no peers: want error")
 	}
-	if _, err := NewRouter(Config{Peers: []Peer{NewLocalPeer("a", h)}}); err == nil {
-		t.Error("no fallback: want error")
-	}
-	if _, err := NewRouter(Config{Peers: []Peer{NewLocalPeer("", h)}, Fallback: h}); err == nil {
+	if _, err := NewRouter(Config{Peers: []Peer{localPeer("", node)}}); err == nil {
 		t.Error("empty name: want error")
 	}
 	if _, err := NewRouter(Config{Peers: []Peer{
-		NewLocalPeer("a", h), NewLocalPeer("a", h),
-	}, Fallback: h}); err == nil {
+		localPeer("a", node), localPeer("a", node),
+	}}); err == nil {
 		t.Error("duplicate name: want error")
 	}
 }
@@ -185,35 +245,16 @@ func TestDiscoverAffinity(t *testing.T) {
 	}
 }
 
-func TestFallbackRouting(t *testing.T) {
-	marker := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusTeapot)
-	})
-	router, _ := newTestRouter(t, 2, func(c *Config) { c.Fallback = marker })
-	req := httptest.NewRequest(http.MethodGet, "/v1/ontologies", nil)
-	w := httptest.NewRecorder()
-	router.ServeHTTP(w, req)
-	if w.Code != http.StatusTeapot {
-		t.Errorf("unowned route status = %d, want fallback's %d", w.Code, http.StatusTeapot)
-	}
-}
-
 func TestQueueSaturationSheds429(t *testing.T) {
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
-	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	node := newNode(t, httpapi.Config{})
+	slow := NewLocalPeer("slow", func(ctx context.Context, body []byte) (int, []byte) {
 		entered <- struct{}{}
 		<-release
-		httpapi.NewServeMux().ServeHTTP(w, r)
-	})
-	router, err := NewRouter(Config{
-		Peers:      []Peer{NewLocalPeer("slow", slow)},
-		QueueDepth: 1,
-		Fallback:   http.NotFoundHandler(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+		return node.DiscoverLocal(ctx, body)
+	}, nil)
+	router := newFleet(t, Config{Peers: []Peer{slow}, QueueDepth: 1}, httpapi.Config{})
 
 	// Park one request inside the peer (holding the only queue slot), then
 	// prove the next interactive request is shed instead of queued.
@@ -234,7 +275,7 @@ func TestQueueSaturationSheds429(t *testing.T) {
 	}
 }
 
-// getHealthz asks the router for its own health.
+// getHealthz asks the fleet's entry node for its health.
 func getHealthz(router http.Handler) int {
 	w := httptest.NewRecorder()
 	router.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/healthz", nil))
@@ -242,8 +283,9 @@ func getHealthz(router http.Handler) int {
 }
 
 // TestEjectionAndClusterHealthz: membership suspicion of every peer empties
-// the rotation, so the router's own /healthz and discover answer 503; each
-// transition is counted once, however often it is reported.
+// the rotation, so discover answers 503, while the node's /healthz — its own
+// liveness, not the rotation's — stays ok; each transition is counted once,
+// however often it is reported.
 func TestEjectionAndClusterHealthz(t *testing.T) {
 	router, reg := newTestRouter(t, 2, nil)
 	for _, name := range []string{"p0", "p1", "p0"} {
@@ -263,8 +305,8 @@ func TestEjectionAndClusterHealthz(t *testing.T) {
 	if names := router.PeerNames(); len(names) != 2 {
 		t.Errorf("ring members = %v, want both suspects still on the ring", names)
 	}
-	if code := getHealthz(router); code != http.StatusServiceUnavailable {
-		t.Errorf("cluster /healthz with all peers suspect = %d, want 503", code)
+	if code := getHealthz(router); code != http.StatusOK {
+		t.Errorf("node /healthz with all peers suspect = %d, want 200", code)
 	}
 	if dw := postRouter(t, router, "/v1/discover", discoverBody("")); dw.Code != http.StatusServiceUnavailable {
 		t.Errorf("discover with all peers suspect = %d, want 503", dw.Code)
@@ -287,9 +329,6 @@ func TestReadmissionAfterRecovery(t *testing.T) {
 	if v := reg.Gauge("boundary_cluster_peers_healthy", "").Value(); v != 1 {
 		t.Errorf("peers_healthy = %v, want 1", v)
 	}
-	if code := getHealthz(router); code != http.StatusOK {
-		t.Errorf("cluster /healthz after readmission = %d, want 200", code)
-	}
 	if w := postRouter(t, router, "/v1/discover", discoverBody("")); w.Code != http.StatusOK {
 		t.Errorf("discover after readmission = %d: %s", w.Code, w.Body)
 	}
@@ -302,7 +341,7 @@ func TestSuspectPeerRoutesToRingSuccessor(t *testing.T) {
 	router, reg := newTestRouter(t, 3, nil)
 	body := discoverBody("")
 	view := router.snapshot()
-	order := view.ring.order(routingKey([]byte(body)))
+	order := view.ring.order(discoverKey(""))
 	owner, successor := view.peers[order[0]].peer.Name(), view.peers[order[1]].peer.Name()
 	served := func(name string) float64 {
 		return reg.Counter("boundary_cluster_requests_total", "",
@@ -365,36 +404,34 @@ func TestSetSuspectUnderTraffic(t *testing.T) {
 	}
 }
 
-// TestLocalPeerHandlerPanicIsContained: a panic in the node's own handler,
-// which runs on the router's attempt goroutine, fails that one request
-// like an aborted connection would — the process survives and the next
-// request is answered.
+// TestLocalPeerHandlerPanicIsContained: a panic in the node's own discover
+// path, which runs on the router's attempt goroutine, fails that one
+// request like an aborted connection would — the process survives and the
+// next request is answered.
 func TestLocalPeerHandlerPanicIsContained(t *testing.T) {
 	faults := faultinject.New()
-	self, err := httpapi.NewServer(httpapi.Config{Faults: faults})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { self.Close() })
 	reg := obs.NewRegistry()
+	var self *httpapi.Server
 	router, err := NewRouter(Config{
-		Peers:    []Peer{NewLocalPeer("self", self)},
-		Metrics:  reg,
-		Fallback: self,
+		Peers: []Peer{NewLocalPeer("self", func(ctx context.Context, body []byte) (int, []byte) {
+			return self.DiscoverLocal(ctx, body)
+		}, nil)},
+		Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	self = newNode(t, httpapi.Config{Faults: faults, Forward: router.Forward})
 	faults.Inject("httpapi/discover", faultinject.Fault{Panic: "boom", Times: 1})
 
-	w := postRouter(t, router, "/v1/discover", discoverBody(""))
+	w := postRouter(t, self, "/v1/discover", discoverBody(""))
 	if w.Code != http.StatusServiceUnavailable || !strings.Contains(w.Body.String(), "boom") {
 		t.Errorf("discover through a panicking handler = %d %s, want 503 naming the panic", w.Code, w.Body)
 	}
 	if v := reg.Counter("boundary_cluster_requests_total", "", "peer", "self", "outcome", "transport").Value(); v != 1 {
 		t.Errorf("requests_total{outcome=transport} = %v, want 1", v)
 	}
-	if w := postRouter(t, router, "/v1/discover", discoverBody("")); w.Code != http.StatusOK {
+	if w := postRouter(t, self, "/v1/discover", discoverBody("")); w.Code != http.StatusOK {
 		t.Errorf("discover after the panic = %d: %s", w.Code, w.Body)
 	}
 }
@@ -403,7 +440,7 @@ func TestHTTPPeerAgainstRealServer(t *testing.T) {
 	srv := httptest.NewServer(httpapi.NewHandler(httpapi.Config{}))
 	defer srv.Close()
 	p := NewHTTPPeer("real", srv.URL, nil)
-	status, resp, err := p.Do(t.Context(), "/v1/discover", []byte(discoverBody("")))
+	status, resp, err := p.Do(t.Context(), []byte(discoverBody("")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +476,7 @@ func TestRoutedRequestsAppearInRouterMetrics(t *testing.T) {
 
 func TestPerHopTraceSpans(t *testing.T) {
 	store := obs.NewTraceStore(obs.TraceStoreConfig{})
-	router, _ := newTestRouter(t, 2, func(c *Config) { c.TraceStore = store })
+	router, _ := newTracedCluster(t, store, nil)
 	w := postRouter(t, router, "/v1/discover", discoverBody(""))
 	if w.Code != http.StatusOK {
 		t.Fatalf("discover: %d", w.Code)
@@ -468,6 +505,8 @@ func TestPerHopTraceSpans(t *testing.T) {
 	}
 }
 
+// TestBodyLimitMirrorsSingleNode: the fleet's entry is a node handler, so an
+// oversized body gets the single node's 413 before anything is routed.
 func TestBodyLimitMirrorsSingleNode(t *testing.T) {
 	router, _ := newTestRouter(t, 1, nil)
 	single := httpapi.NewHandler(httpapi.Config{})
@@ -479,5 +518,84 @@ func TestBodyLimitMirrorsSingleNode(t *testing.T) {
 	}
 	if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
 		t.Errorf("413 body differs:\n cluster: %s\n single:  %s", got.Body, want.Body)
+	}
+}
+
+// stallPeer is a fake Peer that never answers: its Do announces itself on
+// entered and blocks until its context ends — a member that stopped
+// responding without closing its connections, reached with no client
+// timeout.
+type stallPeer struct {
+	name    string
+	entered chan struct{}
+}
+
+func (p *stallPeer) Name() string { return p.name }
+
+func (p *stallPeer) Do(ctx context.Context, _ []byte) (int, []byte, error) {
+	p.entered <- struct{}{}
+	<-ctx.Done()
+	return 0, nil, ctx.Err()
+}
+
+func (p *stallPeer) ScrapeMetrics(context.Context) ([]byte, error) { return nil, nil }
+
+// TestSuspicionEndsAttemptsInFlight: with hedging off, a document whose
+// owner has stalled waits on it — until membership suspects the owner.
+// SetSuspect must end the attempt in flight so the document reroutes to its
+// ring successor at once, on the interactive and the bulk path alike, and
+// the ended attempt must be counted as the peer's doing (outcome
+// "suspected"), not as the caller hanging up.
+func TestSuspicionEndsAttemptsInFlight(t *testing.T) {
+	for _, bulk := range []bool{false, true} {
+		t.Run(fmt.Sprintf("bulk=%v", bulk), func(t *testing.T) {
+			stalled := &stallPeer{name: "stalled", entered: make(chan struct{}, 1)}
+			reg := obs.NewRegistry()
+			router, err := NewRouter(Config{
+				Peers:   []Peer{stalled, localPeer("successor", newNode(t, httpapi.Config{}))},
+				Metrics: reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A document the stalled peer owns.
+			suffix := ""
+			for i := 0; ; i++ {
+				suffix = "<!-- " + strconv.Itoa(i) + " -->"
+				if router.snapshot().ring.order(discoverKey(suffix))[0] == 0 {
+					break
+				}
+			}
+
+			type answer struct {
+				status int
+				err    error
+			}
+			done := make(chan answer, 1)
+			go func() {
+				status, _, _, err := router.Forward(context.Background(), discoverKey(suffix), []byte(discoverBody(suffix)), bulk)
+				done <- answer{status, err}
+			}()
+			<-stalled.entered
+			suspected := time.Now()
+			router.SetSuspect("stalled", true)
+			select {
+			case a := <-done:
+				if a.err != nil || a.status != http.StatusOK {
+					t.Fatalf("forward after suspicion = %d, %v; want 200 from the successor", a.status, a.err)
+				}
+				if elapsed := time.Since(suspected); elapsed > time.Second {
+					t.Errorf("answered %v after suspicion, want well under 1s", elapsed)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the document stayed blocked on the suspect owner")
+			}
+			if v := reg.Counter("boundary_cluster_requests_total", "", "peer", "stalled", "outcome", "suspected").Value(); v != 1 {
+				t.Errorf("requests_total{stalled, suspected} = %v, want 1", v)
+			}
+			if v := reg.Counter("boundary_cluster_requests_total", "", "peer", "successor", "outcome", "ok").Value(); v != 1 {
+				t.Errorf("requests_total{successor, ok} = %v, want 1", v)
+			}
+		})
 	}
 }

@@ -3,10 +3,12 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -19,17 +21,17 @@ const MaxPeerResponseBytes = 32 << 20
 
 // Peer is one backend replica the router can send discovery traffic to.
 // Implementations must be safe for concurrent use; the router issues
-// overlapping Do calls (scatter-gather, hedges) against the same peer.
+// overlapping Do calls (bulk documents, hedges) against the same peer.
 type Peer interface {
 	// Name identifies the peer in metrics, logs, and trace spans — and seeds
 	// its consistent-hash ring points, so it must be unique and stable across
 	// restarts for cache affinity to survive.
 	Name() string
-	// Do issues one POST of a JSON body to the peer and returns the HTTP
-	// status with the full response body. A non-nil error means the peer was
-	// not reached (transport failure); peer-side failures come back as
-	// status/body.
-	Do(ctx context.Context, path string, body []byte) (status int, resp []byte, err error)
+	// Do asks the peer to answer one /v1/discover request body and returns
+	// the HTTP status with the full response body. A non-nil error means
+	// the peer was not reached (transport failure); peer-side failures come
+	// back as status/body. Do must return once ctx ends.
+	Do(ctx context.Context, body []byte) (status int, resp []byte, err error)
 	// ScrapeMetrics returns the peer's GET /metrics exposition for the
 	// /metrics/cluster federation.
 	ScrapeMetrics(ctx context.Context) ([]byte, error)
@@ -62,11 +64,12 @@ func NewHTTPPeer(name, baseURL string, client *http.Client) *HTTPPeer {
 // Name returns the peer's ring name.
 func (p *HTTPPeer) Name() string { return p.name }
 
-// Do posts body to the peer and reads the whole response. When the context
-// carries a span context (the router's hop span), it is injected as a W3C
-// traceparent header so the peer's trace fragment joins the same trace.
-func (p *HTTPPeer) Do(ctx context.Context, path string, body []byte) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.base+path, bytes.NewReader(body))
+// Do posts body to the peer's /v1/discover and reads the whole response.
+// When the context carries a span context (the router's hop span), it is
+// injected as a W3C traceparent header so the peer's trace fragment joins
+// the same trace.
+func (p *HTTPPeer) Do(ctx context.Context, body []byte) (int, []byte, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.base+"/v1/discover", bytes.NewReader(body))
 	if err != nil {
 		return 0, nil, err
 	}
@@ -110,100 +113,51 @@ func (p *HTTPPeer) ScrapeMetrics(ctx context.Context) ([]byte, error) {
 	return data, nil
 }
 
-// LocalPeer is an in-process replica: a full single-node handler (its own
-// result cache, its own limits) invoked by direct method call instead of a
-// network hop. A cmd/serve node routes its own share of the ring to its own
-// handler through one of these; tests build whole in-process fleets from
-// them.
+// LocalPeer is the node's own share of the ring, answered by direct
+// function call: discover answers one /v1/discover request body as the
+// node's handler would (cmd/serve passes httpapi's (*Server).DiscoverLocal)
+// and metrics is the registry its /metrics would serve. No http.Request is
+// built and no middleware runs, so a document routed to its own node is
+// counted, logged and traced once, by the request that carried it.
 type LocalPeer struct {
-	name string
-	h    http.Handler
+	name     string
+	discover func(ctx context.Context, body []byte) (status int, resp []byte)
+	metrics  *obs.Registry
 }
 
-// NewLocalPeer wraps a handler (normally httpapi.NewHandler output) as a
-// peer named name.
-func NewLocalPeer(name string, h http.Handler) *LocalPeer {
-	return &LocalPeer{name: name, h: h}
+// NewLocalPeer returns the in-process peer named name.
+func NewLocalPeer(name string, discover func(ctx context.Context, body []byte) (status int, resp []byte), metrics *obs.Registry) *LocalPeer {
+	return &LocalPeer{name: name, discover: discover, metrics: metrics}
 }
 
 // Name returns the replica's configured name.
 func (p *LocalPeer) Name() string { return p.name }
 
-// Do runs one in-memory round trip through the replica's handler. Like the
-// HTTP transport, it propagates trace context via the traceparent header —
-// the replica's middleware reads headers, not context values, so local and
-// remote replicas stitch traces identically. A panic in the handler becomes
-// an error, which is what an HTTPPeer sees when a remote server's
-// per-connection recover aborts the connection: the handler runs on the
-// router's attempt goroutine, where net/http's recover does not reach, and
-// an unrecovered panic there would kill the whole node.
-func (p *LocalPeer) Do(ctx context.Context, path string, body []byte) (status int, resp []byte, err error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://cluster.local"+path, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if sc := obs.SpanContextFromContext(ctx); sc.Valid() {
-		req.Header.Set(obs.TraceparentHeader, sc.Header())
-	}
+// Do calls the node's discover function. A panic in it becomes an error,
+// which is what an HTTPPeer sees when a remote server's per-connection
+// recover aborts the connection: the call runs on the router's attempt
+// goroutine, where net/http's recover does not reach, and an unrecovered
+// panic there would kill the whole node.
+func (p *LocalPeer) Do(ctx context.Context, body []byte) (status int, resp []byte, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			status, resp, err = 0, nil, fmt.Errorf("cluster: %s handler panicked: %v", p.name, v)
 		}
 	}()
-	w := newMemWriter()
-	p.h.ServeHTTP(w, req)
-	return w.status(), w.buf.Bytes(), nil
+	status, resp = p.discover(ctx, body)
+	return status, resp, nil
 }
 
-// ScrapeMetrics runs GET /metrics through the replica's handler.
-func (p *LocalPeer) ScrapeMetrics(ctx context.Context) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://cluster.local/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	w := newMemWriter()
-	p.h.ServeHTTP(w, req)
-	if w.status() != http.StatusOK {
-		return nil, fmt.Errorf("cluster: %s /metrics answered %d", p.name, w.status())
-	}
-	return w.buf.Bytes(), nil
+// ScrapeMetrics renders the node's registry for federation.
+func (p *LocalPeer) ScrapeMetrics(context.Context) ([]byte, error) {
+	var buf bytes.Buffer
+	err := p.metrics.WritePrometheus(&buf)
+	return buf.Bytes(), err
 }
 
-// memWriter is the minimal in-memory http.ResponseWriter behind LocalPeer —
-// a buffer, not a socket, so a local hop costs no serialization beyond the
-// JSON bodies themselves.
-type memWriter struct {
-	header http.Header
-	code   int
-	buf    bytes.Buffer
-}
-
-func newMemWriter() *memWriter {
-	return &memWriter{header: make(http.Header)}
-}
-
-func (w *memWriter) Header() http.Header { return w.header }
-
-func (w *memWriter) WriteHeader(code int) {
-	if w.code == 0 {
-		w.code = code
-	}
-}
-
-func (w *memWriter) Write(b []byte) (int, error) {
-	if w.code == 0 {
-		w.code = http.StatusOK
-	}
-	return w.buf.Write(b)
-}
-
-func (w *memWriter) status() int {
-	if w.code == 0 {
-		return http.StatusOK
-	}
-	return w.code
-}
+// errSuspected ends the attempts in flight to a peer that membership has
+// just suspected; they reroute like any failed attempt.
+var errSuspected = errors.New("cluster: peer turned suspect during the attempt")
 
 // peerState pairs a Peer with the router-side serving state: the bounded
 // per-peer queue (a semaphore — slots held for the duration of an attempt)
@@ -212,6 +166,44 @@ type peerState struct {
 	peer    Peer
 	slots   chan struct{}
 	suspect atomic.Bool // true while the peer is out of the rotation
+
+	mu sync.Mutex
+	// live spans the peer's current stay in the rotation: it ends, with
+	// cause errSuspected, when the peer turns suspect, and every attempt
+	// runs under it.
+	live    context.Context
+	endLive context.CancelCauseFunc
+}
+
+func newPeerState(p Peer, queueDepth int) *peerState {
+	ps := &peerState{peer: p, slots: make(chan struct{}, queueDepth)}
+	ps.live, ps.endLive = context.WithCancelCause(context.Background())
+	return ps
+}
+
+// setSuspect moves the peer out of or back into the rotation and reports
+// whether that changed anything. Turning suspect ends the attempts in
+// flight; readmission starts a new live context.
+func (p *peerState) setSuspect(suspect bool) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.suspect.CompareAndSwap(!suspect, suspect) {
+		return false
+	}
+	if suspect {
+		p.endLive(errSuspected)
+	} else {
+		p.live, p.endLive = context.WithCancelCause(context.Background())
+	}
+	return true
+}
+
+// liveContext returns the context of the peer's current stay in the
+// rotation.
+func (p *peerState) liveContext() context.Context {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.live
 }
 
 // tryAcquire takes a queue slot without waiting; it reports false when the

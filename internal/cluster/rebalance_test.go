@@ -156,7 +156,7 @@ func TestRouterDynamicMembership(t *testing.T) {
 	}
 	check("initial 2 peers")
 
-	if err := r.AddPeer(NewLocalPeer("p2", httpapi.NewHandler(httpapi.Config{CacheSize: 64}))); err != nil {
+	if err := r.AddPeer(localPeer("p2", newNode(t, httpapi.Config{CacheSize: 64}))); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(r.PeerNames()); got != 3 {
@@ -166,7 +166,7 @@ func TestRouterDynamicMembership(t *testing.T) {
 
 	// Rejoin under the same name: the new handler replaces the old peer
 	// without growing the set.
-	if err := r.AddPeer(NewLocalPeer("p2", httpapi.NewHandler(httpapi.Config{CacheSize: 64}))); err != nil {
+	if err := r.AddPeer(localPeer("p2", newNode(t, httpapi.Config{CacheSize: 64}))); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(r.PeerNames()); got != 3 {
@@ -201,7 +201,7 @@ func newBlockingPeer(name string) *blockingPeer {
 
 func (p *blockingPeer) Name() string { return p.name }
 
-func (p *blockingPeer) Do(context.Context, string, []byte) (int, []byte, error) {
+func (p *blockingPeer) Do(context.Context, []byte) (int, []byte, error) {
 	p.entered <- struct{}{}
 	<-p.release
 	return http.StatusOK, []byte(`{}`), nil
@@ -219,14 +219,7 @@ func (p *blockingPeer) ScrapeMetrics(context.Context) ([]byte, error) { return n
 func TestQueueGaugeSurvivesPeerReplacement(t *testing.T) {
 	oldPeer, newPeer := newBlockingPeer("p"), newBlockingPeer("p")
 	reg := obs.NewRegistry()
-	r, err := NewRouter(Config{
-		Peers:    []Peer{oldPeer},
-		Metrics:  reg,
-		Fallback: http.NotFoundHandler(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := newFleet(t, Config{Peers: []Peer{oldPeer}, Metrics: reg}, httpapi.Config{})
 	gauge := reg.Gauge("boundary_cluster_peer_queue_depth", "", "peer", "p")
 	oldState := r.snapshot().peers[0]
 

@@ -3,15 +3,13 @@ package cluster
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
 
-	"repro/internal/httpapi"
 	"repro/internal/obs"
 )
 
@@ -20,38 +18,37 @@ import (
 // cache-affine.
 type fingerprint = [sha256.Size]byte
 
-// Sentinel routing failures. errBusy and errNoPeers map to distinct statuses
-// at the edge (429 vs 503); everything else surfaces as 502-flavored 503s.
+// Sentinel routing failures. errBusy answers 429 at the edge; every other
+// routing failure answers 503.
 var (
 	errBusy    = errors.New("cluster: every reachable peer's queue is full")
 	errNoPeers = errors.New("cluster: no healthy peers in the rotation")
 )
 
-// discoverEnvelope mirrors the single-node request envelope field-for-field;
-// the router decodes it only to derive the routing key and to replicate
-// validation, never to re-serialize — request bytes are forwarded verbatim.
-type discoverEnvelope struct {
-	HTML          string   `json:"html,omitempty"`
-	XML           string   `json:"xml,omitempty"`
-	Ontology      string   `json:"ontology,omitempty"`
-	SeparatorList []string `json:"separator_list,omitempty"`
-}
-
-// routingKey derives the consistent-hash key for one discover request body.
-// A well-formed request hashes exactly like the replica's cache key; a
-// malformed one (the replica will answer 400) hashes its raw bytes — any
-// stable route is fine for an error.
-func routingKey(body []byte) fingerprint {
-	var env discoverEnvelope
-	if err := json.Unmarshal(body, &env); err != nil ||
-		(env.HTML == "") == (env.XML == "") {
-		return sha256.Sum256(body)
+// Forward routes one discover document — its /v1/discover request body,
+// keyed by its httpapi.RequestFingerprint — to the peer owning the key and
+// returns that peer's status and body verbatim. It is what a fleet node's
+// httpapi.Config.Forward calls for every discover document. The interactive
+// discipline (bulk false) sheds a full queue and hedges a slow primary; the
+// bulk one, for batch documents and stream lines, waits for queue slots and
+// retries whole preference-order passes with the bulk engine's backoff,
+// attempts counting the passes. A non-nil err is a routing failure; status
+// is then 429 when every reachable peer's queue was full and 503 otherwise.
+// Routing spans go onto the trace in ctx.
+func (r *Router) Forward(ctx context.Context, key [sha256.Size]byte, body []byte, bulk bool) (status int, resp []byte, attempts int, err error) {
+	if bulk {
+		status, resp, attempts, err = r.routeWithRetry(ctx, key, body)
+	} else {
+		status, resp, err = r.doDiscover(ctx, key, body)
+		attempts = 1
 	}
-	mode, doc := "html", env.HTML
-	if env.XML != "" {
-		mode, doc = "xml", env.XML
+	switch {
+	case errors.Is(err, errBusy):
+		status = http.StatusTooManyRequests
+	case err != nil:
+		status = http.StatusServiceUnavailable
 	}
-	return httpapi.RequestFingerprint(mode, doc, env.Ontology, env.SeparatorList)
+	return status, resp, attempts, err
 }
 
 // preference returns peer indices (into v.peers) in routing order for key:
@@ -78,15 +75,22 @@ func (r *Router) preference(v *routerView, key fingerprint) []int {
 }
 
 // attempt runs one request against one peer: queue slot, fault hooks, the
-// wire call, per-peer metrics, and a per-hop trace span. blocking selects backpressure (wait for a slot) over shedding
-// (errBusy when the queue is full) — batch/stream fan-out blocks, the
-// interactive path and hedges never do.
-func (r *Router) attempt(ctx context.Context, v *routerView, idx int, path string, body []byte, blocking bool) (int, []byte, error) {
+// wire call, per-peer metrics, and a per-hop trace span. blocking selects
+// backpressure (wait for a slot) over shedding (errBusy when the queue is
+// full) — bulk documents block, the interactive path and hedges never do.
+// The attempt ends, with errSuspected, as soon as membership suspects the
+// peer: its wait for a slot and its wire call both run under the peer's
+// live context as well as ctx.
+func (r *Router) attempt(ctx context.Context, v *routerView, idx int, body []byte, blocking bool) (int, []byte, error) {
 	ps := v.peers[idx]
 	name := ps.peer.Name()
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	defer context.AfterFunc(ps.liveContext(), func() { cancel(errSuspected) })()
+
 	if blocking {
 		if !ps.acquire(ctx) {
-			return 0, nil, ctx.Err()
+			return 0, nil, attemptErr(ctx, ctx.Err())
 		}
 	} else if !ps.tryAcquire() {
 		r.counter("boundary_cluster_shed_total",
@@ -106,9 +110,9 @@ func (r *Router) attempt(ctx context.Context, v *routerView, idx int, path strin
 	}()
 
 	// The hop span opens before the wire call and its identity is injected
-	// into the outgoing context, so the replica's own trace fragment (sent
-	// via the traceparent header by Peer.Do) nests under this exact hop —
-	// including each side of a hedge race separately.
+	// into the outgoing context, so a remote member's trace fragment (sent
+	// via the traceparent header by HTTPPeer.Do) nests under this exact hop
+	// — including each side of a hedge race separately.
 	tr := obs.TraceFrom(ctx)
 	span := tr.StartSpan("cluster/peer/" + name)
 	if span != nil {
@@ -116,31 +120,49 @@ func (r *Router) attempt(ctx context.Context, v *routerView, idx int, path strin
 	}
 
 	if err := r.cfg.Faults.FireCtx(ctx, "cluster/peer"); err != nil {
-		r.finishAttempt(name, path, 0, 0, err, span)
+		err = attemptErr(ctx, err)
+		r.finishAttempt(name, 0, 0, err, span)
 		return 0, nil, err
 	}
 	if err := r.cfg.Faults.FireCtx(ctx, "cluster/peer/"+name); err != nil {
-		r.finishAttempt(name, path, 0, 0, err, span)
+		err = attemptErr(ctx, err)
+		r.finishAttempt(name, 0, 0, err, span)
 		return 0, nil, err
 	}
 
 	start := time.Now()
-	status, resp, err := ps.peer.Do(ctx, path, body)
-	r.finishAttempt(name, path, status, time.Since(start), err, span)
+	status, resp, err := ps.peer.Do(ctx, body)
+	if err != nil {
+		err = attemptErr(ctx, err)
+	}
+	r.finishAttempt(name, status, time.Since(start), err, span)
 	if err != nil {
 		return 0, nil, err
 	}
 	return status, resp, nil
 }
 
+// attemptErr reports an attempt that membership suspicion cut short as
+// errSuspected, whatever error the cut surfaced as, so it reroutes without
+// being mistaken for the caller giving up.
+func attemptErr(ctx context.Context, err error) error {
+	if errors.Is(context.Cause(ctx), errSuspected) {
+		return errSuspected
+	}
+	return err
+}
+
 // finishAttempt records one attempt's metrics and trace span. A transport
 // failure reroutes its request but leaves the peer in the rotation: only
 // membership suspicion moves it out (Router.SetSuspect). A transport
 // failure caused by our own context ending (a lost hedge race, a hung-up
-// client) says nothing about the peer and is counted separately.
-func (r *Router) finishAttempt(name, path string, status int, elapsed time.Duration, err error, span *obs.Span) {
+// client) says nothing about the peer and is counted separately, as is an
+// attempt that suspicion of the peer ended.
+func (r *Router) finishAttempt(name string, status int, elapsed time.Duration, err error, span *obs.Span) {
 	outcome := "ok"
 	switch {
+	case errors.Is(err, errSuspected):
+		outcome = "suspected"
 	case err != nil && ctxRelated(err):
 		outcome = "canceled"
 	case err != nil:
@@ -156,7 +178,7 @@ func (r *Router) finishAttempt(name, path string, status int, elapsed time.Durat
 		"peer", name).Observe(elapsed.Seconds())
 	if span != nil {
 		span.End()
-		span.Attr("peer", name).Attr("path", path).Attr("outcome", outcome)
+		span.Attr("peer", name).Attr("outcome", outcome)
 		if err == nil {
 			span.Attr("status", strconv.Itoa(status))
 		}
@@ -182,10 +204,10 @@ type attemptResult struct {
 // doDiscover routes one interactive discover request: the primary (the key's
 // ring owner, or a remembered hedge winner) is tried first; if it has not
 // answered within HedgeAfter a hedged second attempt races it on the next
-// peer and the first answer wins; transport failures and full queues fall
-// through the rest of the preference order. Peer response bytes are returned
-// verbatim — the router adds no serialization of its own.
-func (r *Router) doDiscover(ctx context.Context, key fingerprint, path string, body []byte) (int, []byte, error) {
+// peer and the first answer wins; transport failures, suspicion and full
+// queues fall through the rest of the preference order. Peer response bytes
+// are returned verbatim — the router adds no serialization of its own.
+func (r *Router) doDiscover(ctx context.Context, key fingerprint, body []byte) (int, []byte, error) {
 	if err := r.cfg.Faults.FireCtx(ctx, "cluster/route"); err != nil {
 		return 0, nil, err
 	}
@@ -214,7 +236,7 @@ func (r *Router) doDiscover(ctx context.Context, key fingerprint, path string, b
 	results := make(chan attemptResult, len(live))
 	launch := func(i int) {
 		go func() {
-			status, resp, err := r.attempt(actx, v, live[i], path, body, false)
+			status, resp, err := r.attempt(actx, v, live[i], body, false)
 			results <- attemptResult{idx: i, status: status, body: resp, err: err}
 		}()
 	}
@@ -285,10 +307,10 @@ func (r *Router) doDiscover(ctx context.Context, key fingerprint, path string, b
 	}
 }
 
-// routeBlocking routes one batch/stream document: walk the preference order
-// with blocking queue acquisition (backpressure, not shedding), return the
-// first peer answer, and fall through on transport failures.
-func (r *Router) routeBlocking(ctx context.Context, key fingerprint, path string, body []byte) (int, []byte, error) {
+// routeBlocking routes one bulk document: walk the preference order with
+// blocking queue acquisition (backpressure, not shedding), return the first
+// peer answer, and fall through on transport failures and suspicion.
+func (r *Router) routeBlocking(ctx context.Context, key fingerprint, body []byte) (int, []byte, error) {
 	if err := r.cfg.Faults.FireCtx(ctx, "cluster/route"); err != nil {
 		return 0, nil, err
 	}
@@ -306,7 +328,7 @@ func (r *Router) routeBlocking(ctx context.Context, key fingerprint, path string
 				"Requests rerouted to another peer after a failed attempt.").Inc()
 		}
 		tried++
-		status, resp, err := r.attempt(ctx, v, idx, path, body, true)
+		status, resp, err := r.attempt(ctx, v, idx, body, true)
 		if err == nil {
 			return status, resp, nil
 		}
@@ -324,12 +346,14 @@ func (r *Router) routeBlocking(ctx context.Context, key fingerprint, path string
 // routeWithRetry wraps routeBlocking in the bulk engine's retry/backoff
 // policy, covering the transient window where a peer died but membership has
 // not suspected it yet (each pass falls through to the dead peer's ring
-// successor). attempts
-// is reported so stream outcomes can carry the engine's Attempts field.
-func (r *Router) routeWithRetry(ctx context.Context, seq int, key fingerprint, path string, body []byte) (status int, resp []byte, attempts int, err error) {
+// successor). The backoff jitter is seeded from the key, so one document's
+// retries are reproducible. attempts is reported so stream outcomes can
+// carry the engine's Attempts field.
+func (r *Router) routeWithRetry(ctx context.Context, key fingerprint, body []byte) (status int, resp []byte, attempts int, err error) {
 	maxAttempts := retryPolicy.Attempts()
+	seq := int(binary.BigEndian.Uint32(key[:4]))
 	for attempt := 1; ; attempt++ {
-		status, resp, err = r.routeBlocking(ctx, key, path, body)
+		status, resp, err = r.routeBlocking(ctx, key, body)
 		if err == nil || ctx.Err() != nil || attempt >= maxAttempts {
 			return status, resp, attempt, err
 		}
@@ -343,80 +367,4 @@ func (r *Router) routeWithRetry(ctx context.Context, seq int, key fingerprint, p
 			return 0, nil, attempt, ctx.Err()
 		}
 	}
-}
-
-// handleDiscover is the interactive routed endpoint. Validation errors the
-// single node reports before running the pipeline (oversized body) are
-// replicated here with identical wording; everything else — including bad
-// request bodies — is answered by the peer so responses stay byte-identical.
-func (r *Router) handleDiscover(w http.ResponseWriter, req *http.Request) {
-	body, ok := readBody(w, req)
-	if !ok {
-		return
-	}
-	// The query string is forwarded verbatim (?explain=1 is computed by the
-	// replica, never by the router) but does not join the routing key, so an
-	// explain request lands on the same cache-affine peer as its plain twin.
-	path := "/v1/discover"
-	if req.URL.RawQuery != "" {
-		path += "?" + req.URL.RawQuery
-	}
-	status, resp, err := r.doDiscover(req.Context(), routingKey(body), path, body)
-	if err != nil {
-		writeRouteErr(w, err)
-		return
-	}
-	writeRaw(w, status, resp)
-}
-
-// readBody reads one request body under the single-node size envelope,
-// answering the same 413 the replica would.
-func readBody(w http.ResponseWriter, req *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(io.LimitReader(req.Body, httpapi.MaxBodyBytes+1))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return nil, false
-	}
-	if len(body) > httpapi.MaxBodyBytes {
-		writeErr(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("request body exceeds the %d-byte limit", httpapi.MaxBodyBytes))
-		return nil, false
-	}
-	return body, true
-}
-
-// writeRaw relays a peer response verbatim.
-func writeRaw(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
-}
-
-// errorBody matches the single-node uniform error response.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-// writeJSON mirrors the single-node encoder (one compact line) so
-// router-originated bodies render like every other body in the system.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorBody{Error: err.Error()})
-}
-
-// writeRouteErr maps a routing failure to its edge status: saturation is
-// 429 + Retry-After (the load-shedding contract), everything else — no
-// healthy peers, all attempts failed, canceled — is 503.
-func writeRouteErr(w http.ResponseWriter, err error) {
-	if errors.Is(err, errBusy) {
-		w.Header().Set("Retry-After", "1")
-		writeErr(w, http.StatusTooManyRequests, err)
-		return
-	}
-	writeErr(w, http.StatusServiceUnavailable, err)
 }

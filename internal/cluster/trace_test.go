@@ -1,14 +1,14 @@
 package cluster
 
 // Distributed-tracing conformance: one routed request — including a hedged
-// one — must publish trace fragments from the router and every replica it
-// touched under a single trace ID, /metrics/cluster must attribute every
-// replica's series with a distinct peer label, and ?explain=1 must report all
-// five heuristic certainties from whichever replica computed the answer.
+// one — must publish one trace fragment from the entry node, carrying the
+// routing spans, and one from every remote member it touched, under a
+// single trace ID; /metrics/cluster must attribute every member's series
+// with a distinct peer label; and ?explain=1 must report all five heuristic
+// certainties, computed at the entry.
 
 import (
 	"encoding/json"
-	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
@@ -20,35 +20,28 @@ import (
 	"repro/internal/obs"
 )
 
-// newTracedCluster builds a 3-replica in-process cluster that shares one
-// trace store, the way a cmd/serve node's router and its own replica share
-// one.
-func newTracedCluster(t *testing.T, store *obs.TraceStore, mutate func(*Config)) (*Router, *obs.Registry) {
+// newTracedCluster builds an entry node (service "entry") routing over 3
+// remote members on real HTTP servers ("local-0".."local-2"), all sharing
+// one trace store so a test can read every fragment of a trace.
+func newTracedCluster(t *testing.T, store *obs.TraceStore, mutate func(*Config)) (*testFleet, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
-	cfg := Config{
-		Metrics:    reg,
-		TraceStore: store,
-		Fallback:   http.NotFoundHandler(),
-	}
+	cfg := Config{Metrics: reg}
 	for i := 0; i < 3; i++ {
 		name := "local-" + strconv.Itoa(i)
-		cfg.Peers = append(cfg.Peers, NewLocalPeer(name,
-			httpapi.NewHandler(httpapi.Config{
-				Metrics:   obs.NewRegistry(),
-				Traces:    store,
-				Service:   name,
-				CacheSize: 64,
-			})))
+		member := httptest.NewServer(newNode(t, httpapi.Config{
+			Metrics:   obs.NewRegistry(),
+			Traces:    store,
+			Service:   name,
+			CacheSize: 64,
+		}))
+		t.Cleanup(member.Close)
+		cfg.Peers = append(cfg.Peers, NewHTTPPeer(name, member.URL, nil))
 	}
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	r, err := NewRouter(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r, reg
+	return newFleet(t, cfg, httpapi.Config{Traces: store, Service: "entry"}), reg
 }
 
 func TestRoutedRequestYieldsOneStitchedTrace(t *testing.T) {
@@ -72,24 +65,24 @@ func TestRoutedRequestYieldsOneStitchedTrace(t *testing.T) {
 		t.Fatalf("trace %s not in the shared store", id)
 	}
 	if len(frags) != 2 {
-		t.Fatalf("fragments = %d, want 2 (router + replica): %+v", len(frags), frags)
+		t.Fatalf("fragments = %d, want 2 (entry + member): %+v", len(frags), frags)
 	}
 	var routerFrag, replicaFrag *obs.TraceData
 	for i := range frags {
-		if frags[i].Service == "router" {
+		if frags[i].Service == "entry" {
 			routerFrag = &frags[i]
 		} else if strings.HasPrefix(frags[i].Service, "local-") {
 			replicaFrag = &frags[i]
 		}
 	}
 	if routerFrag == nil || replicaFrag == nil {
-		t.Fatalf("missing router or replica fragment: %+v", frags)
+		t.Fatalf("missing entry or member fragment: %+v", frags)
 	}
 	if routerFrag.TraceID != id || replicaFrag.TraceID != id {
 		t.Error("fragments carry different trace ids")
 	}
-	// The replica fragment must hang off the router's peer-hop span, so the
-	// rendered tree nests client → router → replica.
+	// The member's fragment must hang off the entry's peer-hop span, so the
+	// rendered tree nests client → entry → member.
 	var hopSpan *obs.Span
 	for i := range routerFrag.Spans {
 		if strings.HasPrefix(routerFrag.Spans[i].Name, "cluster/peer/") {
@@ -97,7 +90,7 @@ func TestRoutedRequestYieldsOneStitchedTrace(t *testing.T) {
 		}
 	}
 	if hopSpan == nil {
-		t.Fatalf("router fragment has no cluster/peer span: %+v", routerFrag.Spans)
+		t.Fatalf("entry fragment has no cluster/peer span: %+v", routerFrag.Spans)
 	}
 	if replicaFrag.RemoteParent != hopSpan.ID {
 		t.Errorf("replica remote parent = %s, want hop span %s", replicaFrag.RemoteParent, hopSpan.ID)
@@ -106,7 +99,7 @@ func TestRoutedRequestYieldsOneStitchedTrace(t *testing.T) {
 		t.Errorf("hop span %q does not name the replica %q", hopSpan.Name, replicaFrag.Service)
 	}
 	tree := obs.RenderTraceTree(id, frags)
-	if !strings.Contains(tree, "router POST /v1/discover") ||
+	if !strings.Contains(tree, "entry POST /v1/discover") ||
 		!strings.Contains(tree, replicaFrag.Service+" POST /v1/discover") {
 		t.Errorf("rendered tree missing a hop:\n%s", tree)
 	}
@@ -139,14 +132,14 @@ func TestHedgedRequestStaysOneTrace(t *testing.T) {
 	var routerFrag *obs.TraceData
 	replicaServices := map[string]bool{}
 	for i := range frags {
-		if frags[i].Service == "router" {
+		if frags[i].Service == "entry" {
 			routerFrag = &frags[i]
 		} else {
 			replicaServices[frags[i].Service] = true
 		}
 	}
 	if routerFrag == nil {
-		t.Fatal("no router fragment")
+		t.Fatal("no entry fragment")
 	}
 	hops := 0
 	for _, s := range routerFrag.Spans {
@@ -155,7 +148,7 @@ func TestHedgedRequestStaysOneTrace(t *testing.T) {
 		}
 	}
 	if hops != 2 {
-		t.Errorf("router recorded %d hop spans, want 2 (primary + hedge)", hops)
+		t.Errorf("entry recorded %d hop spans, want 2 (primary + hedge)", hops)
 	}
 	// The winning (unstalled) replica's fragment must be present; the stalled
 	// primary may or may not publish before the request ends, but whatever
@@ -180,7 +173,7 @@ func TestClusterMetricsFederatesDistinctPeers(t *testing.T) {
 	}
 	req := httptest.NewRequest("GET", "/metrics/cluster", nil)
 	w := httptest.NewRecorder()
-	router.ServeHTTP(w, req)
+	router.ServeClusterMetrics(w, req)
 	if w.Code != 200 {
 		t.Fatalf("/metrics/cluster status = %d: %s", w.Code, w.Body)
 	}
@@ -196,9 +189,12 @@ func TestClusterMetricsFederatesDistinctPeers(t *testing.T) {
 	}
 }
 
+// TestExplainPropagatesThroughCluster: ?explain=1 through a fleet is answered
+// at the entry — it is uncached and the same on every node — so no member
+// is asked.
 func TestExplainPropagatesThroughCluster(t *testing.T) {
 	store := obs.NewTraceStore(obs.TraceStoreConfig{})
-	router, _ := newTracedCluster(t, store, nil)
+	router, reg := newTracedCluster(t, store, nil)
 
 	w := postRouter(t, router, "/v1/discover?explain=1", discoverBody(""))
 	if w.Code != 200 {
@@ -242,6 +238,13 @@ func TestExplainPropagatesThroughCluster(t *testing.T) {
 	}
 	if resp.Separator != "hr" {
 		t.Errorf("separator = %q, want hr", resp.Separator)
+	}
+	var exposition strings.Builder
+	if err := reg.WritePrometheus(&exposition); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(exposition.String(), "boundary_cluster_requests_total") {
+		t.Errorf("?explain=1 was routed to a member:\n%s", exposition.String())
 	}
 
 	// Byte-level conformance guard: the same request without explain must not

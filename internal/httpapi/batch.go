@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,10 +12,10 @@ import (
 	"time"
 )
 
-// MaxBatchDocuments bounds one batch request. The body-size limit already
+// maxBatchDocuments bounds one batch request. The body-size limit already
 // caps total bytes; this caps scheduling overhead from degenerate requests
 // with thousands of tiny documents.
-const MaxBatchDocuments = 256
+const maxBatchDocuments = 256
 
 // batchRequest is the /v1/discover/batch envelope: each document is a full
 // discover request, so per-document ontologies and separator lists work.
@@ -34,16 +35,15 @@ type batchError struct {
 	Code string `json:"code,omitempty"`
 }
 
-// BatchErrorItem encodes one per-document batch failure, as the single node
-// and the fleet router both write it.
-func BatchErrorItem(msg, code string) []byte {
+// batchErrorItem encodes one per-document batch failure.
+func batchErrorItem(msg, code string) []byte {
 	b, _ := json.Marshal(batchError{Error: msg, Code: code}) // two strings cannot fail
 	return b
 }
 
-// WriteBatch writes a 200 batch body from its encoded items, in order: each
+// writeBatch writes a 200 batch body from its encoded items, in order: each
 // a compact JSON object without a trailing newline.
-func WriteBatch(w http.ResponseWriter, items [][]byte) {
+func writeBatch(w http.ResponseWriter, items [][]byte) {
 	n := len(`{"results":[]}`) + len(items) + 1
 	for _, it := range items {
 		n += len(it)
@@ -67,7 +67,8 @@ const codeNotAttempted = "not_attempted"
 // handleDiscoverBatch fans a batch of documents across a bounded worker
 // pool (the EvaluateAllParallel shape: indexed tasks, results slotted by
 // position) and answers per-document results in input order. Each document
-// takes the same cache-then-pipeline path as /v1/discover. When the request
+// takes the same path as /v1/discover: on a fleet node it is forwarded in
+// bulk mode, otherwise it goes through the cache and pipeline. When the request
 // context ends mid-batch, dispatch stops immediately: already-running
 // documents finish (each sees the canceled context and fails fast), and
 // undispatched ones come back with Code "not_attempted".
@@ -86,9 +87,9 @@ func (s server) handleDiscoverBatch(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, errors.New("documents must be non-empty"))
 		return
 	}
-	if len(req.Documents) > MaxBatchDocuments {
+	if len(req.Documents) > maxBatchDocuments {
 		writeErr(w, http.StatusBadRequest,
-			fmt.Errorf("batch has %d documents, limit is %d", len(req.Documents), MaxBatchDocuments))
+			fmt.Errorf("batch has %d documents, limit is %d", len(req.Documents), maxBatchDocuments))
 		return
 	}
 
@@ -135,29 +136,30 @@ dispatch:
 
 	for i := range items {
 		if outcomes[i] == "" {
-			items[i] = BatchErrorItem("batch request ended before this document was attempted", codeNotAttempted)
+			items[i] = batchErrorItem("batch request ended before this document was attempted", codeNotAttempted)
 			outcomes[i] = codeNotAttempted
 		}
 		s.cfg.Metrics.Counter("boundary_batch_documents_total",
 			"Documents processed by the batch endpoint, by outcome.",
 			"outcome", outcomes[i]).Inc()
 	}
-	WriteBatch(w, items)
+	writeBatch(w, items)
 }
 
 // batchDocument answers one batch document: its discover body without the
-// newline, or an inline error item. A panic while computing it fails only
-// this document — the single-flight leader has already completed its call
-// before re-panicking, and nothing above a batch worker would recover it.
+// newline, or an inline error item (a member's error text on a fleet
+// node). A panic while computing it fails only this document — the
+// single-flight leader has already completed its call before re-panicking,
+// and nothing above a batch worker would recover it.
 func (s server) batchDocument(ctx context.Context, req *request) (item []byte, outcome string) {
 	defer func() {
 		if v := recover(); v != nil {
-			item, outcome = BatchErrorItem(fmt.Sprintf("discovery panicked: %v", v), ""), "error"
+			item, outcome = batchErrorItem(fmt.Sprintf("discovery panicked: %v", v), ""), "error"
 		}
 	}()
-	body, apiErr := s.discoverOne(ctx, req)
+	body, apiErr := s.discoverOne(ctx, req, nil, true)
 	if apiErr != nil {
-		return BatchErrorItem(apiErr.err.Error(), ""), "error"
+		return batchErrorItem(apiErr.err.Error(), ""), "error"
 	}
-	return body[:len(body)-1], "ok"
+	return bytes.TrimSuffix(body, []byte("\n")), "ok"
 }

@@ -81,7 +81,7 @@ func TestBatchValidation(t *testing.T) {
 	if resp, _ := post(t, srv, "/v1/discover/batch", map[string]any{"documents": []any{}}); resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("empty batch: status = %d, want 400", resp.StatusCode)
 	}
-	over := make([]map[string]any, MaxBatchDocuments+1)
+	over := make([]map[string]any, maxBatchDocuments+1)
 	for i := range over {
 		over[i] = map[string]any{"html": "<div><p>x</p></div>"}
 	}

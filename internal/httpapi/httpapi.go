@@ -112,6 +112,20 @@ type Config struct {
 	// bypass load shedding and the request timeout so a saturated replica
 	// keeps heartbeating. See docs/SCALING.md.
 	Membership *membership.Node
+	// Forward, if non-nil, makes this a fleet node's handler: every
+	// discover document (a /v1/discover request, one /v1/discover/batch
+	// document, one /v1/discover/stream line) goes to the member owning it
+	// instead of to this node's cache and pipeline. key is the document's
+	// RequestFingerprint and body its request envelope, which the callee
+	// may keep reading after the request ends; bulk selects the batch
+	// discipline (waiting for queue slots, retry passes) over the
+	// interactive one. The answer is the member's status and body, and
+	// attempts counts the routing passes. A non-nil err is a routing
+	// failure, answered 429 with Retry-After when status is 429 and 503
+	// otherwise. ?explain=1 is always answered here. cmd/serve passes
+	// (*cluster.Router).Forward; the router reaches this node's own share
+	// of the ring through Server.DiscoverLocal. See docs/SCALING.md.
+	Forward func(ctx context.Context, key [sha256.Size]byte, body []byte, bulk bool) (status int, resp []byte, attempts int, err error)
 }
 
 // server binds the handlers to one Config.
@@ -143,6 +157,7 @@ func NewHandler(cfg Config) http.Handler {
 type Server struct {
 	http.Handler
 	cache *resultCache
+	local server // the discover path with forwarding off
 }
 
 // Close flushes the server's durable state. Safe on a journal-less server.
@@ -158,7 +173,7 @@ func NewServer(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := server{cfg: cfg, cache: cache}
+	s := server{cfg: cfg, cache: cache, onts: &ontology.Cache{MaxBytes: ontologyCacheBytes}}
 	if cfg.MaxInFlight > 0 {
 		s.inflight = make(chan struct{}, cfg.MaxInFlight)
 	}
@@ -177,7 +192,28 @@ func NewServer(cfg Config) (*Server, error) {
 	// Shedding sits inside the observability middleware so shed requests
 	// still show up in the request log and the per-route HTTP metrics.
 	h := obs.Middleware(s.limit(mux), cfg.Logger, cfg.Metrics, route, tracing)
-	return &Server{Handler: h, cache: cache}, nil
+	local := s
+	local.cfg.Forward = nil
+	return &Server{Handler: h, cache: cache, local: local}, nil
+}
+
+// DiscoverLocal answers one /v1/discover request body from this node's
+// own result cache and pipeline, even when Config.Forward is set: it is the
+// fleet router's direct call into the node's share of the ring. It returns
+// the status and body /v1/discover would write. No middleware runs, so the
+// document is counted and logged once, by the request that carried it,
+// and its spans land on the trace in ctx.
+func (s *Server) DiscoverLocal(ctx context.Context, body []byte) (status int, resp []byte) {
+	buf := requestBuffers.Get().(*requestBuffer)
+	req, apiErr := decodeEnvelope(&buf.dec, body, nil)
+	requestBuffers.Put(buf)
+	if apiErr == nil {
+		resp, apiErr = s.local.discoverOne(ctx, req, nil, false)
+	}
+	if apiErr != nil {
+		return apiErr.status, errorJSON(apiErr.err)
+	}
+	return http.StatusOK, resp
 }
 
 // limit wraps next with the serving-layer protections for /v1/ routes: a
@@ -203,7 +239,6 @@ func (s server) limit(next http.Handler) http.Handler {
 			default:
 				s.cfg.Metrics.Counter("boundary_requests_shed_total",
 					"Requests rejected with 429 because the in-flight limit was saturated.").Inc()
-				w.Header().Set("Retry-After", "1")
 				writeErr(w, http.StatusTooManyRequests,
 					fmt.Errorf("server is at its in-flight limit of %d requests; retry shortly", cap(s.inflight)))
 				return
@@ -222,11 +257,10 @@ func (s server) limit(next http.Handler) http.Handler {
 // observability endpoints — the pre-observability surface, kept for embedders
 // that bring their own. Most callers want NewHandler.
 func NewServeMux() *http.ServeMux {
-	return newMux(server{})
+	return newMux(server{onts: &ontology.Cache{MaxBytes: ontologyCacheBytes}})
 }
 
 func newMux(s server) *http.ServeMux {
-	s.onts = &ontology.Cache{MaxBytes: ontologyCacheBytes}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/discover", s.handleDiscover)
 	mux.HandleFunc("POST /v1/discover/batch", s.handleDiscoverBatch)
@@ -291,32 +325,45 @@ func writeBody(w http.ResponseWriter, body []byte) {
 	_, _ = w.Write(body)
 }
 
+// writeErr writes the uniform error body; a 429 tells the client to retry
+// in a second.
 func writeErr(w http.ResponseWriter, status int, err error) {
+	if status == http.StatusTooManyRequests {
+		w.Header().Set("Retry-After", "1")
+	}
 	writeJSON(w, status, errorBody{Error: err.Error()})
+}
+
+// errorJSON encodes the uniform error body, newline included.
+func errorJSON(err error) []byte {
+	b, _ := json.Marshal(errorBody{Error: err.Error()}) // one string cannot fail
+	return append(b, '\n')
 }
 
 // decodeJSON parses a JSON body into v with the body limit applied,
 // answering 400 on malformed input and 413 when the body exceeds
 // MaxBodyBytes. Reports whether decoding succeeded.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	return decodeJSONFrom(w, http.MaxBytesReader(w, r.Body, MaxBodyBytes), v)
+	if apiErr := decodeJSONFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes), v); apiErr != nil {
+		writeErr(w, apiErr.status, apiErr.err)
+		return false
+	}
+	return true
 }
 
-// decodeJSONFrom is decodeJSON over an already limited body reader.
-func decodeJSONFrom(w http.ResponseWriter, body io.Reader, v any) bool {
+// decodeJSONFrom decodes v from an already limited body reader.
+func decodeJSONFrom(body io.Reader, v any) *apiError {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		var maxErr *http.MaxBytesError
 		if errors.As(err, &maxErr) {
-			writeErr(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds the %d-byte limit", maxErr.Limit))
-			return false
+			return &apiError{http.StatusRequestEntityTooLarge,
+				fmt.Errorf("request body exceeds the %d-byte limit", maxErr.Limit)}
 		}
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return false
+		return &apiError{http.StatusBadRequest, fmt.Errorf("bad request body: %w", err)}
 	}
-	return true
+	return nil
 }
 
 // requestBuffer is a pooled body buffer plus the envelope decoder's
@@ -333,14 +380,10 @@ var requestBuffers = sync.Pool{New: func() any { return new(requestBuffer) }}
 const maxPooledBody = 1 << 20
 
 // decode parses the shared request envelope. It reads the body, under the
-// MaxBodyBytes limit, into a pooled buffer and tries the envelope decoder's
-// fast path. Anything the fast path does not take goes to encoding/json
-// over the same bytes, followed by the read error if there was one (an
-// oversized body's *http.MaxBytesError included), so the reply is what
-// decodeJSON gives: a first object that ends inside the limit still
-// decodes, trailing bytes are ignored, and an overflow inside the object
-// answers 413.
-func decode(w http.ResponseWriter, r *http.Request) (*request, bool) {
+// MaxBodyBytes limit, into a pooled buffer and decodes it with
+// decodeEnvelope. keep returns a copy of the body as well: the pooled
+// buffer is reused as soon as decode returns.
+func decode(w http.ResponseWriter, r *http.Request, keep bool) (req *request, body []byte, ok bool) {
 	buf := requestBuffers.Get().(*requestBuffer)
 	defer func() {
 		if buf.body.Cap() <= maxPooledBody {
@@ -352,21 +395,39 @@ func decode(w http.ResponseWriter, r *http.Request) (*request, bool) {
 		buf.body.Grow(int(n) + bytes.MinRead)
 	}
 	_, err := buf.body.ReadFrom(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
-	body := buf.body.Bytes()
-	if err == nil {
-		if html, xml, ont, seps, ok := buf.dec.Request(body); ok {
-			return &request{HTML: html, XML: xml, Ontology: ont, SeparatorList: seps}, true
+	req, apiErr := decodeEnvelope(&buf.dec, buf.body.Bytes(), err)
+	if apiErr != nil {
+		writeErr(w, apiErr.status, apiErr.err)
+		return nil, nil, false
+	}
+	if keep {
+		body = bytes.Clone(buf.body.Bytes())
+	}
+	return req, body, true
+}
+
+// decodeEnvelope decodes a request envelope from a body read whole; readErr
+// is the error the read stopped on, if any. It tries the envelope decoder's
+// fast path. Anything the fast path does not take goes to encoding/json
+// over the same bytes, followed by readErr (an oversized body's
+// *http.MaxBytesError included), so the reply is what decodeJSON gives: a
+// first object that ends inside the limit still decodes, trailing bytes are
+// ignored, and an overflow inside the object answers 413.
+func decodeEnvelope(dec *pipeline.EnvelopeDecoder, body []byte, readErr error) (*request, *apiError) {
+	if readErr == nil {
+		if html, xml, ont, seps, ok := dec.Request(body); ok {
+			return &request{HTML: html, XML: xml, Ontology: ont, SeparatorList: seps}, nil
 		}
 	}
 	replay := io.Reader(bytes.NewReader(body))
-	if err != nil {
-		replay = io.MultiReader(replay, errReader{err})
+	if readErr != nil {
+		replay = io.MultiReader(replay, errReader{readErr})
 	}
 	var req request
-	if !decodeJSONFrom(w, replay, &req) {
-		return nil, false
+	if apiErr := decodeJSONFrom(replay, &req); apiErr != nil {
+		return nil, apiErr
 	}
-	return &req, true
+	return &req, nil
 }
 
 // errReader replays a body read error after the bytes read before it.
@@ -435,8 +496,11 @@ func pipelineError(err error) *apiError {
 // of /v1/discover/batch. Concurrent identical requests are deduplicated:
 // one leader computes while followers wait on its result (see
 // resultCache.join), so a thundering herd for a hot document costs one
-// pipeline run instead of N.
-func (s server) discoverOne(ctx context.Context, req *request) ([]byte, *apiError) {
+// pipeline run instead of N. With Config.Forward set the document goes to
+// the member owning it before the cache is consulted, so an entry node
+// caches nothing it forwards; envelope is the request's body, or nil to
+// encode one from req, and bulk is passed on to Forward.
+func (s server) discoverOne(ctx context.Context, req *request, envelope []byte, bulk bool) ([]byte, *apiError) {
 	if (req.HTML == "") == (req.XML == "") {
 		return nil, &apiError{http.StatusBadRequest,
 			errors.New("exactly one of html or xml is required")}
@@ -444,6 +508,13 @@ func (s server) discoverOne(ctx context.Context, req *request) ([]byte, *apiErro
 	mode, doc := "html", req.HTML
 	if req.XML != "" {
 		mode, doc = "xml", req.XML
+	}
+	if s.cfg.Forward != nil {
+		if envelope == nil {
+			envelope, _ = json.Marshal(req) // strings only; cannot fail
+		}
+		body, _, apiErr := s.forward(ctx, RequestFingerprint(mode, doc, req.Ontology, req.SeparatorList), envelope, bulk)
+		return body, apiErr
 	}
 	if s.cache == nil {
 		body, _, apiErr := s.computeDiscover(ctx, mode, doc, req)
@@ -474,6 +545,28 @@ func (s server) discoverOne(ctx context.Context, req *request) ([]byte, *apiErro
 			return nil, pipelineError(ctx.Err())
 		}
 	}
+}
+
+// forward sends one discover document to the member owning key through
+// Config.Forward. The member's 200 body comes back verbatim; a member's
+// error keeps its status and text; a routing failure answers 429 or 503 as
+// the router chose.
+func (s server) forward(ctx context.Context, key [sha256.Size]byte, envelope []byte, bulk bool) (body []byte, attempts int, apiErr *apiError) {
+	status, resp, attempts, err := s.cfg.Forward(ctx, key, envelope, bulk)
+	switch {
+	case err != nil:
+		if status != http.StatusTooManyRequests {
+			status = http.StatusServiceUnavailable
+		}
+		return nil, attempts, &apiError{status, err}
+	case status != http.StatusOK:
+		var e errorBody
+		if json.Unmarshal(resp, &e) != nil || e.Error == "" {
+			e.Error = fmt.Sprintf("peer answered status %d", status)
+		}
+		return nil, attempts, &apiError{status, errors.New(e.Error)}
+	}
+	return resp, attempts, nil
 }
 
 // lead computes key's result as the single-flight leader and publishes it
@@ -608,7 +701,7 @@ func (s server) templatedOptions(opts *core.Options, mode, ontologySrc string, s
 }
 
 func (s server) handleDiscover(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode(w, r)
+	req, envelope, ok := decode(w, r, s.cfg.Forward != nil)
 	if !ok {
 		return
 	}
@@ -616,7 +709,7 @@ func (s server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 		s.handleDiscoverExplain(w, r, req)
 		return
 	}
-	body, apiErr := s.discoverOne(r.Context(), req)
+	body, apiErr := s.discoverOne(r.Context(), req, envelope, false)
 	if apiErr != nil {
 		writeErr(w, apiErr.status, apiErr.err)
 		return
@@ -629,8 +722,10 @@ func (s server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 // attached to the response and the request's trace. It bypasses the result
 // cache and the in-flight dedup on purpose — the plain path must stay
 // byte-identical across cluster and single-node serving, and an explain
-// response cached for a plain request (or vice versa) would break that. The
-// explanation is spliced in as the body's last field, "explain".
+// response cached for a plain request (or vice versa) would break that. A
+// fleet node answers it itself, never forwarding: it is uncached and the
+// same on every node. The explanation is spliced in as the body's last
+// field, "explain".
 func (s server) handleDiscoverExplain(w http.ResponseWriter, r *http.Request, req *request) {
 	if (req.HTML == "") == (req.XML == "") {
 		writeErr(w, http.StatusBadRequest,
@@ -677,7 +772,7 @@ type recordBody struct {
 }
 
 func (s server) handleRecords(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode(w, r)
+	req, _, ok := decode(w, r, false)
 	if !ok {
 		return
 	}
@@ -712,7 +807,7 @@ func (s server) handleRecords(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s server) handleExtract(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode(w, r)
+	req, _, ok := decode(w, r, false)
 	if !ok {
 		return
 	}
@@ -752,7 +847,7 @@ func (s server) handleExtract(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	req, ok := decode(w, r)
+	req, _, ok := decode(w, r, false)
 	if !ok {
 		return
 	}

@@ -1,6 +1,9 @@
 package httpapi
 
 import (
+	"context"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"time"
 
@@ -26,6 +29,10 @@ import (
 // The response status is committed (200) before the first document is
 // processed — per-document failures are in-band, and a broken input stream
 // surfaces as an error line followed by end-of-stream.
+//
+// On a fleet node (Config.Forward set) each task goes to the member owning
+// it in bulk mode; the outcome line is the one the member's engine would
+// have written, with "attempts" counting the routing passes.
 func (s server) handleDiscoverStream(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() {
@@ -33,14 +40,18 @@ func (s server) handleDiscoverStream(w http.ResponseWriter, r *http.Request) {
 			"Wall-clock duration of one /v1/discover/stream request.", nil).
 			Observe(time.Since(start).Seconds())
 	}()
-	eng := pipeline.New(pipeline.Config{
+	cfg := pipeline.Config{
 		Workers:   s.cfg.BatchWorkers,
 		Metrics:   s.cfg.Metrics,
 		Trace:     obs.TraceFrom(r.Context()),
 		Limits:    s.cfg.Limits,
 		Faults:    s.cfg.Faults,
 		Templates: s.cfg.Templates,
-	})
+	}
+	if s.cfg.Forward != nil {
+		cfg.Forward = s.forwardTask
+	}
+	eng := pipeline.New(cfg)
 	var flush func()
 	if f, ok := w.(http.Flusher); ok {
 		flush = f.Flush
@@ -62,4 +73,27 @@ func (s server) handleDiscoverStream(w http.ResponseWriter, r *http.Request) {
 	if _, err := eng.Run(r.Context(), src, sink, nil); err != nil && r.Context().Err() == nil {
 		_, _, _ = sink.Write(&pipeline.Outcome{Seq: -1, Error: "stream aborted: " + err.Error()})
 	}
+}
+
+// forwardTask is the stream engine's per-task hook on a fleet node: the
+// task's envelope goes to the member owning it in bulk mode, and the
+// member's body becomes the outcome's result fields.
+func (s server) forwardTask(ctx context.Context, t *pipeline.Task) (pipeline.Result, int, error) {
+	req := request{Ontology: t.Ontology, SeparatorList: t.SeparatorList}
+	if t.Mode == "xml" {
+		req.XML = t.Doc
+	} else {
+		req.HTML = t.Doc
+	}
+	envelope, _ := json.Marshal(&req) // strings only; cannot fail
+	key := RequestFingerprint(t.Mode, t.Doc, t.Ontology, t.SeparatorList)
+	body, attempts, apiErr := s.forward(ctx, key, envelope, true)
+	if apiErr != nil {
+		return pipeline.Result{}, attempts, apiErr.err
+	}
+	var res pipeline.Result
+	if err := json.Unmarshal(body, &res); err != nil {
+		return pipeline.Result{}, attempts, fmt.Errorf("undecodable member response: %w", err)
+	}
+	return res, attempts, nil
 }

@@ -282,17 +282,6 @@ func (t *Trace) StartSpan(name string) *Span {
 	return s
 }
 
-// StartSpanUnder is StartSpan with an explicit parent span, for nesting one
-// stage under another (a peer hop under the route decision, say). A nil
-// parent nests under the fragment root.
-func (t *Trace) StartSpanUnder(parent *Span, name string) *Span {
-	s := t.StartSpan(name)
-	if s != nil && parent != nil {
-		s.Parent = parent.ID
-	}
-	return s
-}
-
 // Add records an already-timed span — for stages whose duration was measured
 // elsewhere. attrs are alternating key, value strings.
 func (t *Trace) Add(name string, d time.Duration, attrs ...string) {

@@ -62,9 +62,9 @@ func (p RetryPolicy) Attempts() int {
 }
 
 // Backoff returns the jittered sleep before the given retry (attempt is the
-// 1-based attempt that just failed). It is exported so other fan-out layers —
-// the cluster router rerouting a document to another peer — share the bulk
-// engine's backoff shape instead of growing their own.
+// 1-based attempt that just failed). It is exported so the fleet router's
+// retry passes share the bulk engine's backoff shape instead of growing
+// their own.
 func (p RetryPolicy) Backoff(seq, attempt int) time.Duration {
 	base := p.BaseDelay
 	if base <= 0 {
@@ -117,6 +117,12 @@ type Config struct {
 	// templates pays full discovery once per template (per option set)
 	// and serves the rest from the store. See docs/WRAPPER.md.
 	Templates *template.Store
+	// Forward, if non-nil, answers each well-formed task in place of the
+	// engine's own discovery: a fleet node's /v1/discover/stream forwards
+	// the task to the member owning it. attempts > 1 is recorded on the
+	// outcome and a non-nil err fails the document inline; Retry and
+	// AttemptTimeout do not apply (the forwarder retries on its own).
+	Forward func(ctx context.Context, t *Task) (res Result, attempts int, err error)
 }
 
 // Stats summarizes one Run.
@@ -337,6 +343,21 @@ func (e *Engine) process(ctx context.Context, t *Task, retries *atomic.Int64, ar
 	}
 	if t.Mode != "html" && t.Mode != "xml" {
 		o.Error = fmt.Sprintf("unknown document mode %q", t.Mode)
+		return o
+	}
+	if e.cfg.Forward != nil {
+		res, attempts, err := e.cfg.Forward(ctx, t)
+		switch {
+		case ctx.Err() != nil:
+			o.canceled = true
+		case err != nil:
+			o.Error = err.Error()
+		default:
+			o.Result = res
+		}
+		if attempts > 1 {
+			o.Attempts = attempts
+		}
 		return o
 	}
 	ont, err := e.onts.Resolve(t.Ontology)

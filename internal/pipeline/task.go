@@ -34,16 +34,8 @@ type Task struct {
 	invalid error
 }
 
-// Invalid returns the task's per-line input error (malformed JSON, oversized
-// line, bad envelope), or nil for a well-formed task. Surfaces that consume
-// Sources directly — the cluster router's stream path — use it to emit the
-// same inline error the bulk engine would.
-func (t *Task) Invalid() error { return t.invalid }
-
 // TaskID returns the task's label, defaulting to its sequence position
-// ("doc-<seq>"). Every surface that emits Outcomes — the bulk engine and the
-// cluster router's stream path — must use this so identical inputs produce
-// identical output bytes.
+// ("doc-<seq>").
 func (t *Task) TaskID() string {
 	if t.ID != "" {
 		return t.ID
