@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test testshort race shuffle cover cover-pipeline cover-eval bench bench-smoke bench-gate throughput-gate evalrun quality-gate cluster obs-smoke wrapper-smoke membership-smoke fuzz chaos experiments corpus examples clean
+.PHONY: all build test testshort race race-repeat shuffle cover cover-pipeline cover-eval bench bench-smoke bench-gate throughput-gate evalrun quality-gate cluster obs-smoke wrapper-smoke membership-smoke fuzz chaos experiments corpus examples clean
 
 all: build test
 
@@ -20,6 +20,13 @@ testshort:
 # registry and HTTP middleware are exercised concurrently by their tests.
 race:
 	$(GO) test -race ./...
+
+# Repeated race runs put the metrics exposition, the pooled recognizer
+# scratch, the pooled parse arenas, the LRU and the result cache's single
+# flight through many interleavings before merge. CI runs this.
+race-repeat:
+	$(GO) test -race -count=5 ./internal/obs/ ./internal/recognizer/ ./internal/tagtree/ ./internal/htmlparse/ ./internal/lru/
+	$(call go_test_run,-race -count=5,Cache|Singleflight,./internal/httpapi/)
 
 # Shuffled double run: catches inter-test ordering dependencies and
 # leftover-state bugs that a fixed order hides. CI runs this on every push.
@@ -170,9 +177,11 @@ wrapper-smoke:
 # Gossip-membership smoke (see docs/SCALING.md): boots a three-node
 # gossip fleet on ephemeral ports, proves every node answers byte-identical
 # to a single node, kills one node, restarts it under the same name, and
-# requires it to rejoin warm — wrapper state pulled from a neighbor, result
-# cache replayed from its journal. Plus the membership/state-transfer unit
-# suites and the root churn-conformance layer, all under -race.
+# requires it to rejoin warm — its wrapper store reloaded from its journal
+# and pulled from a neighbor, so the documents it owns are answered off the
+# template fast path without a single template miss. Plus the
+# membership/state-transfer unit suites and the root churn-conformance
+# layer, all under -race.
 membership-smoke:
 	$(call go_test_run,-race -v,TestMembershipSmoke,./cmd/serve/)
 	$(GO) test -race ./internal/membership/

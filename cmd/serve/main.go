@@ -6,7 +6,7 @@
 // Usage:
 //
 //	serve -addr :8080 [-ops-addr :6060] [-shutdown-timeout 10s]
-//	      [-cache-size 1024] [-cache-journal path] [-batch-parallelism 0]
+//	      [-cache-size 1024] [-batch-parallelism 0]
 //	      [-max-inflight 0] [-request-timeout 0]
 //	      [-max-doc-bytes 0] [-max-tree-depth 0] [-max-nodes 0]
 //	      [-node-name name] [-join addr,addr,...] [-advertise host:port]
@@ -28,10 +28,9 @@
 // profiling is never exposed on the service port; empty disables it.
 //
 // -cache-size bounds the LRU result cache for /v1/discover and
-// /v1/discover/batch (entries, not bytes); 0 disables caching.
-// -cache-journal makes that cache durable: puts and evictions are appended
-// to an NDJSON journal at the path and replayed on startup, so a restarted
-// replica answers its first requests warm (requires -cache-size > 0).
+// /v1/discover/batch (entries, not bytes); 0 disables caching. The cache
+// is memory-only: a restarted node starts it empty, and its -wrapper-store
+// answers every document of a known shape off the template fast path.
 // -batch-parallelism caps the worker pool draining one batch request;
 // 0 means GOMAXPROCS.
 //
@@ -132,8 +131,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		"how long to drain in-flight requests on SIGINT/SIGTERM")
 	cacheSize := fs.Int("cache-size", 1024,
 		"max entries in the discovery result cache; 0 disables caching")
-	cacheJournal := fs.String("cache-journal", "",
-		"path of the result-cache journal: puts/evictions are appended and replayed on restart so the cache survives; empty keeps the cache memory-only")
 	batchParallelism := fs.Int("batch-parallelism", 0,
 		"workers per /v1/discover/batch request; 0 means GOMAXPROCS")
 	maxInflight := fs.Int("max-inflight", 0,
@@ -354,18 +351,16 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 
 		// The node's server: the full single-node service plus the gossip
-		// surface, with -cache-journal the durable result cache, and every
-		// discover document forwarded through the router.
+		// surface, with every discover document forwarded through the
+		// router.
 		selfCfg := apiCfg
 		selfCfg.Service = *nodeName
-		selfCfg.CacheJournal = *cacheJournal
 		selfCfg.Membership = node
 		selfCfg.Forward = router.Forward
 		selfSrv, err = httpapi.NewServer(selfCfg)
 		if err != nil {
-			return fmt.Errorf("-cache-journal: %w", err)
+			return err
 		}
-		defer selfSrv.Close()
 
 		// Other members are warmed through the publisher, which POSTs each
 		// locally-learned wrapper entry to their /v1/template/publish
@@ -415,14 +410,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		fmt.Fprintf(out, "membership: node %s advertising %s (%d seeds)\n",
 			*nodeName, advertiseAddr, len(seeds))
 	} else {
-		singleCfg := apiCfg
-		singleCfg.CacheJournal = *cacheJournal
-		single, err := httpapi.NewServer(singleCfg)
-		if err != nil {
-			return fmt.Errorf("-cache-journal: %w", err)
-		}
-		defer single.Close()
-		handler = single
+		handler = httpapi.NewHandler(apiCfg)
 	}
 
 	srv := &http.Server{

@@ -24,7 +24,7 @@ type memberNode struct {
 }
 
 // startMemberNode boots one node of a gossip-managed fleet on an ephemeral
-// port, with its wrapper store and cache journal rooted in dir.
+// port, with its wrapper store rooted in dir.
 func startMemberNode(t *testing.T, name, dir string, seeds ...string) *memberNode {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -34,7 +34,6 @@ func startMemberNode(t *testing.T, name, dir string, seeds ...string) *memberNod
 		"-node-name", name,
 		"-gossip-interval", "25ms",
 		"-wrapper-store", filepath.Join(dir, "wrappers.ndjson"),
-		"-cache-journal", filepath.Join(dir, "cache.ndjson"),
 		"-warmup-timeout", "5s",
 		"-shutdown-timeout", "2s",
 	}
@@ -137,7 +136,7 @@ func metricValue(t *testing.T, addr, metric string) float64 {
 // nodes (each warming its wrapper store from the fleet before serving),
 // prove every node answers byte-identically, then kill one node and restart
 // it under the same name — it must rejoin, refute its stale record, come
-// back warm from its cache journal, and answer the same bytes again.
+// back warm from its wrapper store, and answer the same bytes again.
 func TestMembershipSmoke(t *testing.T) {
 	docs := make([]string, 12)
 	for i := range docs {
@@ -152,8 +151,8 @@ func TestMembershipSmoke(t *testing.T) {
 	fleet := []*memberNode{a, b, c}
 	waitServing(t, fleet, 3)
 
-	// Reference pass through the seed: learns the wrapper, fills the owner
-	// replicas' caches (and their journals).
+	// Reference pass through the seed: learns the wrapper (journaled in each
+	// node's store, published to the others) and fills the owners' caches.
 	reference := make(map[string]string, len(docs))
 	for _, doc := range docs {
 		code, body := post(t, "http://"+a.addr+"/v1/discover", doc)
@@ -188,8 +187,9 @@ func TestMembershipSmoke(t *testing.T) {
 		}
 	}
 
-	// Restart under the same name: rejoin (refuting the stale record), warm
-	// the wrapper store from a neighbor, and replay the cache journal.
+	// Restart under the same name: rejoin (refuting the stale record) and
+	// warm the wrapper store from its journal and a neighbor. The result
+	// cache starts empty.
 	b2 := startMemberNode(t, "node-b", dirB, a.addr)
 	pulled := waitFor(t, b2.buf, `warmup: (\d+) templates pulled`)
 	if n, _ := strconv.Atoi(pulled); n < 1 {
@@ -205,10 +205,15 @@ func TestMembershipSmoke(t *testing.T) {
 				code, body, reference[doc])
 		}
 	}
-	// The documents node-b owns were answered from its replayed journal:
-	// its result cache was hit without a single miss-and-recompute first.
-	if hits := metricValue(t, b2.addr, "boundary_cache_hits_total"); hits < 1 {
-		t.Errorf("restarted node-b served %v cache hits, want >= 1 (journal replay should warm it)", hits)
+	// The documents node-b owns missed its empty result cache and were
+	// answered off the template fast path: the wrapper store brought it back
+	// warm, and no document it computed ran the heuristics for want of a
+	// wrapper.
+	if hits := metricValue(t, b2.addr, "boundary_template_hits_total"); hits < 1 {
+		t.Errorf("restarted node-b served %v template hits, want >= 1 (its wrapper store should warm it)", hits)
+	}
+	if misses := metricValue(t, b2.addr, "boundary_template_misses_total"); misses != 0 {
+		t.Errorf("restarted node-b had %v template misses, want 0", misses)
 	}
 
 	for _, node := range fleet {

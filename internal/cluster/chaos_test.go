@@ -11,14 +11,18 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/httpapi"
 	"repro/internal/paperdoc"
 	"repro/internal/pipeline"
 )
@@ -204,5 +208,76 @@ func TestRouteHookFires(t *testing.T) {
 	}
 	if w := postRouter(t, router, "/v1/discover", discoverBody("")); w.Code != http.StatusOK {
 		t.Errorf("after fault consumed: %d", w.Code)
+	}
+}
+
+// TestForwardedDocumentAnsweredByReceiver: a three-member fleet over real
+// HTTP, each member's handler forwarding through its own router. The
+// document enters at the member that is neither its owner nor its ring
+// successor; the owner's discovery stalls, so the entry's hedge goes to the
+// successor. The successor must answer the hedge itself: routing it on to
+// the stalled owner would ask the owner twice and make the hedge wait on
+// the owner's second answer.
+func TestForwardedDocumentAnsweredByReceiver(t *testing.T) {
+	names := []string{"m0", "m1", "m2"}
+	order := newRing(names).order(discoverKey(""))
+	owner, successor, entry := order[0], order[1], order[2]
+
+	servers := make([]*httptest.Server, len(names))
+	urls := make([]string, len(names))
+	for i := range names {
+		servers[i] = httptest.NewUnstartedServer(nil)
+		urls[i] = "http://" + servers[i].Listener.Addr().String()
+	}
+	faults := make([]*faultinject.Set, len(names))
+	for i, name := range names {
+		faults[i] = faultinject.New()
+		var node *httpapi.Server
+		var peers []Peer
+		for j, peer := range names {
+			if j == i {
+				peers = append(peers, NewLocalPeer(name, func(ctx context.Context, body []byte) (int, []byte) {
+					return node.DiscoverLocal(ctx, body)
+				}, nil))
+			} else {
+				peers = append(peers, NewHTTPPeer(peer, urls[j], nil))
+			}
+		}
+		r, err := NewRouter(Config{Peers: peers, HedgeAfter: 50 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		node = newNode(t, httpapi.Config{CacheSize: 64, Faults: faults[i], Forward: r.Forward})
+		servers[i].Config.Handler = node
+		servers[i].Start()
+		t.Cleanup(servers[i].Close)
+	}
+	// Far longer than the test: the hedge's answer cancels the stall.
+	faults[owner].Inject("httpapi/discover", faultinject.Fault{Delay: 30 * time.Second, Times: 1})
+
+	resp, err := http.Post(urls[entry]+"/v1/discover", "application/json", strings.NewReader(discoverBody("")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d: %s", resp.StatusCode, got)
+	}
+	single := postRouter(t, httpapi.NewHandler(httpapi.Config{}), "/v1/discover", discoverBody(""))
+	if !bytes.Equal(got, single.Body.Bytes()) {
+		t.Errorf("fleet answer differs from a single node's:\n got %s\nwant %s", got, single.Body)
+	}
+	if n := faults[owner].Fired("httpapi/discover"); n != 1 {
+		t.Errorf("owner %s ran discovery %d times, want 1 (the hedge must not be routed back to it)", names[owner], n)
+	}
+	if n := faults[successor].Fired("httpapi/discover"); n != 1 {
+		t.Errorf("successor %s ran discovery %d times, want 1 (it answers the hedge)", names[successor], n)
+	}
+	if n := faults[entry].Fired("httpapi/discover"); n != 0 {
+		t.Errorf("entry %s ran discovery %d times, want 0 (it owns no share of this document)", names[entry], n)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/httpapi"
 	"repro/internal/obs"
 )
 
@@ -65,15 +66,19 @@ func NewHTTPPeer(name, baseURL string, client *http.Client) *HTTPPeer {
 func (p *HTTPPeer) Name() string { return p.name }
 
 // Do posts body to the peer's /v1/discover and reads the whole response.
-// When the context carries a span context (the router's hop span), it is
-// injected as a W3C traceparent header so the peer's trace fragment joins
-// the same trace.
+// The request carries httpapi.ForwardedHeader, so the peer answers it from
+// its own cache and pipeline instead of routing it again: a hedge or
+// reroute sent to a ring successor is answered by that successor. When the
+// context carries a span context (the router's hop span), it is injected as
+// a W3C traceparent header so the peer's trace fragment joins the same
+// trace.
 func (p *HTTPPeer) Do(ctx context.Context, body []byte) (int, []byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.base+"/v1/discover", bytes.NewReader(body))
 	if err != nil {
 		return 0, nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(httpapi.ForwardedHeader, "1")
 	if sc := obs.SpanContextFromContext(ctx); sc.Valid() {
 		req.Header.Set(obs.TraceparentHeader, sc.Header())
 	}

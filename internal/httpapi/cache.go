@@ -3,15 +3,9 @@ package httpapi
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
-	"encoding/json"
-	"errors"
-	"fmt"
 	"sync"
 	"unsafe"
 
-	"repro/internal/faultinject"
-	"repro/internal/journal"
 	"repro/internal/lru"
 	"repro/internal/obs"
 )
@@ -26,27 +20,15 @@ import (
 // It also deduplicates in-flight computations (singleflight): while one
 // request is computing a key, identical requests join its inflightCall and
 // wait for the shared result instead of running the pipeline again.
-// With a journal path the cache is durable: every put and capacity eviction
-// is appended to an NDJSON journal (the same torn-tail-tolerant, compacting
-// machinery behind the wrapper store), so a restarted replica replays its
-// memory and serves its first requests warm instead of stampeding the
-// heuristics. A journal line carries the cached body verbatim as its
-// "resp" object, so the journaled round trip is byte-identical by
-// construction.
+// The cache lives in memory only: a restarted node starts it empty and is
+// brought back warm by its wrapper store (Config.Templates), which answers
+// every document of a known shape without running the heuristics.
 type resultCache struct {
 	c       *lru.Cache[[sha256.Size]byte, []byte]
 	metrics *obs.Registry
-	journal *journal.Journal // nil when memory-only
 
 	mu       sync.Mutex
 	inflight map[[sha256.Size]byte]*inflightCall
-}
-
-// cacheLine is the journaled wire form of one cached result:
-// {"key":"<hex>","resp":<the body without its newline>}.
-type cacheLine struct {
-	Key  string          `json:"key"` // hex request fingerprint
-	Resp json.RawMessage `json:"resp"`
 }
 
 // inflightCall is one in-progress computation that followers wait on. done
@@ -60,109 +42,16 @@ type inflightCall struct {
 
 // newResultCache returns a cache holding up to size responses, or nil when
 // size is not positive (caching disabled). Hit/miss/eviction counters and a
-// resident-entry gauge are filed under boundary_cache_* in metrics. A
-// non-empty journalPath makes the cache durable: the journal is replayed
-// into the cache before it sees traffic, and corruption before the final
-// line refuses to open (wrapping journal.ErrCorrupt).
-func newResultCache(size int, journalPath string, metrics *obs.Registry, faults *faultinject.Set) (*resultCache, error) {
+// resident-entry gauge are filed under boundary_cache_* in metrics.
+func newResultCache(size int, metrics *obs.Registry) *resultCache {
 	if size <= 0 {
-		if journalPath != "" {
-			return nil, errors.New("httpapi: a cache journal requires a result cache (CacheSize > 0)")
-		}
-		return nil, nil
+		return nil
 	}
-	rc := &resultCache{
+	return &resultCache{
 		c:        lru.New[[sha256.Size]byte, []byte](size),
 		metrics:  metrics,
 		inflight: make(map[[sha256.Size]byte]*inflightCall),
 	}
-	if journalPath == "" {
-		return rc, nil
-	}
-	j, err := journal.Open(journal.Config{
-		Path:     journalPath,
-		Snapshot: rc.snapshot,
-		Faults:   faults,
-	}, rc.applyPut, rc.applyEvict)
-	if err != nil {
-		return nil, err
-	}
-	rc.journal = j
-	rc.metrics.Gauge("boundary_cache_entries",
-		"Result-cache entries currently resident.").Set(float64(rc.c.Len()))
-	return rc, nil
-}
-
-// applyPut replays one journaled result into the cache. The journal wrote
-// resp as the compact body, so the replayed body is the bytes first served.
-func (rc *resultCache) applyPut(put json.RawMessage) error {
-	var ln cacheLine
-	if err := json.Unmarshal(put, &ln); err != nil {
-		return err
-	}
-	key, err := parseCacheKey(ln.Key)
-	if err != nil {
-		return err
-	}
-	if len(ln.Resp) == 0 || ln.Resp[0] != '{' {
-		return errors.New("cache line missing response")
-	}
-	body := append(ln.Resp, '\n')
-	rc.c.Add(key, body[:len(body):len(body)])
-	return nil
-}
-
-// applyEvict replays one journaled eviction.
-func (rc *resultCache) applyEvict(key string) error {
-	k, err := parseCacheKey(key)
-	if err != nil {
-		return err
-	}
-	rc.c.Remove(k)
-	return nil
-}
-
-// snapshot emits the live cache for journal compaction, least recently used
-// first so a replay reproduces the recency order.
-func (rc *resultCache) snapshot() []json.RawMessage {
-	items := rc.c.Items()
-	out := make([]json.RawMessage, 0, len(items))
-	for _, it := range items {
-		out = append(out, appendCacheLine(nil, it.Key, it.Value))
-	}
-	return out
-}
-
-// appendCacheLine appends the journal payload for one cached body.
-func appendCacheLine(dst []byte, key [sha256.Size]byte, body []byte) []byte {
-	dst = append(dst, `{"key":"`...)
-	dst = hex.AppendEncode(dst, key[:])
-	dst = append(dst, `","resp":`...)
-	dst = append(dst, body[:len(body)-1]...)
-	return append(dst, '}')
-}
-
-// parseCacheKey decodes a hex fingerprint back into the cache key.
-func parseCacheKey(s string) ([sha256.Size]byte, error) {
-	var key [sha256.Size]byte
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		return key, err
-	}
-	if len(b) != sha256.Size {
-		return key, fmt.Errorf("cache key is %d bytes, want %d", len(b), sha256.Size)
-	}
-	copy(key[:], b)
-	return key, nil
-}
-
-// close compacts and closes the journal; nil-safe for disabled caches and
-// no-op for memory-only ones.
-func (rc *resultCache) close() error {
-	if rc == nil {
-		return nil
-	}
-	return rc.journal.Close()
 }
 
 // RequestFingerprint fingerprints one discover request: parse mode ("html"
@@ -212,28 +101,18 @@ func (rc *resultCache) get(key [sha256.Size]byte) ([]byte, bool) {
 	return body, ok
 }
 
-// put stores a body, counting any eviction, updating the entry gauge,
-// and journaling both the put and any capacity eviction when durable. A
-// failed journal write is dropped: it costs only warmth after a restart.
+// put stores a body, counting any eviction and updating the entry gauge.
 func (rc *resultCache) put(key [sha256.Size]byte, body []byte) {
 	if rc == nil {
 		return
 	}
 	// Capped so that no holder can append to the shared bytes in place.
-	evictedKey, evicted := rc.c.Add(key, body[:len(body):len(body)])
-	if evicted {
+	if rc.c.Add(key, body[:len(body):len(body)]) {
 		rc.metrics.Counter("boundary_cache_evictions_total",
 			"Result-cache entries evicted to make room.").Inc()
 	}
 	rc.metrics.Gauge("boundary_cache_entries",
 		"Result-cache entries currently resident.").Set(float64(rc.c.Len()))
-	if rc.journal == nil {
-		return
-	}
-	if evicted {
-		_ = rc.journal.AppendEvict(hex.EncodeToString(evictedKey[:]), rc.c.Len())
-	}
-	_ = rc.journal.Append(appendCacheLine(nil, key, body), rc.c.Len())
 }
 
 // join registers interest in key's computation. The first caller becomes the

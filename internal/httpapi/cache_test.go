@@ -3,18 +3,14 @@ package httpapi
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
-	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/paperdoc"
 )
@@ -160,95 +156,6 @@ func postJSONRaw(t *testing.T, srv *httptest.Server, body map[string]any) []byte
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
 	}
 	return raw
-}
-
-// durableServer boots a journaled server over path with its own registry.
-func durableServer(t *testing.T, path string, size int) (*httptest.Server, *Server, *obs.Registry) {
-	t.Helper()
-	reg := obs.NewRegistry()
-	s, err := NewServer(Config{Metrics: reg, CacheSize: size, CacheJournal: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(s)
-	t.Cleanup(srv.Close)
-	return srv, s, reg
-}
-
-// TestCacheJournalSurvivesRestart is the durability contract: a restarted
-// replica replays its journal and answers its first request from the cache,
-// byte-identical to the pre-restart answer.
-func TestCacheJournalSurvivesRestart(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.ndjson")
-	body := map[string]any{"html": paperdoc.Figure2, "ontology": "obituary"}
-
-	srv1, s1, _ := durableServer(t, path, 8)
-	before := postJSONRaw(t, srv1, body)
-	srv1.Close()
-	if err := s1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	srv2, s2, reg := durableServer(t, path, 8)
-	defer s2.Close()
-	after := postJSONRaw(t, srv2, body)
-	if !bytes.Equal(before, after) {
-		t.Errorf("post-restart response differs from pre-restart:\nbefore %.200s\nafter  %.200s", before, after)
-	}
-	if !metricValue(t, reg, "boundary_cache_hits_total 1") {
-		t.Error("first post-restart request should hit the replayed cache")
-	}
-	if metricValue(t, reg, "boundary_cache_misses_total 1") {
-		t.Error("first post-restart request should not miss")
-	}
-}
-
-// TestCacheJournalRecordsEvictions: a capacity-1 cache that churned through
-// two documents must come back holding only the survivor.
-func TestCacheJournalRecordsEvictions(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.ndjson")
-	docA := map[string]any{"html": "<div><hr><b>A</b> one<hr><b>B</b> two<hr></div>"}
-	docB := map[string]any{"html": "<div><hr><b>C</b> three<hr><b>D</b> four<hr></div>"}
-
-	srv1, s1, _ := durableServer(t, path, 1)
-	postJSONRaw(t, srv1, docA)
-	postJSONRaw(t, srv1, docB) // evicts docA's entry
-	srv1.Close()
-	if err := s1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	srv2, s2, reg := durableServer(t, path, 1)
-	defer s2.Close()
-	postJSONRaw(t, srv2, docB)
-	if !metricValue(t, reg, "boundary_cache_hits_total 1") {
-		t.Error("surviving entry should hit after restart")
-	}
-	postJSONRaw(t, srv2, docA)
-	if !metricValue(t, reg, "boundary_cache_misses_total 1") {
-		t.Error("evicted entry should miss after restart")
-	}
-}
-
-// TestCacheJournalCorruptBodyRefuses: damage before the final line must
-// refuse to open rather than serve a partial memory.
-func TestCacheJournalCorruptBodyRefuses(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.ndjson")
-	body := `garbage` + "\n" + `{"v":1,"evict":"00"}` + "\n"
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewServer(Config{CacheSize: 8, CacheJournal: path}); !errors.Is(err, journal.ErrCorrupt) {
-		t.Fatalf("error %v should wrap journal.ErrCorrupt", err)
-	}
-}
-
-// TestCacheJournalRequiresCache: a journal without a cache is a
-// misconfiguration, not a silent no-op.
-func TestCacheJournalRequiresCache(t *testing.T) {
-	if _, err := NewServer(Config{CacheJournal: "x.ndjson"}); err == nil {
-		t.Fatal("CacheJournal without CacheSize should error")
-	}
 }
 
 func TestDiscoverUncachedStillWorks(t *testing.T) {

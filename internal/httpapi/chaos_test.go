@@ -8,12 +8,14 @@ package httpapi
 // run if any of these paths leak goroutines.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -362,6 +364,76 @@ func TestChaosSingleflightLeaderPanic(t *testing.T) {
 	}
 	if code, err := send(); err != nil || code != http.StatusOK {
 		t.Errorf("identical request after the panic = %d, %v; want 200", code, err)
+	}
+}
+
+// TestChaosSingleflightLeaderCanceled forces the interleaving in which a
+// single-flight leader dies with followers waiting on it: the leader is
+// held in discovery until N followers have joined its call, then its
+// request is canceled. Its 503 says nothing about the document, so the
+// followers must take another lap: exactly one of them recomputes, all of
+// them answer 200 with the bytes a fresh node computes, and the leader's
+// 503 is never cached.
+func TestChaosSingleflightLeaderCanceled(t *testing.T) {
+	faults := faultinject.New()
+	faults.Inject("httpapi/discover", faultinject.Fault{Delay: 30 * time.Second, Times: 1})
+	reg := obs.NewRegistry()
+	h := NewHandler(Config{Metrics: reg, CacheSize: 8, Faults: faults})
+	body := `{"html":"<div><hr><b>A</b> x<hr><b>B</b> y<hr></div>"}`
+	serve := func(ctx context.Context) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/v1/discover", strings.NewReader(body)).WithContext(ctx)
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		return w
+	}
+
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	defer cancelLeader()
+	leader := make(chan *httptest.ResponseRecorder, 1)
+	go func() { leader <- serve(leaderCtx) }()
+	waitFired(t, faults, "httpapi/discover", 1)
+
+	const followers = 4
+	dedup := reg.Counter("boundary_cache_inflight_dedup_total", "")
+	results := make([]*httptest.ResponseRecorder, followers)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i] = serve(context.Background())
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for dedup.Value() < followers {
+		if time.Now().After(deadline) {
+			t.Fatalf("%v of %d followers joined the leader's call", dedup.Value(), followers)
+		}
+		runtime.Gosched()
+	}
+	cancelLeader()
+	wg.Wait()
+
+	if w := <-leader; w.Code != http.StatusServiceUnavailable {
+		t.Errorf("canceled leader = %d, want 503", w.Code)
+	}
+	code, want := serveBody(NewHandler(Config{}), "/v1/discover", body)
+	if code != http.StatusOK {
+		t.Fatalf("fresh node = %d %q", code, want)
+	}
+	for i, w := range results {
+		if w.Code != http.StatusOK || w.Body.String() != want {
+			t.Errorf("follower %d = %d %q, want 200 %q", i, w.Code, w.Body, want)
+		}
+	}
+	if got := faults.Fired("httpapi/discover"); got != 2 {
+		t.Errorf("discovery ran %d times, want 2 (the dead leader, then exactly one follower)", got)
+	}
+	if w := serve(context.Background()); w.Code != http.StatusOK || w.Body.String() != want {
+		t.Errorf("request after the lap = %d %q, want the cached 200", w.Code, w.Body)
+	}
+	if !metricValue(t, reg, "boundary_cache_entries 1\n") {
+		t.Error("want exactly one cached entry, the followers' answer")
 	}
 }
 

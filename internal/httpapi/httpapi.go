@@ -50,6 +50,12 @@ import (
 // kilobytes, and even generous modern listings fit far below this.
 const MaxBodyBytes = 8 << 20
 
+// ForwardedHeader marks a /v1/discover request that one fleet member sent
+// another (cluster.HTTPPeer sets it). The receiving member answers it from
+// its own cache and pipeline and never forwards it again: the sender has
+// already chosen this member, as the owner, a hedge or a reroute.
+const ForwardedHeader = "X-Boundary-Forwarded"
+
 // Config carries the service's observability sinks and serving-layer
 // tuning. The zero value is valid: a nil Logger disables request logging, a
 // nil Metrics disables metric collection (the /metrics endpoint then serves
@@ -66,14 +72,9 @@ type Config struct {
 	// /v1/discover (and batch) requests for an identical document and
 	// options are answered from the cache; hits, misses, and evictions
 	// surface as boundary_cache_* metrics. Zero or negative disables it.
+	// The cache is memory-only: the wrapper store (Templates) is a node's
+	// durable serving state and brings a restarted node back warm.
 	CacheSize int
-	// CacheJournal, if non-empty, makes the result cache durable: puts and
-	// evictions are appended to an NDJSON journal at this path (torn-tail
-	// tolerant, compacting — see internal/journal) and replayed on startup,
-	// so a restarted replica answers its first requests warm. Requires
-	// CacheSize > 0 and the NewServer constructor (NewHandler has no error
-	// path and ignores it).
-	CacheJournal string
 	// BatchWorkers bounds how many documents one /v1/discover/batch request
 	// processes concurrently. Zero or negative selects GOMAXPROCS.
 	BatchWorkers int
@@ -122,7 +123,8 @@ type Config struct {
 	// interactive one. The answer is the member's status and body, and
 	// attempts counts the routing passes. A non-nil err is a routing
 	// failure, answered 429 with Retry-After when status is 429 and 503
-	// otherwise. ?explain=1 is always answered here. cmd/serve passes
+	// otherwise. ?explain=1 and a /v1/discover carrying ForwardedHeader
+	// are always answered here. cmd/serve passes
 	// (*cluster.Router).Forward; the router reaches this node's own share
 	// of the ring through Server.DiscoverLocal. See docs/SCALING.md.
 	Forward func(ctx context.Context, key [sha256.Size]byte, body []byte, bulk bool) (status int, resp []byte, attempts int, err error)
@@ -142,38 +144,31 @@ const ontologyCacheBytes = 1 << 20
 
 // NewHandler returns the full service handler: the routing table wrapped in
 // load shedding + request timeout (for /v1/ routes) and request-logging +
-// metrics middleware, plus GET /metrics and GET /debug/vars. It has no
-// error path, so it ignores Config.CacheJournal — durable callers use
-// NewServer.
+// metrics middleware, plus GET /metrics and GET /debug/vars.
 func NewHandler(cfg Config) http.Handler {
-	cfg.CacheJournal = ""
-	srv, _ := NewServer(cfg) // cannot fail without a journal
+	srv, _ := NewServer(cfg) // cannot fail
 	return srv
 }
 
-// Server is the full service handler plus the resources it owns: with
-// Config.CacheJournal set, Close compacts and closes the result-cache
-// journal so the next start replays a minimal file.
+// Server is the full service handler, plus DiscoverLocal, the fleet
+// router's direct way into the node's own share of the ring.
 type Server struct {
 	http.Handler
-	cache *resultCache
 	local server // the discover path with forwarding off
 }
 
-// Close flushes the server's durable state. Safe on a journal-less server.
-func (s *Server) Close() error {
-	return s.cache.close()
-}
+// Close releases the server's resources. It holds none that need
+// releasing, so Close returns nil.
+func (s *Server) Close() error { return nil }
 
-// NewServer is NewHandler with an error path: it opens (and replays) the
-// result-cache journal when Config.CacheJournal is set, failing on a
-// corrupt journal body rather than serving from a partial memory.
+// NewServer is NewHandler returning the *Server, for callers that need
+// DiscoverLocal. Its error is always nil.
 func NewServer(cfg Config) (*Server, error) {
-	cache, err := newResultCache(cfg.CacheSize, cfg.CacheJournal, cfg.Metrics, cfg.Faults)
-	if err != nil {
-		return nil, err
+	s := server{
+		cfg:   cfg,
+		cache: newResultCache(cfg.CacheSize, cfg.Metrics),
+		onts:  &ontology.Cache{MaxBytes: ontologyCacheBytes},
 	}
-	s := server{cfg: cfg, cache: cache, onts: &ontology.Cache{MaxBytes: ontologyCacheBytes}}
 	if cfg.MaxInFlight > 0 {
 		s.inflight = make(chan struct{}, cfg.MaxInFlight)
 	}
@@ -194,7 +189,7 @@ func NewServer(cfg Config) (*Server, error) {
 	h := obs.Middleware(s.limit(mux), cfg.Logger, cfg.Metrics, route, tracing)
 	local := s
 	local.cfg.Forward = nil
-	return &Server{Handler: h, cache: cache, local: local}, nil
+	return &Server{Handler: h, local: local}, nil
 }
 
 // DiscoverLocal answers one /v1/discover request body from this node's
@@ -701,6 +696,9 @@ func (s server) templatedOptions(opts *core.Options, mode, ontologySrc string, s
 }
 
 func (s server) handleDiscover(w http.ResponseWriter, r *http.Request) {
+	if s.cfg.Forward != nil && r.Header.Get(ForwardedHeader) != "" {
+		s.cfg.Forward = nil // routed here already: answer it, as DiscoverLocal does
+	}
 	req, envelope, ok := decode(w, r, s.cfg.Forward != nil)
 	if !ok {
 		return

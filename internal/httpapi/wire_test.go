@@ -2,27 +2,22 @@ package httpapi
 
 import (
 	"bytes"
-	"encoding/hex"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/journal"
 	"repro/internal/ontology"
 	"repro/internal/paperdoc"
 )
 
 // legacyResponse is the /v1/discover response type the service encoded
 // with encoding/json before bodies were encoded once, built from a result
-// the way it was built then. Its compact json.Marshal form is the "resp"
-// object of journals written by that release.
+// the way it was built then.
 type legacyResponse struct {
 	Separator        string                  `json:"separator"`
 	TopTags          []string                `json:"top_tags"`
@@ -97,59 +92,6 @@ func TestDiscoverBodyMatchesLegacyEncoding(t *testing.T) {
 		if want = append(want, '\n'); !bytes.Equal(got, want) {
 			t.Errorf("ontology %q:\n got %s\nwant %s", tc.ont, got, want)
 		}
-	}
-}
-
-// TestCacheJournalReplaysLegacyLines: a journal line in the format the
-// earlier release wrote — json.Marshal of {"key","resp"} with resp the
-// response struct — replays to the very body bytes this release serves.
-func TestCacheJournalReplaysLegacyLines(t *testing.T) {
-	res, err := core.Discover(paperdoc.Figure2, core.Options{Ontology: ontology.Builtin("obituary")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := RequestFingerprint("html", paperdoc.Figure2, "obituary", nil)
-	put, err := json.Marshal(struct {
-		Key  string          `json:"key"`
-		Resp *legacyResponse `json:"resp"`
-	}{hex.EncodeToString(key[:]), newLegacyResponse(res)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	line, err := json.Marshal(journal.Line{V: 1, Put: put})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "cache.ndjson")
-	if err := os.WriteFile(path, append(line, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	body := map[string]any{"html": paperdoc.Figure2, "ontology": "obituary"}
-	srv, s, reg := durableServer(t, path, 8)
-	defer s.Close()
-	replayed := postJSONRaw(t, srv, body)
-	if !metricValue(t, reg, "boundary_cache_hits_total 1") {
-		t.Fatal("the legacy journal line did not replay into the cache")
-	}
-	fresh := httptest.NewServer(NewHandler(Config{}))
-	defer fresh.Close()
-	if computed := postJSONRaw(t, fresh, body); !bytes.Equal(replayed, computed) {
-		t.Errorf("replayed body differs from a fresh computation:\nreplayed %s\ncomputed %s", replayed, computed)
-	}
-
-	// Compaction rewrites the line from the cached bytes; the resp object
-	// keeps the legacy bytes.
-	srv.Close()
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, append(line, '\n')) {
-		t.Errorf("compacted journal:\n got %s\nwant %s", data, line)
 	}
 }
 

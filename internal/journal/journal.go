@@ -1,9 +1,9 @@
-// Package journal is the shared NDJSON write-ahead journal behind every
-// durable log in the system: the learned-wrapper store (internal/template)
-// and the HTTP layer's discovery result cache persist through it, so a
-// restarted replica comes back warm instead of stampeding the heuristics,
-// and the bulk engine's checkpoint (internal/pipeline) records through it
-// which documents a killed run already wrote.
+// Package journal is the shared NDJSON write-ahead journal behind the
+// system's two durable logs: the learned-wrapper store (internal/template)
+// persists through it, so a restarted replica comes back warm instead of
+// stampeding the heuristics, and the bulk engine's checkpoint
+// (internal/pipeline) records through it which documents a killed run
+// already wrote.
 //
 // The format is one JSON record per line, each carrying exactly one of a
 // "put" payload (opaque to this package) or an "evict" key. Recovery

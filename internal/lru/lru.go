@@ -50,28 +50,24 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 	return zero, false
 }
 
-// Add inserts or refreshes key, marking it most recently used. When the
-// insert pushed a least-recently-used entry out to make room, Add reports
-// evicted true along with the evicted key, so durable callers can journal
-// the eviction without the cache calling back into them under its lock.
-func (c *Cache[K, V]) Add(key K, value V) (evictedKey K, evicted bool) {
+// Add inserts or refreshes key, marking it most recently used, and reports
+// whether the insert pushed the least-recently-used entry out to make room.
+func (c *Cache[K, V]) Add(key K, value V) (evicted bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var zero K
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
 		el.Value.(*entry[K, V]).value = value
-		return zero, false
+		return false
 	}
 	c.items[key] = c.ll.PushFront(&entry[K, V]{key: key, value: value})
 	if c.ll.Len() <= c.cap {
-		return zero, false
+		return false
 	}
 	oldest := c.ll.Back()
 	c.ll.Remove(oldest)
-	k := oldest.Value.(*entry[K, V]).key
-	delete(c.items, k)
-	return k, true
+	delete(c.items, oldest.Value.(*entry[K, V]).key)
+	return true
 }
 
 // Len returns the number of entries currently cached.
@@ -92,26 +88,6 @@ func (c *Cache[K, V]) Remove(key K) bool {
 	c.ll.Remove(el)
 	delete(c.items, key)
 	return true
-}
-
-// Item is one key/value pair as returned by Items.
-type Item[K comparable, V any] struct {
-	Key   K
-	Value V
-}
-
-// Items returns the cached pairs from least to most recently used — the
-// order that, replayed through Add, reproduces the cache's recency state.
-// Durable caches snapshot through it when compacting their journals.
-func (c *Cache[K, V]) Items() []Item[K, V] {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Item[K, V], 0, c.ll.Len())
-	for el := c.ll.Back(); el != nil; el = el.Prev() {
-		e := el.Value.(*entry[K, V])
-		out = append(out, Item[K, V]{Key: e.key, Value: e.value})
-	}
-	return out
 }
 
 // Values returns the cached values from least to most recently used — the

@@ -11,7 +11,7 @@ func TestGetAddBasics(t *testing.T) {
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("empty cache returned a value")
 	}
-	if _, evicted := c.Add("a", 1); evicted {
+	if c.Add("a", 1) {
 		t.Fatal("first Add evicted")
 	}
 	c.Add("b", 2)
@@ -28,8 +28,8 @@ func TestEvictsLeastRecentlyUsed(t *testing.T) {
 	c.Add("a", 1)
 	c.Add("b", 2)
 	c.Get("a") // b is now least recently used
-	if k, evicted := c.Add("c", 3); !evicted || k != "b" {
-		t.Fatalf("Add over capacity evicted (%q, %v), want (b, true)", k, evicted)
+	if !c.Add("c", 3) {
+		t.Fatal("Add over capacity did not evict")
 	}
 	if _, ok := c.Get("b"); ok {
 		t.Fatal("b should have been evicted")
@@ -45,7 +45,7 @@ func TestAddRefreshesExistingKey(t *testing.T) {
 	c := New[string, int](2)
 	c.Add("a", 1)
 	c.Add("b", 2)
-	if _, evicted := c.Add("a", 10); evicted {
+	if c.Add("a", 10) {
 		t.Fatal("refreshing a resident key must not evict")
 	}
 	if v, _ := c.Get("a"); v != 10 {
@@ -57,14 +57,13 @@ func TestAddRefreshesExistingKey(t *testing.T) {
 	}
 }
 
-func TestItemsReplayOrder(t *testing.T) {
+func TestValuesReplayOrder(t *testing.T) {
 	c := New[string, int](4)
 	c.Add("a", 1)
 	c.Add("b", 2)
 	c.Get("a") // a becomes most recently used
-	items := c.Items()
-	if len(items) != 2 || items[0].Key != "b" || items[1].Key != "a" {
-		t.Fatalf("Items = %v, want b then a (LRU first)", items)
+	if vals := c.Values(); len(vals) != 2 || vals[0] != 2 || vals[1] != 1 {
+		t.Fatalf("Values = %v, want [2 1] (LRU first)", vals)
 	}
 }
 
