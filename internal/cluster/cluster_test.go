@@ -545,57 +545,134 @@ func (p *stallPeer) ScrapeMetrics(context.Context) ([]byte, error) { return nil,
 // SetSuspect must end the attempt in flight so the document reroutes to its
 // ring successor at once, on the interactive and the bulk path alike, and
 // the ended attempt must be counted as the peer's doing (outcome
-// "suspected"), not as the caller hanging up.
+// "suspected"), not as the caller hanging up. The stalled owner is either a
+// remote member, whose cut attempt fails as a broken connection does, or a
+// node's own share of the ring, which answers the cut attempt with its own
+// 503 ("request canceled"); neither may reach the caller.
 func TestSuspicionEndsAttemptsInFlight(t *testing.T) {
+	owners := []struct {
+		kind string
+		// start returns the stalled owner and a wait for its first attempt.
+		start func(t *testing.T) (Peer, func())
+	}{
+		{"remote", func(t *testing.T) (Peer, func()) {
+			p := &stallPeer{name: "stalled", entered: make(chan struct{}, 1)}
+			return p, func() { <-p.entered }
+		}},
+		{"local", func(t *testing.T) (Peer, func()) {
+			faults := faultinject.New()
+			faults.Inject("httpapi/discover", faultinject.Fault{Delay: time.Minute})
+			return localPeer("stalled", newNode(t, httpapi.Config{Faults: faults})), func() {
+				for faults.Fired("httpapi/discover") == 0 {
+					time.Sleep(time.Millisecond)
+				}
+			}
+		}},
+	}
 	for _, bulk := range []bool{false, true} {
 		t.Run(fmt.Sprintf("bulk=%v", bulk), func(t *testing.T) {
-			stalled := &stallPeer{name: "stalled", entered: make(chan struct{}, 1)}
-			reg := obs.NewRegistry()
-			router, err := NewRouter(Config{
-				Peers:   []Peer{stalled, localPeer("successor", newNode(t, httpapi.Config{}))},
-				Metrics: reg,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// A document the stalled peer owns.
-			suffix := ""
-			for i := 0; ; i++ {
-				suffix = "<!-- " + strconv.Itoa(i) + " -->"
-				if router.snapshot().ring.order(discoverKey(suffix))[0] == 0 {
-					break
-				}
-			}
+			for _, owner := range owners {
+				t.Run(owner.kind, func(t *testing.T) {
+					stalled, entered := owner.start(t)
+					reg := obs.NewRegistry()
+					router, err := NewRouter(Config{
+						Peers:   []Peer{stalled, localPeer("successor", newNode(t, httpapi.Config{}))},
+						Metrics: reg,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					// A document the stalled peer owns.
+					suffix := ""
+					for i := 0; ; i++ {
+						suffix = "<!-- " + strconv.Itoa(i) + " -->"
+						if router.snapshot().ring.order(discoverKey(suffix))[0] == 0 {
+							break
+						}
+					}
 
-			type answer struct {
-				status int
-				err    error
-			}
-			done := make(chan answer, 1)
-			go func() {
-				status, _, _, err := router.Forward(context.Background(), discoverKey(suffix), []byte(discoverBody(suffix)), bulk)
-				done <- answer{status, err}
-			}()
-			<-stalled.entered
-			suspected := time.Now()
-			router.SetSuspect("stalled", true)
-			select {
-			case a := <-done:
-				if a.err != nil || a.status != http.StatusOK {
-					t.Fatalf("forward after suspicion = %d, %v; want 200 from the successor", a.status, a.err)
-				}
-				if elapsed := time.Since(suspected); elapsed > time.Second {
-					t.Errorf("answered %v after suspicion, want well under 1s", elapsed)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("the document stayed blocked on the suspect owner")
-			}
-			if v := reg.Counter("boundary_cluster_requests_total", "", "peer", "stalled", "outcome", "suspected").Value(); v != 1 {
-				t.Errorf("requests_total{stalled, suspected} = %v, want 1", v)
-			}
-			if v := reg.Counter("boundary_cluster_requests_total", "", "peer", "successor", "outcome", "ok").Value(); v != 1 {
-				t.Errorf("requests_total{successor, ok} = %v, want 1", v)
+					type answer struct {
+						status int
+						err    error
+					}
+					done := make(chan answer, 1)
+					go func() {
+						status, _, _, err := router.Forward(context.Background(), discoverKey(suffix), []byte(discoverBody(suffix)), bulk)
+						done <- answer{status, err}
+					}()
+					entered()
+					suspected := time.Now()
+					router.SetSuspect("stalled", true)
+					select {
+					case a := <-done:
+						if a.err != nil || a.status != http.StatusOK {
+							t.Fatalf("forward after suspicion = %d, %v; want 200 from the successor", a.status, a.err)
+						}
+						if elapsed := time.Since(suspected); elapsed > time.Second {
+							t.Errorf("answered %v after suspicion, want well under 1s", elapsed)
+						}
+					case <-time.After(5 * time.Second):
+						t.Fatal("the document stayed blocked on the suspect owner")
+					}
+					if v := reg.Counter("boundary_cluster_requests_total", "", "peer", "stalled", "outcome", "suspected").Value(); v != 1 {
+						t.Errorf("requests_total{stalled, suspected} = %v, want 1", v)
+					}
+					if v := reg.Counter("boundary_cluster_requests_total", "", "peer", "successor", "outcome", "ok").Value(); v != 1 {
+						t.Errorf("requests_total{successor, ok} = %v, want 1", v)
+					}
+				})
 			}
 		})
+	}
+}
+
+// TestMarkupNearBodyLimitForwardsIntact: a batch document or stream line
+// is re-encoded before it goes to its owner, and the owner checks that
+// envelope against MaxBodyBytes. Markup escaped as json.Marshal does it
+// (each & as six bytes) passes the limit though the document itself fits
+// well inside. The shortest listing whose escaped envelope passes the
+// limit, sent through an entry whose owner is a remote member, must get a
+// single node's answer byte for byte.
+func TestMarkupNearBodyLimitForwardsIntact(t *testing.T) {
+	member := httptest.NewServer(httpapi.NewHandler(httpapi.Config{}))
+	defer member.Close()
+	fleet := newFleet(t, Config{Peers: []Peer{NewHTTPPeer("m", member.URL, nil)}}, httpapi.Config{})
+	single := httpapi.NewHandler(httpapi.Config{})
+
+	// Records of mostly ampersands: the escaped envelope is about six
+	// times the document, with few nodes to parse.
+	var doc strings.Builder
+	escaped := len(`{"html":""}`)
+	for i := 0; escaped <= httpapi.MaxBodyBytes; i++ {
+		rec := fmt.Sprintf("<hr><b>Record %d</b> %s", i, strings.Repeat("&", 1000))
+		q, _ := json.Marshal(rec)
+		escaped += len(q) - 2
+		doc.WriteString(rec)
+	}
+	// The client sends the ampersands unescaped.
+	var raw bytes.Buffer
+	enc := json.NewEncoder(&raw)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(map[string]string{"html": doc.String()}); err != nil {
+		t.Fatal(err)
+	}
+	line := bytes.TrimSuffix(raw.Bytes(), []byte{'\n'})
+	if len(line) > httpapi.MaxBodyBytes/2 {
+		t.Fatalf("document line is %d bytes, want it well inside the limit", len(line))
+	}
+
+	for path, body := range map[string]string{
+		"/v1/discover/batch":  `{"documents":[` + string(line) + `]}`,
+		"/v1/discover/stream": string(line) + "\n",
+	} {
+		want := postRouter(t, single, path, body)
+		got := postRouter(t, fleet, path, body)
+		if want.Code != http.StatusOK || !bytes.Contains(want.Body.Bytes(), []byte(`"separator":"hr"`)) {
+			t.Fatalf("%s: single node answered %d: %.200s", path, want.Code, want.Body)
+		}
+		if got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Errorf("%s: fleet answered %d %.200s, single node %d %.200s",
+				path, got.Code, got.Body, want.Code, want.Body)
+		}
 	}
 }

@@ -132,7 +132,9 @@ func (r *Router) attempt(ctx context.Context, v *routerView, idx int, body []byt
 
 	start := time.Now()
 	status, resp, err := ps.peer.Do(ctx, body)
-	if err != nil {
+	if err != nil || status != http.StatusOK {
+		// A LocalPeer answers an attempt cut short with its node's own 503
+		// rather than an error; suspicion makes either one errSuspected.
 		err = attemptErr(ctx, err)
 	}
 	r.finishAttempt(name, status, time.Since(start), err, span)
@@ -143,8 +145,9 @@ func (r *Router) attempt(ctx context.Context, v *routerView, idx int, body []byt
 }
 
 // attemptErr reports an attempt that membership suspicion cut short as
-// errSuspected, whatever error the cut surfaced as, so it reroutes without
-// being mistaken for the caller giving up.
+// errSuspected, whatever error or answer the cut surfaced as, so it
+// reroutes without being mistaken for the caller giving up or for the
+// peer's verdict on the document.
 func attemptErr(ctx context.Context, err error) error {
 	if errors.Is(context.Cause(ctx), errSuspected) {
 		return errSuspected

@@ -8,10 +8,8 @@ package eval
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/certainty"
 	"repro/internal/core"
@@ -126,37 +124,15 @@ func EvaluateAll(docs []*corpus.Document, opts core.Options) ([]*DocResult, erro
 
 // EvaluateAllParallel is EvaluateAll with documents evaluated concurrently
 // across workers goroutines (workers ≤ 0 selects GOMAXPROCS). Results keep
-// document order. Each document's evaluation is independent, so this is
-// how a production deployment would process a crawl.
+// document order, and the error returned is the first in document order.
+// Each document's evaluation is independent, so this is how a production
+// deployment would process a crawl.
 func EvaluateAllParallel(docs []*corpus.Document, opts core.Options, workers int) ([]*DocResult, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(docs) {
-		workers = len(docs)
-	}
-	if workers <= 1 {
-		return EvaluateAll(docs, opts)
-	}
-
 	out := make([]*DocResult, len(docs))
 	errs := make([]error, len(docs))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				out[i], errs[i] = Evaluate(docs[i], opts)
-			}
-		}()
-	}
-	for i := range docs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	forEachIndex(len(docs), QualityOptions{Workers: workers}.workers(len(docs)), func(i int) {
+		out[i], errs[i] = Evaluate(docs[i], opts)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

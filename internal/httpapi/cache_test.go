@@ -159,7 +159,7 @@ func postJSONRaw(t *testing.T, srv *httptest.Server, body map[string]any) []byte
 }
 
 func TestDiscoverUncachedStillWorks(t *testing.T) {
-	// The bare mux (NewServeMux) has no cache; discovery must be unaffected.
+	// A zero Config has no result cache; discovery must be unaffected.
 	srv := newServer(t)
 	resp, body := post(t, srv, "/v1/discover", map[string]any{"html": paperdoc.Figure2})
 	if resp.StatusCode != http.StatusOK || str(t, body["separator"]) != "hr" {

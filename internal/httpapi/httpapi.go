@@ -248,13 +248,6 @@ func (s server) limit(next http.Handler) http.Handler {
 	})
 }
 
-// NewServeMux returns the bare routing table with no middleware and no
-// observability endpoints — the pre-observability surface, kept for embedders
-// that bring their own. Most callers want NewHandler.
-func NewServeMux() *http.ServeMux {
-	return newMux(server{onts: &ontology.Cache{MaxBytes: ontologyCacheBytes}})
-}
-
 func newMux(s server) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/discover", s.handleDiscover)
@@ -506,7 +499,7 @@ func (s server) discoverOne(ctx context.Context, req *request, envelope []byte, 
 	}
 	if s.cfg.Forward != nil {
 		if envelope == nil {
-			envelope, _ = json.Marshal(req) // strings only; cannot fail
+			envelope = encodeEnvelope(req)
 		}
 		body, _, apiErr := s.forward(ctx, RequestFingerprint(mode, doc, req.Ontology, req.SeparatorList), envelope, bulk)
 		return body, apiErr
@@ -540,6 +533,18 @@ func (s server) discoverOne(ctx context.Context, req *request, envelope []byte, 
 			return nil, pipelineError(ctx.Err())
 		}
 	}
+}
+
+// encodeEnvelope encodes req as the /v1/discover body a member receives.
+// HTML escaping is off: json.Marshal writes each <, > and & as six bytes,
+// so a markup document of about half MaxBodyBytes, accepted here, would
+// pass the member's body limit.
+func encodeEnvelope(req *request) []byte {
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetEscapeHTML(false)
+	_ = enc.Encode(req) // strings only; cannot fail
+	return bytes.TrimSuffix(b.Bytes(), []byte{'\n'})
 }
 
 // forward sends one discover document to the member owning key through

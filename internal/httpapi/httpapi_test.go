@@ -14,7 +14,7 @@ import (
 
 func newServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv := httptest.NewServer(NewServeMux())
+	srv := httptest.NewServer(NewHandler(Config{}))
 	t.Cleanup(srv.Close)
 	return srv
 }

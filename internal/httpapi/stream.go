@@ -85,9 +85,8 @@ func (s server) forwardTask(ctx context.Context, t *pipeline.Task) (pipeline.Res
 	} else {
 		req.HTML = t.Doc
 	}
-	envelope, _ := json.Marshal(&req) // strings only; cannot fail
 	key := RequestFingerprint(t.Mode, t.Doc, t.Ontology, t.SeparatorList)
-	body, attempts, apiErr := s.forward(ctx, key, envelope, true)
+	body, attempts, apiErr := s.forward(ctx, key, encodeEnvelope(&req), true)
 	if apiErr != nil {
 		return pipeline.Result{}, attempts, apiErr.err
 	}

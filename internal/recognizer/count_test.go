@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -36,24 +35,12 @@ func tableCounts(t *testing.T, ont *ontology.Ontology, tree *tagtree.Tree, n *ta
 }
 
 // TestCountFieldsMatchesTable: for every builtin ontology, over the
-// 220-document corpus plus one long listing per site (whose full table
-// takes the fan-out path), the count-only scan gives the full table's
-// FieldCount for every record-identifying field, over the highest-fan-out
-// subtree and over the whole document.
+// 220-document corpus plus one long listing per site, the count-only scan
+// gives the full table's FieldCount for every record-identifying field,
+// over the highest-fan-out subtree and over the whole document.
 func TestCountFieldsMatchesTable(t *testing.T) {
-	// The full table's fan-out path needs at least two workers.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
-
-	fannedOut := 0
 	for _, doc := range corpusWithLongListings() {
 		tree := tagtree.Parse(doc.HTML)
-		text := 0
-		for _, ev := range tree.SubtreeEvents(tree.Root) {
-			text += len(ev.Text)
-		}
-		if text >= parallelThreshold {
-			fannedOut++
-		}
 		for _, name := range ontology.BuiltinNames() {
 			ont := ontology.Builtin(name)
 			for _, n := range []*tagtree.Node{tree.HighestFanOut(), tree.Root} {
@@ -67,9 +54,6 @@ func TestCountFieldsMatchesTable(t *testing.T) {
 				}
 			}
 		}
-	}
-	if fannedOut == 0 {
-		t.Error("no document crossed the fan-out threshold")
 	}
 }
 
@@ -150,26 +134,22 @@ func longListing(n int) string {
 }
 
 // scanPath is one way into the chunk scan: the count-only scan discovery
-// uses, or the Data-Record Table scan, serial or fanned out. Each listing
-// of records records holds over scanCheckEvery text chunks; of the table
-// paths', only the fan-out path's crosses parallelThreshold (the count-only
-// scan is always serial).
+// uses, or the Data-Record Table scan extraction uses. Each path scans a
+// listing of scanRecords records, which holds over scanCheckEvery text
+// chunks.
 type scanPath struct {
-	name    string
-	records int
-	scan    func(context.Context, *ontology.Ontology, *tagtree.Tree, *faultinject.Set) error
+	name string
+	scan func(context.Context, *ontology.Ontology, *tagtree.Tree, *faultinject.Set) error
 }
 
+const scanRecords = 400
+
 var scanPaths = []scanPath{
-	{"count", 400, func(ctx context.Context, ont *ontology.Ontology, tree *tagtree.Tree, faults *faultinject.Set) error {
+	{"count", func(ctx context.Context, ont *ontology.Ontology, tree *tagtree.Tree, faults *faultinject.Set) error {
 		_, err := CountFields(ctx, ont, tree, tree.Root, faults)
 		return err
 	}},
-	{"table/serial", 40, func(ctx context.Context, ont *ontology.Ontology, tree *tagtree.Tree, faults *faultinject.Set) error {
-		_, err := RecognizeContext(ctx, ont, tree, tree.Root, faults)
-		return err
-	}},
-	{"table/fan-out", 400, func(ctx context.Context, ont *ontology.Ontology, tree *tagtree.Tree, faults *faultinject.Set) error {
+	{"table", func(ctx context.Context, ont *ontology.Ontology, tree *tagtree.Tree, faults *faultinject.Set) error {
 		_, err := RecognizeContext(ctx, ont, tree, tree.Root, faults)
 		return err
 	}},
@@ -177,13 +157,12 @@ var scanPaths = []scanPath{
 
 // TestFaultChunkHookFailsScan: an error or panic armed on the
 // "recognizer/chunk" hook fails the scan with an error, on the count-only
-// path and on both table paths; TestMain checks no worker is leaked.
+// path and on the table path.
 func TestFaultChunkHookFailsScan(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	ont := ontology.Builtin("obituary")
 	boom := errors.New("injected chunk failure")
+	tree := tagtree.Parse(longListing(scanRecords))
 	for _, p := range scanPaths {
-		tree := tagtree.Parse(longListing(p.records))
 		for _, fault := range []faultinject.Fault{{Err: boom}, {Panic: "chunk down"}, {Err: boom, Times: 1}} {
 			faults := faultinject.New()
 			faults.Inject("recognizer/chunk", fault)
@@ -208,18 +187,9 @@ func TestFaultChunkHookFailsScan(t *testing.T) {
 // delay or between chunks, where the scan checks every scanCheckEvery
 // chunks.
 func TestCanceledMidScan(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	ont := ontology.Builtin("obituary")
+	tree := tagtree.Parse(longListing(scanRecords))
 	for _, p := range scanPaths {
-		tree := tagtree.Parse(longListing(p.records))
-		text := 0
-		for _, ev := range tree.SubtreeEvents(tree.Root) {
-			text += len(ev.Text)
-		}
-		if fanOut := text >= parallelThreshold; p.name != "count" && fanOut != (p.name == "table/fan-out") {
-			t.Fatalf("%s: %d text bytes, fan-out %v", p.name, text, fanOut)
-		}
-
 		ctx, cancel := context.WithCancel(context.Background())
 		faults := faultinject.New()
 		faults.Inject("recognizer/chunk", faultinject.Fault{Delay: time.Minute, Times: 1})

@@ -6,6 +6,7 @@ import (
 	"repro/internal/testutil"
 )
 
-// TestMain fails the package's test run if the chunk-scan worker pool leaks
-// goroutines, including on cancellation, fault, and panic paths.
+// TestMain fails the package's test run if any test leaks a goroutine,
+// including on the scans' cancellation, fault, and panic paths. The scans
+// start none; the check keeps it that way.
 func TestMain(m *testing.M) { testutil.VerifyTestMain(m) }

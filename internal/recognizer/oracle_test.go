@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"regexp"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -62,41 +61,25 @@ func sameEntries(got, want []Entry) error {
 }
 
 // TestRecognizeMatchesRegexpOracle: over the 220-document corpus plus one
-// long listing per site (five times the site's most records, which puts its
-// text past parallelThreshold and onto the worker pool), the Data-Record
-// Table equals the oracle's entry for entry, for every domain's ontology.
+// long listing per site (five times the site's most records), the
+// Data-Record Table equals the oracle's entry for entry, for every domain's
+// ontology.
 func TestRecognizeMatchesRegexpOracle(t *testing.T) {
-	// The fan-out path needs at least two workers.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
-
-	docs := corpusWithLongListings()
-	fannedOut := 0
-	for _, doc := range docs {
+	for _, doc := range corpusWithLongListings() {
 		ont := doc.Site.Domain.Ontology()
 		tree := tagtree.Parse(doc.HTML)
-		text := 0
-		for _, ev := range tree.SubtreeEvents(tree.Root) {
-			text += len(ev.Text)
-		}
-		if text >= parallelThreshold {
-			fannedOut++
-		}
 		got := Recognize(ont, tree, tree.Root)
 		if err := sameEntries(got.Entries, oracleRecognize(ont, tree, tree.Root)); err != nil {
 			t.Errorf("%s (%s, %d records): %v", doc.Site.Name, ont.Name, doc.Records, err)
 		}
 	}
-	if fannedOut == 0 {
-		t.Error("no document crossed the fan-out threshold")
-	}
 }
 
 // corpusWithLongListings returns the 220-document corpus plus one long
-// listing per site (five times the site's most records, which puts its
-// text past parallelThreshold). The race detector slows the regexp engine
-// some twentyfold, so under it only every tenth document is returned, long
-// listings included: the race run is after the fan-out's interleavings,
-// and the plain run checks every document.
+// listing per site (five times the site's most records). The race detector
+// slows the regexp engine some twentyfold, so under it only every tenth
+// document is returned, long listings included; the plain run checks every
+// document.
 func corpusWithLongListings() []*corpus.Document {
 	var docs []*corpus.Document
 	for _, d := range corpus.AllDomains {

@@ -16,11 +16,9 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/faultinject"
 	"repro/internal/ontology"
@@ -83,10 +81,6 @@ func (t *Table) Slice(from, to int) []Entry {
 	return t.Entries[lo:hi]
 }
 
-// parallelThreshold is the total chunk byte count below which fanning the
-// scan out across workers costs more than it saves.
-const parallelThreshold = 16 << 10
-
 // Recognize runs the ontology's matching rules over the plain text of the
 // subtree rooted at n (normally the highest-fan-out subtree) and returns the
 // Data-Record Table. Text chunks are matched individually — a rule never
@@ -100,10 +94,9 @@ const parallelThreshold = 16 << 10
 // verified by the rule's leftmost-first DFA, or, for a rule without one,
 // by its regexp inside a window no wider than the longest possible match.
 // Rules the planner cannot prove safe run their regexp over the whole
-// chunk. Chunks are independent, so large documents fan out across a
-// bounded worker pool; per-chunk entry lists are sorted locally and
-// concatenated in document order, which leaves the table globally sorted
-// without a final full-table sort.
+// chunk. Chunks are scanned in document order and each chunk's entries are
+// sorted locally, which leaves the table globally sorted without a final
+// full-table sort.
 func Recognize(ont *ontology.Ontology, tree *tagtree.Tree, n *tagtree.Node) *Table {
 	t, err := RecognizeContext(context.Background(), ont, tree, n, nil)
 	if err != nil {
@@ -114,167 +107,27 @@ func Recognize(ont *ontology.Ontology, tree *tagtree.Tree, n *tagtree.Node) *Tab
 	return t
 }
 
-// scanCheckEvery is how many chunks the serial scan processes between
-// context checks.
+// scanCheckEvery is how many chunks a scan processes between context
+// checks.
 const scanCheckEvery = 64
 
-// chunkBatch is how many consecutive chunks a fan-out worker claims at a
-// time: enough that claiming costs little against scanning, few enough
-// that the workers finish close together.
-const chunkBatch = 16
-
-// scanScratch is the transient per-scan state RecognizeContext reuses via a
-// pool: the text-chunk gather list and, for the parallel path, where each
-// chunk's entries lie in the workers' output buffers. Only scratch is
-// pooled — the returned Table's entries are always freshly allocated, so
-// results never alias pooled memory. chunkScratch, the per-goroutine state
-// of scanChunk, has its own pool.
-type scanScratch struct {
-	chunks []tagtree.Event
-	spans  []chunkSpan
-}
-
-// chunkSpan locates one chunk's entries: out[lo:hi] of a worker's
-// chunkScratch.
-type chunkSpan struct{ worker, lo, hi int32 }
-
-// maxRetainedChunks bounds a pooled scratch's kept capacity.
-const maxRetainedChunks = 1 << 14
-
-var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
-
-// release scrubs document references (chunk text, node pointers) and
-// repools. Deferred right after Get, so a panicking scan still returns its
-// entry.
-func (s *scanScratch) release() {
-	if cap(s.chunks) > maxRetainedChunks {
-		s.chunks = nil
-	} else {
-		clear(s.chunks[:cap(s.chunks)])
-		s.chunks = s.chunks[:0]
-	}
-	if cap(s.spans) > maxRetainedChunks {
-		s.spans = nil
-	}
-	scanScratchPool.Put(s)
-}
-
 // RecognizeContext is Recognize with cancellation and fault injection: the
-// scan — serial or fanned out across the worker pool — stops promptly when
-// ctx is canceled, a panicking chunk scan is contained and surfaced as an
-// error instead of crashing the process, and faults (nil in production)
-// arms the "recognizer/chunk" hook point fired once per scanned chunk.
+// scan stops promptly when ctx is canceled, a panicking chunk scan is
+// contained and surfaced as an error instead of crashing the process, and
+// faults (nil in production) arms the "recognizer/chunk" hook point fired
+// once per scanned chunk. The entries are copied out of the pooled scratch,
+// so the returned table never aliases pooled memory.
 func RecognizeContext(ctx context.Context, ont *ontology.Ontology, tree *tagtree.Tree, n *tagtree.Node, faults *faultinject.Set) (*Table, error) {
-	scr := scanScratchPool.Get().(*scanScratch)
-	defer scr.release()
-
-	events := tree.SubtreeEvents(n)
-	chunks := scr.chunks[:0]
-	total := 0
-	for _, ev := range events {
-		if ev.Kind == tagtree.EventText {
-			chunks = append(chunks, ev)
-			total += len(ev.Text)
-		}
-	}
-	scr.chunks = chunks
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-	if total < parallelThreshold || workers <= 1 {
-		cs := chunkScratchPool.Get().(*chunkScratch)
-		defer cs.release()
-		if err := scanSerial(ctx, chunks, faults, func(ev tagtree.Event) {
-			cs.out = scanChunk(cs.out, ont, cs, ev)
-		}); err != nil {
-			return nil, err
-		}
-		var entries []Entry
-		if len(cs.out) > 0 {
-			entries = slices.Clone(cs.out)
-		}
-		return &Table{Entries: entries}, nil
-	}
-
-	// Workers claim batches of consecutive chunks from a shared cursor and
-	// record where each chunk's entries lie in their output buffers, so
-	// the table is copied out in chunk order. scanCtx carries both caller
-	// cancellation and the fail-fast cancel below, so every worker stops
-	// at its next batch as soon as anything goes wrong.
-	scanCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	var (
-		errOnce  sync.Once
-		firstErr error
-	)
-	fail := func(err error) {
-		errOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-
-	if cap(scr.spans) < len(chunks) {
-		scr.spans = make([]chunkSpan, len(chunks))
-	}
-	spans := scr.spans[:len(chunks)]
-	// Each worker appends its chunks' entries to its own scratch's output
-	// buffer; the buffers are released once the table is copied out.
-	scans := make([]*chunkScratch, workers)
-	for w := range scans {
-		scans[w] = chunkScratchPool.Get().(*chunkScratch)
-		defer scans[w].release()
-	}
-	var (
-		wg     sync.WaitGroup
-		cursor atomic.Int64
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					fail(fmt.Errorf("recognizer: chunk scan panicked: %v", r))
-				}
-			}()
-			cs := scans[w]
-			for {
-				from := int(cursor.Add(chunkBatch)) - chunkBatch
-				if from >= len(chunks) || scanCtx.Err() != nil {
-					return
-				}
-				for i := from; i < min(from+chunkBatch, len(chunks)); i++ {
-					if faults != nil {
-						if err := faults.FireCtx(scanCtx, "recognizer/chunk"); err != nil {
-							fail(err)
-							return
-						}
-					}
-					lo := len(cs.out)
-					cs.out = scanChunk(cs.out, ont, cs, chunks[i])
-					spans[i] = chunkSpan{int32(w), int32(lo), int32(len(cs.out))}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
+	cs := chunkScratchPool.Get().(*chunkScratch)
+	defer cs.release()
+	if err := scanSerial(ctx, tree.SubtreeEvents(n), faults, func(ev tagtree.Event) {
+		cs.out = scanChunk(cs.out, ont, cs, ev)
+	}); err != nil {
 		return nil, err
 	}
-
-	n2 := 0
-	for _, sp := range spans {
-		n2 += int(sp.hi - sp.lo)
-	}
-	entries := make([]Entry, 0, n2)
-	for _, sp := range spans {
-		entries = append(entries, scans[sp.worker].out[sp.lo:sp.hi]...)
+	var entries []Entry
+	if len(cs.out) > 0 {
+		entries = slices.Clone(cs.out)
 	}
 	return &Table{Entries: entries}, nil
 }
@@ -286,9 +139,9 @@ func RecognizeContext(ctx context.Context, ont *ontology.Ontology, tree *tagtree
 // (ontology.DiscoveryRuleSet) runs, each match adds one to its field's
 // count, and no Entry is made. Rules match independently, so the counts
 // equal the full table's. It returns nil when the ontology has fewer than
-// three record-identifying fields. The scan is serial and, like
-// RecognizeContext's, honors ctx, contains a panicking chunk scan and
-// fires the "recognizer/chunk" hook once per text chunk.
+// three record-identifying fields. Like RecognizeContext, it honors ctx,
+// contains a panicking chunk scan and fires the "recognizer/chunk" hook
+// once per text chunk.
 func CountFields(ctx context.Context, ont *ontology.Ontology, tree *tagtree.Tree, n *tagtree.Node, faults *faultinject.Set) ([]int, error) {
 	fields, ok := ont.RecordIdentifyingFields()
 	if !ok {
@@ -336,9 +189,9 @@ func scanSerial(ctx context.Context, events []tagtree.Event, faults *faultinject
 	return nil
 }
 
-// chunkScratch is a scanning goroutine's state: per rule, the starts of its
-// anchor or gate hits in the current chunk, and the entries found so far,
-// which the caller copies out before release.
+// chunkScratch is a scan's state: per rule, the starts of its anchor or
+// gate hits in the current chunk, and the entries found so far, which the
+// caller copies out before release.
 type chunkScratch struct {
 	hits [][]int32
 	out  []Entry

@@ -1,8 +1,6 @@
 package recognizer
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"repro/internal/ontology"
@@ -146,51 +144,6 @@ func TestCountFallbackOnHandBuiltTable(t *testing.T) {
 	}
 	if got := table.CountKeyword("C"); got != 0 {
 		t.Errorf("CountKeyword(C) = %d, want 0", got)
-	}
-}
-
-// TestRecognizeParallelMatchesSequential: the worker-pool path must produce
-// the identical table as a forced-sequential scan, on a document large
-// enough to cross the fan-out threshold.
-func TestRecognizeParallelMatchesSequential(t *testing.T) {
-	ont := ontology.Builtin("obituary")
-	var sb strings.Builder
-	sb.WriteString("<div>")
-	for i := 0; i < 400; i++ {
-		fmt.Fprintf(&sb, "<b>Brian Fielding Frost %d</b> passed away on March %d, 1998, age %d. "+
-			"Funeral services at the chapel. Interment at City Cemetery. Some filler text padding the chunk out. ",
-			i, i%28+1, 20+i%70)
-		sb.WriteString("<hr>")
-	}
-	sb.WriteString("</div>")
-	tree := tagtree.Parse(sb.String())
-	rules := ont.Rules()
-
-	// Reference: the oracle, chunk by chunk on one goroutine.
-	var chunks []tagtree.Event
-	for _, ev := range tree.SubtreeEvents(tree.Root) {
-		if ev.Kind == tagtree.EventText {
-			chunks = append(chunks, ev)
-		}
-	}
-	var want []Entry
-	for _, ev := range chunks {
-		want = oracleChunk(want, rules, ev)
-	}
-
-	got := Recognize(ont, tree, tree.Root)
-	if len(got.Entries) != len(want) {
-		t.Fatalf("parallel entries = %d, sequential = %d", len(got.Entries), len(want))
-	}
-	for i := range want {
-		if got.Entries[i] != want[i] {
-			t.Fatalf("entry %d: parallel %+v != sequential %+v", i, got.Entries[i], want[i])
-		}
-	}
-	for i := 1; i < len(got.Entries); i++ {
-		if got.Entries[i].Pos < got.Entries[i-1].Pos {
-			t.Fatalf("entries out of order at %d", i)
-		}
 	}
 }
 
