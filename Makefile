@@ -177,11 +177,10 @@ wrapper-smoke:
 # Gossip-membership smoke (see docs/SCALING.md): boots a three-node
 # gossip fleet on ephemeral ports, proves every node answers byte-identical
 # to a single node, kills one node, restarts it under the same name, and
-# requires it to rejoin warm — its wrapper store reloaded from its journal
-# and pulled from a neighbor, so the documents it owns are answered off the
-# template fast path without a single template miss. Plus the
-# membership/state-transfer unit suites and the root churn-conformance
-# layer, all under -race.
+# requires it to rejoin warm — its wrapper store reloaded from its own
+# journal, so the documents it owns are answered off the template fast path
+# without a single template miss. Plus the membership unit suite and the
+# root churn-conformance layer, all under -race.
 membership-smoke:
 	$(call go_test_run,-race -v,TestMembershipSmoke,./cmd/serve/)
 	$(GO) test -race ./internal/membership/

@@ -10,7 +10,7 @@
 //	      [-max-inflight 0] [-request-timeout 0]
 //	      [-max-doc-bytes 0] [-max-tree-depth 0] [-max-nodes 0]
 //	      [-node-name name] [-join addr,addr,...] [-advertise host:port]
-//	      [-gossip-interval 1s] [-warmup-timeout 5s] [-hedge-after 0]
+//	      [-gossip-interval 1s] [-hedge-after 0]
 //	      [-peer-queue-depth 32]
 //	      [-trace-capacity 512] [-trace-sample 0]
 //	      [-wrapper-store path] [-spot-check-rate 64]
@@ -59,16 +59,15 @@
 // owning its fingerprint (for cache affinity) and reaches the node's own
 // share of the ring by direct call. Peers join and leave the ring at
 // runtime with no restart or flag change. Without -node-name the process
-// serves alone with no router. With a wrapper store configured, a joiner
-// first pulls the fleet's learned wrapper state from an already-serving
-// member (bounded by -warmup-timeout; on expiry it serves cold and warms
-// through ordinary publishes), and every locally-learned wrapper is
-// published to the current members. -advertise overrides the address peers
-// dial (defaults to the bound listener address); -gossip-interval paces
-// heartbeats — suspicion starts after 3 silent intervals, death after 10.
-// Membership is the router's only liveness signal: a Suspect member keeps
-// its ring share but is routed around until it is heard from again, and a
-// Dead one leaves the ring.
+// serves alone with no router. Members share only the ring and gossip:
+// with a wrapper store configured, each member learns the page shapes it
+// is routed and warms only from its own journal after a restart.
+// -advertise overrides the address peers dial (defaults to the bound
+// listener address); -gossip-interval paces heartbeats — suspicion starts
+// after 3 silent intervals, death after 10. Membership is the router's
+// only liveness signal: a Suspect member keeps its ring share but is
+// routed around until it is heard from again, and a Dead one leaves the
+// ring.
 // -hedge-after launches a second attempt on the next member when the
 // primary is slower than the duration (0 disables hedging);
 // -peer-queue-depth bounds each member's queue (saturation sheds
@@ -96,7 +95,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"sync"
 	"syscall"
@@ -155,8 +153,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		"address peers dial for this node's API and gossip; empty derives it from the bound -addr listener")
 	gossipInterval := fs.Duration("gossip-interval", membership.DefaultInterval,
 		"membership heartbeat period; members turn suspect after 3 silent intervals and dead after 10")
-	warmupTimeout := fs.Duration("warmup-timeout", 5*time.Second,
-		"how long a joiner waits for the wrapper state transfer before serving cold; 0 leaves it unbounded")
 	traceCapacity := fs.Int("trace-capacity", 512,
 		"max traces retained in memory for /debug/traces; 0 uses the default")
 	traceSample := fs.Int("trace-sample", 0,
@@ -196,9 +192,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	}
 	if *gossipInterval <= 0 {
 		return fmt.Errorf("-gossip-interval must be > 0, got %v", *gossipInterval)
-	}
-	if *warmupTimeout < 0 {
-		return fmt.Errorf("-warmup-timeout must be >= 0, got %v", *warmupTimeout)
 	}
 	if *joinSeeds != "" && *nodeName == "" {
 		return errors.New("-join requires -node-name")
@@ -265,13 +258,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 		seeds := splitList(*joinSeeds)
 
-		// The router and publisher don't exist yet when the node is built,
-		// so OnChange goes through nil-guarded references; both are set
-		// before Join, and nothing changes the serving set before that.
+		// The router doesn't exist yet when the node is built, so OnChange
+		// goes through a nil-guarded reference; it is set before Join, and
+		// nothing changes the serving set before that.
 		var peersMu sync.Mutex
 		known := map[string]string{} // member name → addr currently wired into the router
 		var routerRef *cluster.Router
-		var pubRef *template.Publisher
 		onChange := func(serving []membership.Member) {
 			peersMu.Lock()
 			defer peersMu.Unlock()
@@ -279,13 +271,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 				return
 			}
 			want := make(map[string]string, len(serving))
-			var targets []string
 			for _, m := range serving {
-				if m.Name == *nodeName {
-					continue
+				if m.Name != *nodeName {
+					want[m.Name] = m.Addr
 				}
-				want[m.Name] = m.Addr
-				targets = append(targets, peerBaseURL(m.Addr))
 			}
 			for name := range known {
 				if _, ok := want[name]; !ok {
@@ -307,10 +296,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			// around until membership hears from them again.
 			for _, m := range serving {
 				routerRef.SetSuspect(m.Name, m.State == membership.Suspect)
-			}
-			if pubRef != nil {
-				sort.Strings(targets)
-				pubRef.SetTargets(targets)
 			}
 		}
 
@@ -362,46 +347,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			return err
 		}
 
-		// Other members are warmed through the publisher, which POSTs each
-		// locally-learned wrapper entry to their /v1/template/publish
-		// endpoints.
-		var publisher *template.Publisher
-		if templates != nil {
-			publisher = template.NewPublisher(template.PublisherConfig{Metrics: metrics})
-			defer publisher.Close()
-			templates.OnStore = publisher.Publish
-		}
-
 		peersMu.Lock()
-		routerRef, pubRef = router, publisher
+		routerRef = router
 		peersMu.Unlock()
 
 		if err := node.Join(ctx); err != nil {
 			return err
-		}
-		// Warmup: pull the cluster's learned wrapper state from a member
-		// that is already serving, before this node takes traffic. Failure
-		// (or -warmup-timeout) degrades to serving cold — ordinary
-		// publishes warm the store from here on.
-		if templates != nil {
-			var sources []string
-			for _, m := range node.Serving() {
-				if m.Name != *nodeName {
-					sources = append(sources, peerBaseURL(m.Addr))
-				}
-			}
-			if len(sources) > 0 {
-				n, err := templates.Pull(ctx, template.PullConfig{
-					Sources: sources,
-					Timeout: *warmupTimeout,
-					Metrics: metrics,
-				})
-				if err != nil {
-					fmt.Fprintf(out, "warmup: serving cold: %v\n", err)
-				} else {
-					fmt.Fprintf(out, "warmup: %d templates pulled\n", n)
-				}
-			}
 		}
 		mux := http.NewServeMux()
 		mux.HandleFunc("GET /metrics/cluster", router.ServeClusterMetrics)
@@ -469,7 +420,7 @@ func splitList(s string) []string {
 }
 
 // peerBaseURL turns an advertised member address into the base URL the
-// router and the warmup pull dial.
+// router dials.
 func peerBaseURL(addr string) string {
 	if strings.Contains(addr, "://") {
 		return strings.TrimRight(addr, "/")

@@ -256,15 +256,17 @@ func TestServeClusterMode(t *testing.T) {
 }
 
 // TestServeClusterFlagValidation checks that the removed static-topology
-// flags, the removed /healthz prober's period and the removed result-cache
-// journal fail flag parsing, so an old deploy script stops loudly instead
-// of silently running without them, and that -join still needs -node-name.
+// flags, the removed /healthz prober's period, the removed result-cache
+// journal and the removed joiner warmup bound fail flag parsing, so an old
+// deploy script stops loudly instead of silently running without them, and
+// that -join still needs -node-name.
 func TestServeClusterFlagValidation(t *testing.T) {
 	for _, args := range [][]string{
 		{"-cluster", "2"},
 		{"-peers", "http://127.0.0.1:1"},
 		{"-health-interval", "1s"},
 		{"-cache-journal", "x"},
+		{"-warmup-timeout", "5s"},
 	} {
 		err := run(context.Background(), args, &lockedBuffer{})
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {

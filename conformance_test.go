@@ -483,18 +483,50 @@ func TestTemplateFastPathConformance(t *testing.T) {
 		assertFastPath(t, store)
 	})
 
-	// Three replicas holding the same *Store — the cmd/serve cluster wiring.
-	// Wherever the router lands the cold request, the learned wrapper is
-	// visible to every replica, so the warm pass hits regardless of routing.
+	// Three replicas holding the same *Store, an in-process wiring only
+	// (each cmd/serve node opens its own store): wherever the router lands
+	// the cold request, the learned wrapper is visible to every replica, so
+	// the warm pass hits regardless of routing.
 	t.Run("ThreeReplicasSharedStore", func(t *testing.T) {
 		store, err := template.Open(template.Config{Metrics: obs.NewRegistry()})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { store.Close() })
-		srv := newInProcessFleet(t, 3, httpapi.Config{Templates: store})
+		srv := newInProcessFleet(t, 3, func(int) httpapi.Config { return httpapi.Config{Templates: store} })
 		checkPasses(t, srv.URL)
 		assertFastPath(t, store)
+	})
+
+	// Three replicas with one store each — the cmd/serve fleet wiring. The
+	// router sends a document to the same owner on both passes, so the
+	// owner learns it cold and serves it warm: summed over the replicas,
+	// every document missed once, was stored once and hit once.
+	t.Run("ThreeReplicasOwnStores", func(t *testing.T) {
+		stores := make([]*template.Store, 3)
+		for i := range stores {
+			store, err := template.Open(template.Config{Metrics: obs.NewRegistry()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { store.Close() })
+			stores[i] = store
+		}
+		srv := newInProcessFleet(t, 3, func(i int) httpapi.Config { return httpapi.Config{Templates: stores[i]} })
+		checkPasses(t, srv.URL)
+		var sum template.Stats
+		for _, store := range stores {
+			st := store.Stats()
+			sum.Entries += st.Entries
+			sum.Misses += st.Misses
+			sum.Stores += st.Stores
+			sum.Hits += st.Hits
+		}
+		n := float64(len(docs))
+		if sum.Entries != len(docs) || sum.Misses != n || sum.Stores != n || sum.Hits != n {
+			t.Errorf("replicas summed %d entries, %v misses, %v stores, %v hits; want %d of each",
+				sum.Entries, sum.Misses, sum.Stores, sum.Hits, len(docs))
+		}
 	})
 }
 
@@ -525,9 +557,9 @@ func newClusterServer(t *testing.T, peers []cluster.Peer) *httptest.Server {
 // newInProcessFleet serves an n-node in-process fleet wired the way
 // cmd/serve wires a node: replica-0's handler, forwarding through the
 // router, is the entry, and the router reaches every replica — replica-0
-// included — by direct call (cluster.LocalPeer over DiscoverLocal). Every
-// replica runs with cfg.
-func newInProcessFleet(t *testing.T, n int, cfg httpapi.Config) *httptest.Server {
+// included — by direct call (cluster.LocalPeer over DiscoverLocal).
+// Replica i runs with cfg(i).
+func newInProcessFleet(t *testing.T, n int, cfg func(i int) httpapi.Config) *httptest.Server {
 	t.Helper()
 	nodes := make([]*httpapi.Server, n)
 	var peers []cluster.Peer
@@ -540,7 +572,7 @@ func newInProcessFleet(t *testing.T, n int, cfg httpapi.Config) *httptest.Server
 		t.Fatal(err)
 	}
 	for i := range nodes {
-		nodeCfg := cfg
+		nodeCfg := cfg(i)
 		if i == 0 {
 			nodeCfg.Forward = router.Forward
 		}
@@ -580,7 +612,7 @@ func TestClusterConformance(t *testing.T) {
 
 	topologies := map[string]func(t *testing.T) *httptest.Server{
 		"InProcessReplicas": func(t *testing.T) *httptest.Server {
-			return newInProcessFleet(t, 3, httpapi.Config{CacheSize: 64})
+			return newInProcessFleet(t, 3, func(int) httpapi.Config { return httpapi.Config{CacheSize: 64} })
 		},
 		"HTTPPeers": func(t *testing.T) *httptest.Server {
 			var peers []cluster.Peer

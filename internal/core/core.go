@@ -290,12 +290,7 @@ func DiscoverTreeContext(ctx context.Context, tree *tagtree.Tree, opts Options) 
 				spotEntry = e
 			default:
 				res := resultFromEntry(e, tree, hfo)
-				if opts.observed() {
-					opts.recordStage("template/hit", time.Since(start), func() []string {
-						return []string{"separator", res.Separator, "cf", fmt.Sprintf("%.4f", e.Certainty)}
-					})
-				}
-				opts.countDocument("ok")
+				opts.ObserveTemplateHit(time.Since(start), e)
 				return res, nil
 			}
 		}
@@ -562,6 +557,20 @@ func (o Options) failDocument(err error) error {
 		o.countDocument("error")
 	}
 	return err
+}
+
+// ObserveTemplateHit files a document answered from the wrapper store as
+// every discovered document is filed: a template/hit stage (trace span and
+// stage histogram) and an "ok" document. DiscoverTreeContext files its
+// tree-level hits here, and so does a caller that serves a hit before any
+// parse.
+func (o Options) ObserveTemplateHit(d time.Duration, e *template.Entry) {
+	if o.observed() {
+		o.recordStage("template/hit", d, func() []string {
+			return []string{"separator", e.Separator, "cf", fmt.Sprintf("%.4f", e.Certainty)}
+		})
+	}
+	o.countDocument("ok")
 }
 
 // countDocument increments the per-outcome document counter.

@@ -27,16 +27,12 @@
 //	                        (an armed error suppresses the hedge)
 //	template/lookup         before each wrapper-store lookup (an armed error
 //	                        degrades the hit to a miss)
-//	template/publish        before each wrapper delivery to a remote peer
 //	journal/compact         between writing a journal's compacted temp file
 //	                        and renaming it into place (an armed panic
 //	                        simulates a crash mid-compaction)
 //	membership/heartbeat    before each outbound gossip heartbeat (an armed
 //	                        error drops the heartbeat — a partition as seen
 //	                        from both sides)
-//	membership/transfer     before each state-transfer pull attempt from a
-//	                        warmup source (an armed error fails the joiner
-//	                        over to its next ring neighbor)
 //
 // A Fault can combine a delay with a forced error; Panic takes precedence
 // over Err. Delays honor the context passed to FireCtx, so an injected slow

@@ -1,7 +1,6 @@
 package httpapi
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -12,79 +11,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/membership"
-	"repro/internal/template"
 )
-
-func templateTestEntry(t *testing.T, doc string) *template.Entry {
-	t.Helper()
-	key := template.MakeKey(template.FingerprintDoc(doc), template.Salt("html", "", nil))
-	return &template.Entry{
-		Key:       key.String(),
-		Separator: "hr",
-		TopTags:   []string{"hr"},
-		Scores:    []template.Score{{Tag: "hr", CF: 0.95}},
-		Rankings:  map[string][]template.RankEntry{"OM": {{Tag: "hr", Rank: 1}}},
-		Subtree:   "body",
-		Certainty: 0.95,
-	}
-}
-
-func TestTemplateExportStreamsStore(t *testing.T) {
-	store, err := template.Open(template.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	want := map[string]bool{}
-	for _, doc := range []string{
-		"<html><body><hr><hr></body></html>",
-		"<html><body><p><p><p></body></html>",
-	} {
-		e := templateTestEntry(t, doc)
-		if err := store.Put(e); err != nil {
-			t.Fatal(err)
-		}
-		want[e.Key] = true
-	}
-
-	h := NewHandler(Config{Templates: store})
-	req := httptest.NewRequest(http.MethodGet, template.ExportPath, nil)
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, req)
-	if w.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", w.Code, w.Body.String())
-	}
-	if ct := w.Header().Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Errorf("Content-Type = %q, want application/x-ndjson", ct)
-	}
-	sc := bufio.NewScanner(w.Body)
-	got := 0
-	for sc.Scan() {
-		var e template.Entry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatalf("line %d is not a JSON entry: %v", got+1, err)
-		}
-		if err := e.Validate(); err != nil {
-			t.Fatalf("exported entry %s invalid: %v", e.Key, err)
-		}
-		if !want[e.Key] {
-			t.Fatalf("exported unexpected entry %s", e.Key)
-		}
-		got++
-	}
-	if got != len(want) {
-		t.Fatalf("exported %d entries, want %d", got, len(want))
-	}
-}
-
-func TestTemplateExportWithoutStoreAnswers503(t *testing.T) {
-	h := NewHandler(Config{})
-	w := httptest.NewRecorder()
-	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, template.ExportPath, nil))
-	if w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("status %d, want 503", w.Code)
-	}
-}
 
 // TestClusterGossipOverHTTP runs the real join flow over the wire: a seed
 // node mounted on an httptest server, a joiner gossiping to it through

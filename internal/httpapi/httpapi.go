@@ -103,9 +103,8 @@ type Config struct {
 	// Templates, if non-nil, enables the learned-wrapper fast path: HTML
 	// discover requests are fingerprinted before any parsing and served
 	// straight from the store on a hit; misses learn the discovered
-	// answer. The store also backs POST /v1/template/publish (cluster
-	// warming), GET /v1/template/stats, and GET /v1/template/export (the
-	// warmup state-transfer stream). See docs/WRAPPER.md.
+	// answer. The store also backs GET /v1/template/stats. A fleet node's
+	// store holds only what this node learned. See docs/WRAPPER.md.
 	Templates *template.Store
 	// Membership, if non-nil, mounts this node's gossip surface: POST
 	// /v1/cluster/gossip (and /v1/cluster/join, its alias) exchange views,
@@ -622,10 +621,9 @@ func (s server) computeDiscover(ctx context.Context, mode, doc string, req *requ
 func (s server) computeDiscoverTemplated(ctx context.Context, doc string, req *request) (body []byte, degraded bool, apiErr *apiError) {
 	store := s.cfg.Templates
 	start := time.Now()
-	e, key, ok := store.LookupDoc(doc, template.Salt("html", req.Ontology, req.SeparatorList))
+	e, key, ok := store.LookupDocWithin(doc, template.Salt("html", req.Ontology, req.SeparatorList), s.cfg.Limits)
 	if ok && !store.SpotCheck() {
-		obs.TraceFrom(ctx).Add("template/hit", time.Since(start),
-			"separator", e.Separator, "key", e.Key)
+		s.pipelineOptions(ctx, nil, nil).ObserveTemplateHit(time.Since(start), e)
 		body, apiErr = encodeDiscover(resultFromEntry(e))
 		return body, false, apiErr
 	}

@@ -25,7 +25,7 @@
 // consistent-hash ring in internal/cluster through Config.OnChange, which
 // fires on membership changes and on Alive↔Suspect transitions alike; it is
 // the router's only liveness signal. docs/SCALING.md walks through the join
-// flow, the state machine, and the warmup handoff.
+// flow and the state machine.
 package membership
 
 import (
@@ -107,17 +107,11 @@ type Transport interface {
 	Gossip(ctx context.Context, addr string, msg Message) (Message, error)
 }
 
-// Fault hook points owned by this package (catalog: docs/ROBUSTNESS.md).
-const (
-	// FaultHeartbeat fires before each outgoing heartbeat; an armed error
-	// drops it (send and reply both lost), simulating a partitioned or
-	// stalled peer so tests can drive suspect→refutation transitions.
-	FaultHeartbeat = "membership/heartbeat"
-	// FaultTransfer fires inside the joiner warmup state transfer (see
-	// template.Pull); an armed error fails the transfer so tests can prove
-	// a joiner degrades to serving cold rather than blocking forever.
-	FaultTransfer = "membership/transfer"
-)
+// FaultHeartbeat is this package's fault hook point (catalog:
+// docs/ROBUSTNESS.md). It fires before each outgoing heartbeat; an armed
+// error drops it (send and reply both lost), simulating a partitioned or
+// stalled peer so tests can drive suspect→refutation transitions.
+const FaultHeartbeat = "membership/heartbeat"
 
 // Default timing. SuspectAfter and DeadAfter are multiples of the gossip
 // interval: 3 missed rounds raise suspicion, 10 declare death.

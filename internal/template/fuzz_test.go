@@ -1,6 +1,8 @@
 package template
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/tagtree"
@@ -9,7 +11,10 @@ import (
 // FuzzFingerprintDoc pins the load-bearing equivalence of the fast path: the
 // specialized tag-only scanner must agree byte-for-byte with the reference
 // tree walk on arbitrary input. Any divergence means a warm request could be
-// served a wrapper learned for a differently-shaped page.
+// served a wrapper learned for a differently-shaped page. The scanner's depth
+// and node count must also be the parse's own limits verdict: the tree fits
+// Limits of exactly that depth and node count, and one less refuses it, so a
+// template hit is served only where the parse would have succeeded.
 func FuzzFingerprintDoc(f *testing.F) {
 	seeds := []string{
 		"",
@@ -23,6 +28,7 @@ func FuzzFingerprintDoc(f *testing.F) {
 		"<select><option>1<option>2</select>",
 		"<p <div> </p x>",
 		"<textarea></textarea\u00e9></textarea>",
+		"<div><div><p>a<br><p>b</div><img/></div></div>",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -36,6 +42,29 @@ func FuzzFingerprintDoc(f *testing.F) {
 		}
 		if again := FingerprintDoc(doc); again != fast {
 			t.Fatalf("FingerprintDoc not deterministic on %q", doc)
+		}
+
+		_, depth, nodes := scanDoc(doc)
+		parse := func(lim tagtree.Limits) error {
+			_, err := tagtree.ParseContext(context.Background(), doc, lim)
+			return err
+		}
+		// A zero limit means none, so a count of 0 is checked as 1.
+		if err := parse(tagtree.Limits{MaxDepth: max(depth, 1), MaxNodes: max(nodes, 1)}); err != nil {
+			t.Fatalf("scanner counts depth %d, %d nodes on %q, but the parse refuses them: %v",
+				depth, nodes, doc, err)
+		}
+		if depth > 1 {
+			if err := parse(tagtree.Limits{MaxDepth: depth - 1}); !errors.Is(err, tagtree.ErrTooDeep) {
+				t.Fatalf("scanner counts depth %d on %q, but the parse accepts depth %d: %v",
+					depth, doc, depth-1, err)
+			}
+		}
+		if nodes > 1 {
+			if err := parse(tagtree.Limits{MaxNodes: nodes - 1}); !errors.Is(err, tagtree.ErrTooManyNodes) {
+				t.Fatalf("scanner counts %d nodes on %q, but the parse accepts %d: %v",
+					nodes, doc, nodes-1, err)
+			}
 		}
 	})
 }

@@ -19,12 +19,22 @@ import (
 // FingerprintTree(tagtree.Parse(doc)) returns, at a small fraction of the
 // cost — this is what lets a template hit undercut full discovery by ~50×.
 func FingerprintDoc(doc string) Fingerprint {
+	fp, _, _ := scanDoc(doc)
+	return fp
+}
+
+// scanDoc is FingerprintDoc that also returns the depth and node count of
+// doc's tag tree, counted the way tagtree's builder counts them against
+// tagtree.Limits: depth is the deepest nesting of non-leaf elements, nodes
+// every element, leaves included.
+func scanDoc(doc string) (fp Fingerprint, depth, nodes int) {
 	sc := scanPool.Get().(*docScanner)
 	sc.reset()
 	sc.scan(doc)
-	fp := sc.fingerprint()
+	fp = sc.fingerprint()
+	depth, nodes = sc.depth, len(sc.elems)
 	scanPool.Put(sc)
-	return fp
+	return fp, depth, nodes
 }
 
 var scanPool = sync.Pool{New: func() any { return newDocScanner() }}
@@ -52,6 +62,7 @@ type docScanner struct {
 	fan     []int32 // child count per open element
 	elems   []elemRec
 	rootFan int32
+	depth   int // deepest len(stack) reached
 
 	nbuf []byte // lowercased tag-name scratch
 	sbuf []byte // hash serialization scratch
@@ -88,6 +99,7 @@ func (sc *docScanner) reset() {
 	sc.fan = sc.fan[:0]
 	sc.elems = sc.elems[:0]
 	sc.rootFan = 0
+	sc.depth = 0
 	if sc.extra != nil {
 		sc.extra = nil
 		sc.extraNames = sc.extraNames[:0]
@@ -141,6 +153,7 @@ func (sc *docScanner) push(id int32) {
 	sc.noteChild()
 	sc.open = append(sc.open, int32(len(sc.events)))
 	sc.stack = append(sc.stack, id)
+	sc.depth = max(sc.depth, len(sc.stack))
 	sc.fan = append(sc.fan, 0)
 	sc.events = append(sc.events, openEvent(id))
 }

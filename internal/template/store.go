@@ -7,9 +7,11 @@ import (
 	"sync/atomic"
 
 	"repro/internal/faultinject"
+	"repro/internal/htmlparse"
 	"repro/internal/journal"
 	"repro/internal/lru"
 	"repro/internal/obs"
+	"repro/internal/tagtree"
 )
 
 // ErrCorrupt marks a wrapper-store journal whose body (not merely its torn
@@ -86,7 +88,7 @@ func (e *Entry) Validate() error {
 }
 
 // clone deep-copies an entry so cached state can never be mutated through a
-// pointer a caller (or the JSON decoder on a later Absorb) still holds.
+// pointer a caller still holds.
 func (e *Entry) clone() *Entry {
 	c := *e
 	c.TopTags = append([]string(nil), e.TopTags...)
@@ -108,9 +110,8 @@ func (e *Entry) clone() *Entry {
 }
 
 // Equal reports semantic equality. The store uses it to suppress redundant
-// journal writes and publish loops when a replica re-learns what it already
-// knows; spot-checks use it to compare a stored answer against a fresh
-// full-discovery answer.
+// journal writes when a node re-learns what it already knows; spot-checks
+// use it to compare a stored answer against a fresh full-discovery answer.
 func (e *Entry) Equal(o *Entry) bool {
 	ej, _ := json.Marshal(e)
 	oj, _ := json.Marshal(o)
@@ -128,15 +129,11 @@ const DefaultMinCertainty = 0.5
 // templates than any real site exhibits.
 const DefaultCapacity = 4096
 
-// Fault hook points owned by this package (catalog: docs/ROBUSTNESS.md).
-const (
-	// FaultLookup fires at the head of every store lookup; an armed error
-	// turns the lookup into a miss (counted as a lookup error), proving
-	// a degraded store falls back to full discovery.
-	FaultLookup = "template/lookup"
-	// FaultPublish fires before each peer publish attempt.
-	FaultPublish = "template/publish"
-)
+// FaultLookup is this package's fault hook point (catalog:
+// docs/ROBUSTNESS.md). It fires at the head of every store lookup; an armed
+// error turns the lookup into a miss (counted as a lookup error), proving a
+// degraded store falls back to full discovery.
+const FaultLookup = "template/lookup"
 
 // Config configures a Store.
 type Config struct {
@@ -159,8 +156,7 @@ type Config struct {
 
 // Store maps template keys to learned wrappers. It is safe for concurrent
 // use and optionally journaled to disk for warm restarts. In a fleet each
-// node holds one *Store, and the other members are warmed through a
-// Publisher wired to OnStore.
+// node holds its own *Store and fills it only from what it learns.
 type Store struct {
 	cfg Config
 
@@ -170,13 +166,8 @@ type Store struct {
 
 	hits atomic.Uint64 // lifetime hit ordinal, drives spot-check cadence
 
-	// OnStore, when non-nil, observes every locally-learned entry (Put,
-	// not Absorb — absorbed entries came from a peer and re-announcing
-	// them would loop). Set it before the store sees traffic.
-	OnStore func(*Entry)
-
-	mHits, mMisses, mStores, mAbsorbs, mLookupErrs *obs.Counter
-	mEntries                                       *obs.Gauge
+	mHits, mMisses, mStores, mLookupErrs *obs.Counter
+	mEntries                             *obs.Gauge
 }
 
 // Open creates a store. With a non-empty cfg.Path it replays the journal
@@ -198,7 +189,6 @@ func Open(cfg Config) (*Store, error) {
 		mHits:       cfg.Metrics.Counter("boundary_template_hits_total", "Template fast-path lookups served from the wrapper store."),
 		mMisses:     cfg.Metrics.Counter("boundary_template_misses_total", "Template fast-path lookups that fell back to full discovery."),
 		mStores:     cfg.Metrics.Counter("boundary_template_stores_total", "Learned wrappers stored locally."),
-		mAbsorbs:    cfg.Metrics.Counter("boundary_template_absorbs_total", "Learned wrappers absorbed from cluster peers."),
 		mLookupErrs: cfg.Metrics.Counter("boundary_template_lookup_errors_total", "Store lookups that failed and degraded to a miss."),
 		mEntries:    cfg.Metrics.Gauge("boundary_template_entries", "Learned wrappers currently held in memory."),
 	}
@@ -304,7 +294,22 @@ func (s *Store) Lookup(key Key) (*Entry, bool) {
 // fast scanner and returns the entry, the computed key (for a later Put on
 // miss), and whether it hit.
 func (s *Store) LookupDoc(doc, salt string) (*Entry, Key, bool) {
-	key := MakeKey(FingerprintDoc(doc), salt)
+	return s.LookupDocWithin(doc, salt, tagtree.Limits{})
+}
+
+// LookupDocWithin is LookupDoc for a caller that parses under lim. A
+// document tagtree would refuse under lim (too long, too deep, or too many
+// nodes) is not looked up and counts neither a hit nor a miss, so the
+// caller's parse refuses it exactly as it would without a store.
+func (s *Store) LookupDocWithin(doc, salt string, lim tagtree.Limits) (*Entry, Key, bool) {
+	if htmlparse.CheckSize(doc, lim.MaxBytes) != nil {
+		return nil, Key{}, false
+	}
+	fp, depth, nodes := scanDoc(doc)
+	key := MakeKey(fp, salt)
+	if (lim.MaxDepth > 0 && depth > lim.MaxDepth) || (lim.MaxNodes > 0 && nodes > lim.MaxNodes) {
+		return nil, key, false
+	}
 	e, ok := s.Lookup(key)
 	return e, key, ok
 }
@@ -329,27 +334,13 @@ func (s *Store) ReportSpotCheck(outcome string) {
 		"outcome", outcome).Inc()
 }
 
-// Put stores a locally-learned entry: validates, caches, journals, and
-// announces it through OnStore. Identical re-learns are dropped so replicas
-// don't re-journal and re-publish what they already know.
+// Put stores a learned entry: validates, caches and journals it. Identical
+// re-learns are dropped so the journal doesn't grow with what the store
+// already knows.
 func (s *Store) Put(e *Entry) error {
 	if s == nil {
 		return nil
 	}
-	return s.add(e, true)
-}
-
-// Absorb stores an entry received from a cluster peer. It is Put without the
-// OnStore announcement — re-publishing a received entry would bounce it
-// around the ring forever.
-func (s *Store) Absorb(e *Entry) error {
-	if s == nil {
-		return nil
-	}
-	return s.add(e, false)
-}
-
-func (s *Store) add(e *Entry, local bool) error {
 	if err := e.Validate(); err != nil {
 		return err
 	}
@@ -360,15 +351,8 @@ func (s *Store) add(e *Entry, local bool) error {
 	e = e.clone()
 	s.cache.Add(key, e)
 	s.mEntries.Set(float64(s.cache.Len()))
-	if local {
-		s.mStores.Inc()
-	} else {
-		s.mAbsorbs.Inc()
-	}
+	s.mStores.Inc()
 	s.appendPut(e)
-	if local && s.OnStore != nil {
-		s.OnStore(e)
-	}
 	return nil
 }
 
@@ -398,7 +382,6 @@ type Stats struct {
 	Hits         float64 `json:"hits"`
 	Misses       float64 `json:"misses"`
 	Stores       float64 `json:"stores"`
-	Absorbs      float64 `json:"absorbs"`
 	LookupErrors float64 `json:"lookup_errors"`
 }
 
@@ -413,7 +396,6 @@ func (s *Store) Stats() Stats {
 		Hits:         s.mHits.Value(),
 		Misses:       s.mMisses.Value(),
 		Stores:       s.mStores.Value(),
-		Absorbs:      s.mAbsorbs.Value(),
 		LookupErrors: s.mLookupErrs.Value(),
 	}
 }
@@ -424,20 +406,6 @@ func (s *Store) Len() int {
 		return 0
 	}
 	return s.cache.Len()
-}
-
-// Entries returns a snapshot of all live entries, least recently used first
-// (the publisher uses it to warm a newly-joined peer).
-func (s *Store) Entries() []*Entry {
-	if s == nil {
-		return nil
-	}
-	vals := s.cache.Values()
-	out := make([]*Entry, len(vals))
-	for i, e := range vals {
-		out[i] = e.clone()
-	}
-	return out
 }
 
 // Reset drops every in-memory entry (journal untouched; benchmarks use it to

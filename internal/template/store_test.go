@@ -252,37 +252,34 @@ func TestStoreLookupFaultDegradesToMiss(t *testing.T) {
 	}
 }
 
-func TestStorePutDedupesAndAbsorbSkipsOnStore(t *testing.T) {
+func TestStorePutDedupesIdenticalRelearn(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wrappers.ndjson")
 	s, _ := Open(Config{Path: path})
 	defer s.Close()
-	var announced int
-	s.OnStore = func(*Entry) { announced++ }
+	journalLines := func() int {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Count(string(b), "\n")
+	}
 
 	e := testEntry("<html><body><hr><hr></body></html>", 0.99)
 	s.Put(e)
-	s.Put(e) // identical re-learn: no journal line, no announcement
-	if announced != 1 {
-		t.Fatalf("OnStore fired %d times, want 1", announced)
+	before := journalLines()
+	s.Put(e) // identical re-learn: no journal line
+	if got := journalLines(); got != before {
+		t.Fatalf("identical re-learn grew the journal from %d to %d lines", before, got)
 	}
 
-	other := testEntry("<html><body><p><p><p></body></html>", 0.98)
-	if err := s.Absorb(other); err != nil {
-		t.Fatal(err)
-	}
-	if announced != 1 {
-		t.Fatal("Absorb must not fire OnStore (publish loop)")
-	}
-	if _, ok := s.Lookup(mustKey(t, other)); !ok {
-		t.Fatal("absorbed entry not served")
-	}
-
-	// A changed answer for the same key is a real update and re-announces.
+	// A changed answer for the same key is a real update: it is journaled
+	// and replaces the entry.
 	e2 := testEntry("<html><body><hr><hr></body></html>", 0.97)
 	e2.Separator = "p"
 	s.Put(e2)
-	if announced != 2 {
-		t.Fatalf("OnStore fired %d times after update, want 2", announced)
+	if got := journalLines(); got != before+1 {
+		t.Fatalf("update journaled %d lines, want 1", got-before)
 	}
 	got, _ := s.Lookup(mustKey(t, e2))
 	if got.Separator != "p" {
