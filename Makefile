@@ -22,10 +22,12 @@ race:
 	$(GO) test -race ./...
 
 # Repeated race runs put the metrics exposition, the pooled recognizer
-# scratch, the pooled parse arenas, the LRU and the result cache's single
-# flight through many interleavings before merge. CI runs this.
+# scratch, the pooled parse arenas, the LRU, the fleet router and gossip
+# membership, the heuristics' lazily filled statistics and the result
+# cache's single flight through many interleavings before merge. CI runs
+# this.
 race-repeat:
-	$(GO) test -race -count=5 ./internal/obs/ ./internal/recognizer/ ./internal/tagtree/ ./internal/htmlparse/ ./internal/lru/
+	$(GO) test -race -count=5 ./internal/obs/ ./internal/recognizer/ ./internal/tagtree/ ./internal/htmlparse/ ./internal/lru/ ./internal/cluster/ ./internal/membership/ ./internal/heuristic/
 	$(call go_test_run,-race -count=5,Cache|Singleflight,./internal/httpapi/)
 
 # Shuffled double run: catches inter-test ordering dependencies and
@@ -78,14 +80,20 @@ bench:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
+# newest_numbered PREFIX names the committed PREFIX_<n>.json with the
+# highest n, compared as a number (BENCH_10 is newer than BENCH_9), or
+# nothing when there is none.
+newest_numbered = $(shell ls $(1)_*.json 2>/dev/null | sed -n 's/^$(1)_\([0-9][0-9]*\)\.json$$/\1/p' | sort -n | tail -1 | sed 's/.*/$(1)_&.json/')
+
 # Perf-regression gate: a fresh measurement of the core benchmarks compared
-# against the newest committed BENCH_<n>.json; any benchmark more than 30%
+# against the newest committed BENCH_<n>.json (the highest n, compared as a
+# number, as `bench` numbers new files); any benchmark more than 30%
 # slower than the baseline fails (speed-ups and new benchmarks are
 # informational). Each benchmark is measured 3 times and benchjson folds
 # the repeats to the fastest run, so a GC cycle or scheduler hiccup landing
 # inside one timed window cannot fail the gate on its own.
 # BENCH_BASELINE / BENCH_TOLERANCE override the defaults.
-BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
+BENCH_BASELINE ?= $(call newest_numbered,BENCH)
 BENCH_TOLERANCE ?= 0.30
 bench-gate:
 	@test -n "$(BENCH_BASELINE)" || { echo "no BENCH_<n>.json baseline committed"; exit 1; }
@@ -126,7 +134,7 @@ evalrun:
 # new extractors are informational). Everything is deterministic, so unlike
 # bench-gate there is no noise to fold away.
 # QUALITY_BASELINE / QUALITY_TOLERANCE override the defaults.
-QUALITY_BASELINE ?= $(lastword $(sort $(wildcard QUALITY_*.json)))
+QUALITY_BASELINE ?= $(call newest_numbered,QUALITY)
 QUALITY_TOLERANCE ?= 0.02
 quality-gate:
 	@test -n "$(QUALITY_BASELINE)" || { echo "no QUALITY_<n>.json baseline committed"; exit 1; }
@@ -202,6 +210,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzEnvelope$$' -fuzztime=30s ./internal/pipeline/
 	$(GO) test -fuzz='^FuzzWireEncoding$$' -fuzztime=30s ./internal/pipeline/
 	$(GO) test -fuzz='^FuzzFingerprintDoc$$' -fuzztime=30s ./internal/template/
+	$(GO) test -fuzz='^FuzzStatsPass$$' -fuzztime=30s ./internal/heuristic/
 	$(GO) test -fuzz='^FuzzJournalCrash$$' -fuzztime=30s ./internal/journal/
 
 # The fault-injection chaos suite (see docs/ROBUSTNESS.md) under the race

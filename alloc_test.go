@@ -11,16 +11,18 @@ package repro
 // The structural layers have hard zero gates (warm target 0): the arena
 // parse itself (tagtree.TestParseArenaWarmZeroAllocs) and the template
 // fingerprint scan (TestFingerprintDocAllocs below). Full discovery
-// legitimately allocates its per-request answer — rankings, score maps, the
-// Result — and the recognizer's regexp matches; those ceilings bound that
-// spend.
+// legitimately allocates its per-request answer — candidates, rankings,
+// scores, the Result — and those ceilings bound that spend; the heuristic
+// layer may allocate nothing else (TestHeuristicLayerAllocs).
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/corpus"
+	"repro/internal/heuristic"
 	"repro/internal/obs"
 	"repro/internal/tagtree"
 	"repro/internal/template"
@@ -55,9 +57,10 @@ func TestDiscoverAllocs(t *testing.T) {
 	defer arena.Release()
 
 	t.Run("NoOntology", func(t *testing.T) {
-		// Parse + heuristics + answer assembly; no recognizer. Measured 93
-		// on the seed corpus document.
-		const ceiling = 120
+		// Parse + heuristics + answer assembly; no recognizer. Measured 13
+		// on the seed corpus document: the context, the candidates, the five
+		// rankings, the Result with its Rankings map, Scores and TopTags.
+		const ceiling = 16
 		opts := core.Options{Arena: arena}
 		got := testing.AllocsPerRun(50, func() {
 			if _, err := core.DiscoverBytes(doc, opts); err != nil {
@@ -70,10 +73,10 @@ func TestDiscoverAllocs(t *testing.T) {
 	})
 
 	t.Run("WithOntology", func(t *testing.T) {
-		// Adds the recognizer scan: each regexp match allocates its index
-		// pair, so this scales with the document's match count. Measured
-		// 1112 on the seed corpus document.
-		const ceiling = 1400
+		// Adds the recognizer's count-only scan of the record-identifying
+		// fields, which runs on pooled scratch. Measured 13 on the seed
+		// corpus document.
+		const ceiling = 16
 		opts := core.Options{Ontology: BuiltinOntology(string(d.Site.Domain)), Arena: arena}
 		got := testing.AllocsPerRun(20, func() {
 			if _, err := core.DiscoverBytes(doc, opts); err != nil {
@@ -84,6 +87,37 @@ func TestDiscoverAllocs(t *testing.T) {
 			t.Errorf("DiscoverBytes (ontology) allocates %.0f/run, ceiling %d", got, ceiling)
 		}
 	})
+}
+
+// TestHeuristicLayerAllocs pins the heuristic layer on a pooled arena:
+// NewContext and the five Rank calls allocate only what they return — the
+// context, its candidates, and one slice per ranking. The statistics pass
+// runs in the arena's scratch and ranking sorts in place.
+func TestHeuristicLayerAllocs(t *testing.T) {
+	skipUnderRace(t)
+	doc := allocDoc(t).HTML
+	arena := tagtree.AcquireArena()
+	defer arena.Release()
+	tree, err := tagtree.ParseArenaContext(context.Background(), doc, tagtree.Limits{}, arena, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := heuristic.All()
+	var answered int
+	got := testing.AllocsPerRun(50, func() {
+		ctx := heuristic.NewContext(tree, tagtree.DefaultCandidateThreshold, nil)
+		answered = 0
+		for _, h := range hs {
+			if _, ok := h.Rank(ctx); ok {
+				answered++
+			}
+		}
+	})
+	t.Logf("%.0f allocations, %d rankings", got, answered)
+	if ceiling := 2 + answered; got > float64(ceiling) {
+		t.Errorf("NewContext and five Rank calls allocate %.0f/run, want at most %d (context, candidates, %d rankings)",
+			got, ceiling, answered)
+	}
 }
 
 // TestDiscoverRegistryAllocs pins the cost of observability on the

@@ -8,7 +8,9 @@ package certainty
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // Combine applies the Stanford certainty-theory rule for independent
@@ -22,14 +24,20 @@ import (
 func Combine(factors ...float64) float64 {
 	remain := 1.0
 	for _, f := range factors {
-		if f < 0 {
-			f = 0
-		} else if f > 1 {
-			f = 1
-		}
-		remain *= 1 - f
+		remain = combineStep(remain, f)
 	}
 	return 1 - remain
+}
+
+// combineStep folds one more factor, clamped to [0,1], into the remaining
+// doubt 1 − CF: the one place the rule's arithmetic is written.
+func combineStep(remain, f float64) float64 {
+	if f < 0 {
+		f = 0
+	} else if f > 1 {
+		f = 1
+	}
+	return remain * (1 - f)
 }
 
 // Table maps a heuristic name to its certainty factors by rank: entry k-1
@@ -41,7 +49,11 @@ type Table map[string][]float64
 // heuristic at the given 1-based rank. Unknown heuristics and out-of-range
 // ranks yield 0.
 func (t Table) Factor(heuristic string, rank int) float64 {
-	fs := t[heuristic]
+	return factorAt(t[heuristic], rank)
+}
+
+// factorAt returns one heuristic's factor at a 1-based rank.
+func factorAt(fs []float64, rank int) float64 {
 	if rank < 1 || rank > len(fs) {
 		return 0
 	}
@@ -187,25 +199,52 @@ func (s Score) String() string { return fmt.Sprintf("%s %.2f%%", s.Tag, s.CF*100
 // for each tag. rankings maps heuristic name → (tag → 1-based rank); a
 // heuristic absent from the map supplied no answer and contributes nothing.
 // Tags missing from a heuristic's ranking get zero factor from it. The
-// result is sorted by descending CF, ties broken by tag name.
+// result is sorted by descending CF, ties broken by tag name. It is
+// CompoundRanks over the maps.
 func Compound(table Table, combination Combination, rankings map[string]map[string]int, tags []string) []Score {
-	out := make([]Score, 0, len(tags))
-	for _, tag := range tags {
-		var fs []float64
-		for _, h := range combination {
-			ranks, ok := rankings[h]
-			if !ok {
-				continue // heuristic gave no answer for this document
-			}
-			fs = append(fs, table.Factor(h, ranks[tag]))
+	ranks := make([][]int32, len(combination))
+	for i, h := range combination {
+		m, ok := rankings[h]
+		if !ok {
+			continue
 		}
-		out = append(out, Score{Tag: tag, CF: Combine(fs...)})
+		ranks[i] = make([]int32, len(tags))
+		for j, tag := range tags {
+			ranks[i][j] = int32(m[tag])
+		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].CF != out[j].CF {
-			return out[i].CF > out[j].CF
+	return CompoundRanks(table, combination, ranks, tags)
+}
+
+// CompoundRanks is Compound with the rankings in index form: ranks[i]
+// belongs to combination[i] and holds, aligned with tags, the 1-based rank
+// that heuristic gave each tag (0 when it did not rank it); a nil ranks[i]
+// means the heuristic supplied no answer. Each heuristic's factors are
+// looked up in table once per call.
+func CompoundRanks(table Table, combination Combination, ranks [][]int32, tags []string) []Score {
+	var buf [8][]float64
+	factors := buf[:0]
+	for _, h := range combination {
+		factors = append(factors, table[h])
+	}
+	out := make([]Score, len(tags))
+	for j, tag := range tags {
+		remain := 1.0
+		for i, r := range ranks {
+			if r != nil {
+				remain = combineStep(remain, factorAt(factors[i], int(r[j])))
+			}
 		}
-		return out[i].Tag < out[j].Tag
+		out[j] = Score{Tag: tag, CF: 1 - remain}
+	}
+	slices.SortFunc(out, func(a, b Score) int {
+		if a.CF != b.CF {
+			if a.CF > b.CF {
+				return -1
+			}
+			return 1
+		}
+		return strings.Compare(a.Tag, b.Tag)
 	})
 	return out
 }

@@ -125,7 +125,14 @@ func (o Options) threshold() float64 {
 	return o.CandidateThreshold
 }
 
+// defaultHeuristics is the paper's combination with the paper's IT list,
+// built once: heuristics returns it for the zero Options.
+var defaultHeuristics = heuristic.All()
+
 func (o Options) heuristics() []heuristic.Heuristic {
+	if o.Combination == nil && o.SeparatorList == nil {
+		return defaultHeuristics
+	}
 	var out []heuristic.Heuristic
 	for _, name := range o.combination() {
 		h := heuristic.ByName(name)
@@ -340,16 +347,15 @@ func DiscoverTreeContext(ctx context.Context, tree *tagtree.Tree, opts Options) 
 	// its own slot; each costs a few microseconds, less than a goroutine
 	// handoff. All observability is filed after the loop, keeping trace
 	// output deterministic.
-	hs := opts.heuristics()
-	answers := make([]heuristicAnswer, len(hs))
-	for i, h := range hs {
-		answers[i] = opts.runHeuristic(ctx, h, hctx)
+	var answerBuf [5]heuristicAnswer
+	answers := answerBuf[:0]
+	for _, h := range opts.heuristics() {
+		answers = append(answers, opts.runHeuristic(ctx, h, hctx))
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, opts.failDocument(err)
 	}
 
-	rankMaps := make(map[string]map[string]int)
 	for i := range answers {
 		a := &answers[i]
 		switch {
@@ -376,18 +382,13 @@ func DiscoverTreeContext(ctx context.Context, tree *tagtree.Tree, opts Options) 
 			continue
 		}
 		res.Rankings[a.name] = a.r
-		rankMaps[a.name] = a.r.ToMap()
 	}
 
 	if err := opts.Faults.FireCtx(ctx, "core/combine"); err != nil {
 		return nil, opts.failDocument(err)
 	}
-	tags := make([]string, len(hctx.Candidates))
-	for i, c := range hctx.Candidates {
-		tags[i] = c.Name
-	}
 	start := time.Now()
-	res.Scores = certainty.Compound(opts.factors(), opts.combination(), rankMaps, tags)
+	res.Scores = opts.combine(tree.Scratch(), hctx.Candidates, answers)
 	res.Separator = res.Scores[0].Tag
 	for _, s := range res.Scores {
 		if s.CF == res.Scores[0].CF {
@@ -408,6 +409,41 @@ func DiscoverTreeContext(ctx context.Context, tree *tagtree.Tree, opts Options) 
 	}
 	opts.templateLearn(tmplKey, spotEntry, res)
 	return res, nil
+}
+
+// combine computes the compound certainty factors of the candidates from
+// the heuristics' answers: certainty.CompoundRanks, with each combination
+// member's ranks, aligned with the candidates, carved from scratch. A
+// member takes the last answer of its name that ranked (the one
+// Result.Rankings keeps); with none it contributes nothing.
+func (o Options) combine(scratch *tagtree.Scratch, cands []tagtree.Candidate, answers []heuristicAnswer) []certainty.Score {
+	comb := o.combination()
+	var rankBuf [8][]int32
+	ranks := rankBuf[:0]
+	for _, name := range comb {
+		var row []int32
+		for i := len(answers) - 1; i >= 0; i-- {
+			if a := &answers[i]; a.name == name && a.ok && !a.panicked {
+				row = scratch.Int32s(len(cands))
+				for _, e := range a.r {
+					for j := range cands {
+						if cands[j].Name == e.Tag {
+							row[j] = int32(e.Rank)
+							break
+						}
+					}
+				}
+				break
+			}
+		}
+		ranks = append(ranks, row)
+	}
+	var tagBuf [16]string
+	tags := tagBuf[:0]
+	for _, c := range cands {
+		tags = append(tags, c.Name)
+	}
+	return certainty.CompoundRanks(o.factors(), comb, ranks, tags)
 }
 
 // templateLearn stores a freshly-discovered answer in the wrapper store and

@@ -1,6 +1,10 @@
 package heuristic
 
-import "repro/internal/recognizer"
+import (
+	"slices"
+
+	"repro/internal/recognizer"
+)
 
 // This file exposes each heuristic's intermediate evidence for debugging,
 // UI explanations, and tests — the quantities the paper discusses when
@@ -17,13 +21,16 @@ type Pair struct {
 // each ordered candidate pair occurs at a potential boundary. For the
 // paper's Figure 2, RPPairs yields {hr b}:2 and {br hr}:2.
 func RPPairs(ctx *Context) map[Pair]int {
-	counts, _ := adjacentPairs(ctx)
-	nc := len(ctx.Candidates)
 	out := make(map[Pair]int)
+	nc := len(ctx.Candidates)
+	if nc == 0 {
+		return out
+	}
+	st := ctx.statsOf()
 	for a := 0; a < nc; a++ {
 		for b := 0; b < nc; b++ {
-			if n := counts[a*nc+b]; n > 0 {
-				out[Pair{First: ctx.Candidates[a].Name, Second: ctx.Candidates[b].Name}] = n
+			if n := st.pairs[a*nc+b]; n > 0 {
+				out[Pair{First: ctx.Candidates[a].Name, Second: ctx.Candidates[b].Name}] = int(n)
 			}
 		}
 	}
@@ -34,11 +41,14 @@ func RPPairs(ctx *Context) map[Pair]int {
 // between its consecutive occurrences — the samples whose standard
 // deviation SD ranks by.
 func SDIntervals(ctx *Context) map[string][]float64 {
-	intervals := intervalLengths(ctx)
 	out := make(map[string][]float64, len(ctx.Candidates))
+	if len(ctx.Candidates) == 0 {
+		return out
+	}
+	st := ctx.statsOf()
 	for i, c := range ctx.Candidates {
-		if len(intervals[i]) > 0 {
-			out[c.Name] = intervals[i]
+		if iv := st.intervals(i); len(iv) > 0 {
+			out[c.Name] = slices.Clone(iv)
 		}
 	}
 	return out
@@ -87,7 +97,7 @@ func DeclineReason(name string, ctx *Context) string {
 			return "no data-record table built"
 		}
 	case "RP":
-		if _, any := adjacentPairs(ctx); !any {
+		if !ctx.statsOf().anyPair {
 			return "no adjacent candidate start-tag pairs"
 		}
 		return "no tag pair above the pair-count floor"

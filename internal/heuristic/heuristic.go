@@ -15,8 +15,10 @@ package heuristic
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/faultinject"
@@ -27,8 +29,11 @@ import (
 
 // Context carries everything a heuristic may consult about one document.
 // Build it once with NewContext and share it across heuristics — this is
-// what keeps the overall process linear: the tag tree, candidate counts, and
-// OM's field counts are each computed in one pass.
+// what keeps the overall process linear: the tag tree, OM's field counts,
+// and the statistics HT, SD and RP rank from (candidate counts, SD's text
+// intervals, RP's adjacent pairs) are each computed in one pass. A context
+// over a tree parsed on a pooled arena keeps those statistics in the
+// arena's scratch, so it is valid only as long as the tree.
 type Context struct {
 	// Tree is the document's tag tree.
 	Tree *tagtree.Tree
@@ -58,6 +63,11 @@ type Context struct {
 	// Contexts assembled by hand may leave it nil; the heuristics then fall
 	// back to computing lengths on the fly.
 	SubtreeTextLens []int32
+
+	// stats holds the statistics pass's counts (see fillStats):
+	// NewContextCtx fills them, a context assembled by hand on first use.
+	statsOnce sync.Once
+	stats     stats
 }
 
 // NewContext parses nothing itself; it derives the heuristic context from an
@@ -116,10 +126,10 @@ func NewContextCtx(ctx context.Context, tree *tagtree.Tree, threshold float64, o
 	hctx := &Context{
 		Tree:            tree,
 		Subtree:         sub,
-		Candidates:      tagtree.Candidates(sub, threshold),
 		Ontology:        ont,
 		SubtreeTextLens: tree.SubtreeTextLens(sub),
 	}
+	hctx.statsOnce.Do(func() { hctx.fillStats(threshold, true) })
 	if onStage != nil {
 		onStage(Stage{Name: "candidates", Duration: time.Since(start), Attrs: []string{
 			"count", strconv.Itoa(len(hctx.Candidates)),
@@ -159,18 +169,6 @@ func (c *Context) CandidateCount(name string) int {
 // IsCandidate reports whether name is one of the candidate tags.
 func (c *Context) IsCandidate(name string) bool {
 	return c.CandidateCount(name) > 0
-}
-
-// candidateIndex maps each candidate tag name to its position in
-// c.Candidates, for heuristics that scan the event stream and want O(1)
-// membership tests plus dense per-candidate accumulators instead of
-// per-event map traffic.
-func candidateIndex(c *Context) map[string]int {
-	m := make(map[string]int, len(c.Candidates))
-	for i, cand := range c.Candidates {
-		m[cand.Name] = i
-	}
-	return m
 }
 
 // collapsedTextLen returns the whitespace-collapsed length of the i-th
@@ -248,33 +246,26 @@ func ByName(name string) Heuristic {
 	return nil
 }
 
-// rankByScore sorts scored tags ascending (lower score is better when
-// ascending is true, higher when false) and assigns competition ranks: tags
+// rank sorts entries that carry their tag and raw score — ascending (lower
+// score is better) when ascending is set, descending otherwise, score ties
+// ordered by tag name for determinism — and assigns competition ranks: tags
 // with equal scores share a rank and the next distinct score skips the
-// intervening positions (1, 2, 2, 4). Score ties are ordered by tag name for
-// determinism.
-func rankByScore(scores map[string]float64, ascending bool) Ranking {
-	tags := make([]string, 0, len(scores))
-	for t := range scores {
-		tags = append(tags, t)
-	}
-	sort.Slice(tags, func(i, j int) bool {
-		si, sj := scores[tags[i]], scores[tags[j]]
-		if si != sj {
-			if ascending {
-				return si < sj
+// intervening positions (1, 2, 2, 4). It sorts r in place.
+func rank(r Ranking, ascending bool) Ranking {
+	slices.SortFunc(r, func(a, b Ranked) int {
+		if a.Score != b.Score {
+			if (a.Score < b.Score) == ascending {
+				return -1
 			}
-			return si > sj
+			return 1
 		}
-		return tags[i] < tags[j]
+		return strings.Compare(a.Tag, b.Tag)
 	})
-	out := make(Ranking, len(tags))
-	for i, t := range tags {
-		rank := i + 1
-		if i > 0 && scores[t] == scores[tags[i-1]] {
-			rank = out[i-1].Rank
+	for i := range r {
+		r[i].Rank = i + 1
+		if i > 0 && r[i].Score == r[i-1].Score {
+			r[i].Rank = r[i-1].Rank
 		}
-		out[i] = Ranked{Tag: t, Rank: rank, Score: scores[t]}
 	}
-	return out
+	return r
 }

@@ -247,9 +247,18 @@ func TestOMDeclinesWithoutOntology(t *testing.T) {
 	}
 }
 
+// rankScores ranks a tag → score map with rank.
+func rankScores(scores map[string]float64, ascending bool) Ranking {
+	var r Ranking
+	for tag, score := range scores {
+		r = append(r, Ranked{Tag: tag, Score: score})
+	}
+	return rank(r, ascending)
+}
+
 func TestRankByScoreCompetitionRanking(t *testing.T) {
 	scores := map[string]float64{"a": 1, "b": 2, "c": 2, "d": 3}
-	r := rankByScore(scores, true)
+	r := rankScores(scores, true)
 	wantRanks := map[string]int{"a": 1, "b": 2, "c": 2, "d": 4}
 	for _, e := range r {
 		if e.Rank != wantRanks[e.Tag] {
@@ -260,7 +269,7 @@ func TestRankByScoreCompetitionRanking(t *testing.T) {
 
 func TestRankByScoreDescending(t *testing.T) {
 	scores := map[string]float64{"low": 1, "high": 9}
-	r := rankByScore(scores, false)
+	r := rankScores(scores, false)
 	if r[0].Tag != "high" {
 		t.Errorf("descending ranking = %+v", r)
 	}

@@ -18,9 +18,9 @@ func (HT) Rank(ctx *Context) (Ranking, bool) {
 	if len(ctx.Candidates) == 0 {
 		return nil, false
 	}
-	scores := make(map[string]float64, len(ctx.Candidates))
-	for _, c := range ctx.Candidates {
-		scores[c.Name] = float64(c.Count)
+	r := make(Ranking, len(ctx.Candidates))
+	for i, c := range ctx.Candidates {
+		r[i] = Ranked{Tag: c.Name, Score: float64(c.Count)}
 	}
-	return rankByScore(scores, false), true
+	return rank(r, false), true
 }

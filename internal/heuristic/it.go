@@ -19,25 +19,28 @@ type IT struct {
 // Name returns "IT".
 func (IT) Name() string { return "IT" }
 
-// Rank orders candidates by list position; tags absent from the list are
-// dropped. ok is false when no candidate appears on the list.
+// Rank orders candidates by list position (a tag listed twice counts at
+// its last position); tags absent from the list are dropped. ok is false
+// when no candidate appears on the list.
 func (h IT) Rank(ctx *Context) (Ranking, bool) {
 	list := h.List
 	if list == nil {
 		list = DefaultSeparatorList
 	}
-	index := make(map[string]int, len(list))
-	for i, name := range list {
-		index[name] = i + 1
-	}
-	scores := make(map[string]float64)
+	var r Ranking
 	for _, c := range ctx.Candidates {
-		if i, ok := index[c.Name]; ok {
-			scores[c.Name] = float64(i)
+		for i := len(list) - 1; i >= 0; i-- {
+			if list[i] == c.Name {
+				if r == nil {
+					r = make(Ranking, 0, len(ctx.Candidates))
+				}
+				r = append(r, Ranked{Tag: c.Name, Score: float64(i + 1)})
+				break
+			}
 		}
 	}
-	if len(scores) == 0 {
+	if len(r) == 0 {
 		return nil, false
 	}
-	return rankByScore(scores, true), true
+	return rank(r, true), true
 }

@@ -39,11 +39,11 @@ func (OM) Rank(ctx *Context) (Ranking, bool) {
 	if !ok {
 		return nil, false
 	}
-	scores := make(map[string]float64, len(ctx.Candidates))
-	for _, c := range ctx.Candidates {
-		scores[c.Name] = math.Abs(float64(c.Count) - estimate)
+	r := make(Ranking, len(ctx.Candidates))
+	for i, c := range ctx.Candidates {
+		r[i] = Ranked{Tag: c.Name, Score: math.Abs(float64(c.Count) - estimate)}
 	}
-	return rankByScore(scores, true), true
+	return rank(r, true), true
 }
 
 // fieldsOf returns the ontology's record-identifying fields; ok is false

@@ -1,10 +1,6 @@
 package heuristic
 
-import (
-	"math"
-
-	"repro/internal/tagtree"
-)
+import "math"
 
 // RP is the repeating-tag-pattern heuristic (§4.4): record boundaries often
 // show consistent patterns of two or more adjacent tags (an <hr> immediately
@@ -22,10 +18,12 @@ type RP struct {
 // Name returns "RP".
 func (RP) Name() string { return "RP" }
 
-// Rank counts adjacent candidate-tag pairs in the subtree's event stream,
-// keeps pairs whose count exceeds the floor (10% of the lowest-count
-// candidate), scores each tag of each kept pair by |count(pair) −
-// count(tag)| keeping the best (lowest) score per tag, and ranks ascending.
+// Rank reads the adjacent candidate-tag pair counts of the context's
+// statistics pass (ordered pairs of candidate start-tags with no
+// non-whitespace plain text between them), keeps pairs whose count exceeds
+// the floor (10% of the lowest-count candidate), scores each tag of each
+// kept pair by |count(pair) − count(tag)| keeping the best (lowest) score
+// per tag, and ranks ascending.
 // ok is false when no pair survives — the paper notes the list may be empty,
 // in which case RP "simply does not supply an answer".
 func (h RP) Rank(ctx *Context) (Ranking, bool) {
@@ -38,73 +36,40 @@ func (h RP) Rank(ctx *Context) (Ranking, bool) {
 		floor = 0.10
 	}
 
-	pairs, any := adjacentPairs(ctx)
-	if !any {
+	st := ctx.statsOf()
+	if !st.anyPair {
 		return nil, false
 	}
 
 	lowest := ctx.Candidates[nc-1].Count // candidates sorted by count desc
 	cutoff := floor * float64(lowest)
 
-	scores := make(map[string]float64)
+	// Each candidate's best score so far; Rank 1 marks a scored entry until
+	// rank assigns the real ranks.
+	r := make(Ranking, nc)
 	for a := 0; a < nc; a++ {
 		for b := 0; b < nc; b++ {
-			n := pairs[a*nc+b]
+			n := st.pairs[a*nc+b]
 			if n == 0 || float64(n) <= cutoff {
 				continue
 			}
 			for _, k := range [2]int{a, b} {
 				c := ctx.Candidates[k]
 				d := math.Abs(float64(n) - float64(c.Count))
-				if best, ok := scores[c.Name]; !ok || d < best {
-					scores[c.Name] = d
+				if r[k].Rank == 0 || d < r[k].Score {
+					r[k] = Ranked{Tag: c.Name, Rank: 1, Score: d}
 				}
 			}
 		}
 	}
-	if len(scores) == 0 {
-		return nil, false
-	}
-	return rankByScore(scores, true), true
-}
-
-// adjacentPairs scans the subtree's event stream and counts ordered pairs of
-// candidate start-tags with no non-whitespace plain text between them, as a
-// dense nc×nc matrix indexed by candidate position ([a*nc+b] is the count of
-// candidate a immediately followed by candidate b). any is false when no
-// pair was observed at all. Intervening end-tags and whitespace do not break
-// adjacency — the paper's own example pairs, <hr><b> and <br><hr> in Figure
-// 2, span newlines and a </b> respectively.
-func adjacentPairs(ctx *Context) (counts []int, any bool) {
-	idx := candidateIndex(ctx)
-	nc := len(ctx.Candidates)
-	counts = make([]int, nc*nc)
-	prev := -1 // last candidate start-tag not yet separated by text
-	events := ctx.Tree.SubtreeEvents(ctx.Subtree)
-	for i := range events {
-		ev := &events[i]
-		switch ev.Kind {
-		case tagtree.EventText:
-			if collapsedTextLen(ctx, events, i) != 0 {
-				prev = -1
-			}
-		case tagtree.EventStart:
-			if ev.Node == ctx.Subtree {
-				continue
-			}
-			k, ok := idx[ev.Node.Name]
-			if !ok {
-				// A non-candidate tag (e.g. an irrelevant h1) interrupts
-				// adjacency between candidates.
-				prev = -1
-				continue
-			}
-			if prev >= 0 {
-				counts[prev*nc+k]++
-				any = true
-			}
-			prev = k
+	scored := r[:0]
+	for _, e := range r {
+		if e.Rank != 0 {
+			scored = append(scored, e)
 		}
 	}
-	return counts, any
+	if len(scored) == 0 {
+		return nil, false
+	}
+	return rank(scored, true), true
 }

@@ -1,10 +1,6 @@
 package heuristic
 
-import (
-	"math"
-
-	"repro/internal/tagtree"
-)
+import "math"
 
 // SD is the standard-deviation heuristic (§4.3): multiple records about the
 // same kind of entity tend to be about the same size, so the candidate tag
@@ -22,58 +18,22 @@ func (SD) Name() string { return "SD" }
 // whitespace-collapsed text ("number of characters" in the paper). A
 // candidate with fewer than three occurrences has fewer than two intervals
 // — no spread to measure — and is ranked after all measurable candidates.
-// SD always answers when candidates exist.
+// SD always answers when candidates exist. The intervals come from the
+// context's statistics pass.
 func (SD) Rank(ctx *Context) (Ranking, bool) {
 	if len(ctx.Candidates) == 0 {
 		return nil, false
 	}
-	intervals := intervalLengths(ctx)
-	scores := make(map[string]float64, len(ctx.Candidates))
+	st := ctx.statsOf()
+	r := make(Ranking, len(ctx.Candidates))
 	for i, c := range ctx.Candidates {
-		iv := intervals[i]
-		if len(iv) < 2 {
-			scores[c.Name] = math.Inf(1)
-			continue
+		score := math.Inf(1)
+		if iv := st.intervals(i); len(iv) >= 2 {
+			score = stddev(iv)
 		}
-		scores[c.Name] = stddev(iv)
+		r[i] = Ranked{Tag: c.Name, Score: score}
 	}
-	return rankByScore(scores, true), true
-}
-
-// intervalLengths scans the subtree's event stream once and accumulates, per
-// candidate (indexed as in ctx.Candidates), the plain-text lengths between
-// its consecutive occurrences. The text between a candidate's occurrences is
-// the running document total minus the total at its previous occurrence, so
-// one cumulative counter serves every candidate — O(1) per event instead of
-// bumping a per-candidate table on every text chunk.
-func intervalLengths(ctx *Context) [][]float64 {
-	idx := candidateIndex(ctx)
-	out := make([][]float64, len(ctx.Candidates))
-	lastCum := make([]int, len(ctx.Candidates))
-	seen := make([]bool, len(ctx.Candidates))
-	cum := 0
-	events := ctx.Tree.SubtreeEvents(ctx.Subtree)
-	for i := range events {
-		ev := &events[i]
-		switch ev.Kind {
-		case tagtree.EventText:
-			cum += collapsedTextLen(ctx, events, i)
-		case tagtree.EventStart:
-			if ev.Node == ctx.Subtree {
-				continue
-			}
-			k, ok := idx[ev.Node.Name]
-			if !ok {
-				continue
-			}
-			if seen[k] {
-				out[k] = append(out[k], float64(cum-lastCum[k]))
-			}
-			seen[k] = true
-			lastCum[k] = cum
-		}
-	}
-	return out
+	return rank(r, true), true
 }
 
 // stddev returns the population standard deviation.

@@ -3,10 +3,11 @@ package htmlparse
 import "strings"
 
 // Arena is the tokenizer half of the per-request scratch arena: a streaming
-// byte scanner over one document, a reusable attribute slab, and a
-// tag/attribute-name intern table. Reset points it at a document and Next
-// hands out one token at a time, so a warm arena scans an entire document
-// without allocating and without materializing a token slice.
+// byte scanner over one document, a reusable attribute slab, a
+// tag/attribute-name intern table, and the document's atom table. Reset
+// points it at a document and Next hands out one token at a time, so a
+// warm arena scans an entire document without allocating and without
+// materializing a token slice.
 //
 // Ownership rules (see docs/PERFORMANCE.md):
 //
@@ -16,6 +17,8 @@ import "strings"
 //   - Token names and undecoded text are zero-copy views into the input
 //     document; the document must stay immutable while results derived from
 //     it are alive.
+//   - A token's atom is numbered per document: it means the same name only
+//     until the arena's next Reset.
 //
 // An Arena is not safe for concurrent use. internal/tagtree's Arena embeds
 // one and manages pooling; most callers want that.
@@ -28,6 +31,8 @@ type Arena struct {
 	names map[string]string
 	lower []byte // lowercase scratch for names that need case folding
 	visit func(k0, k1, v0, v1 int, hasVal bool)
+	// atoms numbers the document's tag names outside the built-in table.
+	atoms AtomTable
 
 	// Scan state, set by Reset.
 	src    string // document being tokenized
@@ -109,6 +114,7 @@ func (a *Arena) collect(s string, xml bool) []Token {
 func (a *Arena) Reset(src string, xml bool) {
 	a.src, a.pos, a.xml, a.rawEnd = src, 0, xml, ""
 	a.attrs = a.attrs[:0]
+	a.atoms.Reset()
 }
 
 // Trim drops slab capacity beyond the retention bound and clears every
@@ -122,6 +128,7 @@ func (a *Arena) Trim() {
 	}
 	a.src, a.pos, a.rawEnd = "", 0, ""
 	a.tok = Token{}
+	a.atoms.Reset()
 }
 
 // Next scans the next token of the document Reset named and returns it, or
@@ -167,25 +174,42 @@ func (a *Arena) Next() *Token {
 		return a.set(Comment, "", s[b0:b1], pos, next)
 	case '/':
 		i := NameEnd(s, pos+2)
-		name := s[pos+2 : i] // XML keeps the case
-		if !a.xml {
-			name = a.lowerIntern(name)
-		}
+		name, atom := a.tagName(s[pos+2:i], false)
 		a.pos = indexFrom(s, i, '>')
-		return a.set(EndTag, name, "", pos, a.pos)
+		t := a.set(EndTag, name, "", pos, a.pos)
+		t.Atom = atom
+		return t
 	}
 	t := a.scanStartTag(s, pos)
-	if !a.xml && !t.SelfClosing && IsRawText(t.Name) {
+	if !a.xml && !t.SelfClosing && t.Atom.RawText() {
 		a.rawEnd = t.Name
 	}
 	return t
+}
+
+// tagName returns a raw tag name's token name and atom: HTML lowercases
+// the name (a built-in name becomes the table's own string), XML keeps
+// its case. intern numbers a name seen for the first time; without it
+// such a name gets the zero Atom — an end-tag naming no element seen so
+// far can close nothing, so it needs no atom.
+func (a *Arena) tagName(raw string, intern bool) (string, Atom) {
+	if !a.xml {
+		if atom := LookupFold(raw); atom != 0 {
+			return atom.String(), atom
+		}
+		raw = a.lowerIntern(raw)
+	}
+	if intern {
+		return raw, a.atoms.Intern(raw)
+	}
+	return raw, a.atoms.Find(raw)
 }
 
 // set overwrites the current token field by field and returns it. (A
 // composite-literal assignment builds the whole token aside and copies it.)
 func (a *Arena) set(typ TokenType, name, data string, pos, end int) *Token {
 	t := &a.tok
-	t.Type, t.Name, t.Attrs, t.Data = typ, name, nil, data
+	t.Type, t.Name, t.Attrs, t.Data, t.Atom = typ, name, nil, data, 0
 	t.Pos, t.End, t.SelfClosing, t.Synthetic = pos, end, false, false
 	return t
 }
@@ -247,19 +271,16 @@ func (a *Arena) intern(name string) string {
 }
 
 // scanStartTag scans <name attr=value ...> at pos into the current token
-// and the attribute slab. XML keeps the element name's case (attribute keys
-// are lowercased in both grammars).
+// and the attribute slab, and stamps the name's atom. XML keeps the element
+// name's case (attribute keys are lowercased in both grammars).
 func (a *Arena) scanStartTag(s string, pos int) *Token {
 	i := NameEnd(s, pos+1)
-	name := s[pos+1 : i]
-	if !a.xml {
-		name = a.lowerIntern(name)
-	}
+	name, atom := a.tagName(s[pos+1:i], true)
 	attrStart := len(a.attrs)
 	next, selfClosing := ScanTagAttrs(s, i, a.visit)
 	a.pos = next
 	t := a.set(StartTag, name, "", pos, next)
-	t.SelfClosing = selfClosing
+	t.Atom, t.SelfClosing = atom, selfClosing
 	if n := len(a.attrs); n > attrStart {
 		t.Attrs = a.attrs[attrStart:n:n]
 	}

@@ -59,6 +59,11 @@ type Token struct {
 	Type TokenType
 	// Name is the lowercased tag name for StartTag and EndTag tokens.
 	Name string
+	// Atom is Name's atom. The tokenizer stamps one on every start-tag,
+	// and on every end-tag whose name is built in or appeared on an
+	// earlier start-tag; any other end-tag, like a token built by hand,
+	// carries the zero Atom.
+	Atom Atom
 	// Attrs holds the attributes of a StartTag in document order.
 	Attrs []Attr
 	// Data is the entity-decoded character data for Text tokens, and the
@@ -83,30 +88,4 @@ func (t *Token) Attr(key string) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// IsVoid reports whether the (lowercased) tag name is a void element — one
-// with no end-tag and therefore no region of its own beyond the tag itself.
-// The set reflects HTML 3.2/4.0 usage (the paper's era) plus the modern
-// HTML5 void list. A switch rather than a map: the compiler dispatches on
-// length first, so the per-tag check in the tokenizer hot loop avoids map
-// hashing entirely.
-func IsVoid(name string) bool {
-	switch name {
-	case "area", "base", "basefont", "bgsound", "br", "col", "embed",
-		"frame", "hr", "img", "input", "isindex", "keygen", "link",
-		"meta", "param", "source", "spacer", "track", "wbr":
-		return true
-	}
-	return false
-}
-
-// IsRawText reports whether the element's content is not parsed as markup
-// (e.g. script). Same length-dispatch reasoning as IsVoid.
-func IsRawText(name string) bool {
-	switch name {
-	case "script", "style", "textarea", "title", "xmp", "plaintext":
-		return true
-	}
-	return false
 }

@@ -21,10 +21,11 @@ import (
 // Ownership rules (see docs/PERFORMANCE.md):
 //
 //   - A Tree built on an arena — its nodes, events, chunks, text lengths,
-//     and attribute windows — is valid only until the arena's next parse or
-//     Release. Anything that outlives the request (wire responses,
-//     template-store entries, caches) must deep-copy first; every serving
-//     layer in this repo already does.
+//     attribute windows, and whatever analyses borrow from its Scratch — is
+//     valid only until the arena's next parse or Release. Anything that
+//     outlives the request (wire responses, template-store entries,
+//     caches) must deep-copy first; every serving layer in this repo
+//     already does.
 //   - Tree strings alias the input document; the document must stay
 //     immutable while the Tree is alive.
 //   - An Arena is single-goroutine; give each worker its own.
@@ -63,6 +64,8 @@ type Arena struct {
 	nodes       int
 	lastEnd     int
 	lim         Limits
+
+	scratch Scratch
 
 	tree     Tree
 	released bool
@@ -145,6 +148,7 @@ func (a *Arena) scrub() {
 	a.childCounts = trimSlab(a.childCounts)
 	a.chunkCounts = trimSlab(a.chunkCounts)
 	a.seqStack = trimSlab(a.seqStack)
+	a.scratch.scrub()
 	a.cur = nil
 	a.tree = Tree{}
 }
@@ -160,7 +164,7 @@ func scrubSlab[T any](s []T) []T {
 }
 
 // trimSlab is scrubSlab for slabs that hold no references: nothing to zero.
-func trimSlab(s []int32) []int32 {
+func trimSlab[T any](s []T) []T {
 	if cap(s) > maxRetainedSlab {
 		return nil
 	}
@@ -357,7 +361,7 @@ func (a *Arena) emit(tok *htmlparse.Token, leaf bool) error {
 		// Every field is written (Children and Chunks by finish); field
 		// by field, since a composite literal is built aside and copied.
 		n := a.node(a.nodes)
-		n.Name, n.Attrs, n.Parent = tok.Name, tok.Attrs, a.cur
+		n.Name, n.Atom, n.Attrs, n.Parent = tok.Name, atomOf(tok), tok.Attrs, a.cur
 		n.StartPos, n.EndPos = tok.Pos, tok.End
 		n.firstEvent, n.lastEvent, n.subtreeTags = len(a.events), 0, 0
 		a.events = append(a.events, Event{Kind: EventStart, Node: n, Pos: tok.Pos})
@@ -419,10 +423,10 @@ func (a *Arena) finish() *Tree {
 	}
 	a.cur = nil
 
-	t := &a.tree
 	if a.oneShot {
-		t = new(Tree)
+		return &Tree{Root: root, Events: a.events, textLens: a.textLens}
 	}
-	*t = Tree{Root: root, Events: a.events, textLens: a.textLens}
-	return t
+	a.scratch.reset()
+	a.tree = Tree{Root: root, Events: a.events, textLens: a.textLens, scratch: &a.scratch}
+	return &a.tree
 }

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/htmlparse"
 )
 
 // FuzzByteVsStringParse is the differential gate for the production parser:
@@ -76,6 +78,9 @@ func FuzzByteVsStringParse(f *testing.F) {
 				if d := diffTextLens(got); d != "" {
 					t.Fatalf("HTML text lengths (pooled %v): %s", arena != nil, d)
 				}
+				if d := diffAtoms(got); d != "" {
+					t.Fatalf("HTML atoms (pooled %v): %s", arena != nil, d)
+				}
 			}
 
 			gotX, gotXErr := ParseXMLArenaContext(context.Background(), doc, Limits{}, arena, nil)
@@ -88,6 +93,9 @@ func FuzzByteVsStringParse(f *testing.F) {
 				}
 				if d := diffTextLens(gotX); d != "" {
 					t.Fatalf("XML text lengths (pooled %v): %s", arena != nil, d)
+				}
+				if d := diffAtoms(gotX); d != "" {
+					t.Fatalf("XML atoms (pooled %v): %s", arena != nil, d)
 				}
 			}
 		}
@@ -109,6 +117,35 @@ func diffTextLens(tr *Tree) string {
 		if int(lens[i]) != want {
 			return fmt.Sprintf("event %d (%+v): recorded %d, want %d", i, ev, lens[i], want)
 		}
+	}
+	return ""
+}
+
+// diffAtoms describes the first element whose atom breaks the parser's
+// atom rules, or returns "": every element has an atom, a built-in atom
+// is its own name's, and within one tree a name has one atom and an atom
+// one name.
+func diffAtoms(tr *Tree) string {
+	byName := make(map[string]htmlparse.Atom)
+	byAtom := make(map[htmlparse.Atom]string)
+	for i, ev := range tr.Events {
+		if ev.Kind != EventStart {
+			continue
+		}
+		n := ev.Node
+		switch {
+		case n.Atom == 0:
+			return fmt.Sprintf("event %d: <%s> has no atom", i, n.Name)
+		case n.Atom < htmlparse.NumBuiltinAtoms && n.Atom.String() != n.Name:
+			return fmt.Sprintf("event %d: <%s> has the built-in atom of %q", i, n.Name, n.Atom.String())
+		}
+		if a, ok := byName[n.Name]; ok && a != n.Atom {
+			return fmt.Sprintf("event %d: <%s> has atoms %d and %d", i, n.Name, a, n.Atom)
+		}
+		if name, ok := byAtom[n.Atom]; ok && name != n.Name {
+			return fmt.Sprintf("event %d: atom %d names both %q and %q", i, n.Atom, name, n.Name)
+		}
+		byName[n.Name], byAtom[n.Atom] = n.Atom, n.Name
 	}
 	return ""
 }

@@ -1,7 +1,5 @@
 package tagtree
 
-import "sort"
-
 // DefaultCandidateThreshold is the paper's 10% rule: a start-tag appearing
 // fewer than threshold × (total tags in the subtree) times is irrelevant.
 const DefaultCandidateThreshold = 0.10
@@ -16,13 +14,11 @@ type Candidate struct {
 // TagCounts returns the number of appearances of each start-tag name in the
 // subtree rooted at n, excluding n itself.
 func TagCounts(n *Node) map[string]int {
-	counts := make(map[string]int)
-	n.Walk(func(m *Node) bool {
-		if m != n {
-			counts[m.Name]++
-		}
-		return true
-	})
+	t := tallyOf(n)
+	counts := make(map[string]int, len(t.Names))
+	for k, name := range t.Names {
+		counts[name] = int(t.Counts[k])
+	}
 	return counts
 }
 
@@ -33,22 +29,7 @@ func TagCounts(n *Node) map[string]int {
 // 10% rule. The result is sorted by descending count, ties broken by name,
 // so it is deterministic.
 func Candidates(n *Node, threshold float64) []Candidate {
-	counts := TagCounts(n)
-	total := n.SubtreeTagCount()
-	cutoff := threshold * float64(total)
-	out := make([]Candidate, 0, len(counts))
-	for name, c := range counts {
-		if float64(c) >= cutoff {
-			out = append(out, Candidate{Name: name, Count: c})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
+	return tallyOf(n).Candidates(n.SubtreeTagCount(), threshold, nil)
 }
 
 // Occurrences returns the byte offsets (in the original document) of every

@@ -18,32 +18,6 @@ import (
 	"repro/internal/htmlparse"
 )
 
-// ImpliedClose reports whether an arriving start-tag implicitly closes the
-// innermost open element. This encodes the HTML 3.2/4.0 optional-end-tag
-// rules that 1998-era documents rely on (<li> items, <p> runs, table cells
-// without </td>). It realizes the paper's rule that a region with no end-tag
-// ends "just before the next tag" for the tags where that behaviour is
-// standard. No rule closes a <table>, so the implied-close search stops
-// there: an arriving <tr> never closes a <td> of an *outer* table. A switch
-// rather than a map: it runs for every start-tag.
-func ImpliedClose(arriving, open string) bool {
-	switch arriving {
-	case "li", "p", "option", "colgroup":
-		return open == arriving
-	case "dt", "dd":
-		return open == "dt" || open == "dd"
-	case "td", "th":
-		return open == "td" || open == "th"
-	case "tr", "thead":
-		return open == "td" || open == "th" || open == "tr"
-	case "tbody":
-		return open == "td" || open == "th" || open == "tr" || open == "thead"
-	case "tfoot":
-		return open == "td" || open == "th" || open == "tr" || open == "tbody"
-	}
-	return false
-}
-
 // tokenSink receives a normalizer's balanced token stream. leaf marks a
 // start-tag that gets no end-tag (a void element or an explicit
 // self-closing tag). tok is the caller's scratch: a sink copies what it
@@ -56,13 +30,29 @@ type tokenSink interface {
 // Appendix A step 2: comments, doctypes, and orphan end-tags are
 // discarded; missing end-tags are inserted (marked Synthetic). In HTML mode
 // void elements (br, hr, img, ...) are leaves and the optional-end-tag
-// rules of ImpliedClose apply; in XML mode only explicit self-closing tags
-// are leaves and nothing closes implicitly.
+// rules of htmlparse.ImpliedClose apply; in XML mode only explicit
+// self-closing tags are leaves and nothing closes implicitly. The HTML
+// rules are read by atom from htmlparse's tag-rule table.
 type normalizer struct {
 	xml   bool
-	stack []string        // open element names, innermost last
+	stack []openTag       // open elements, innermost last
 	end   int             // End of the last raw token: where EOF closes land
 	synth htmlparse.Token // scratch for inserted end-tags
+}
+
+// openTag is one open element on the normalizer's stack.
+type openTag struct {
+	name string
+	atom htmlparse.Atom
+}
+
+// atomOf returns a token's atom, resolving a token built by hand (no
+// atom) by its name.
+func atomOf(tok *htmlparse.Token) htmlparse.Atom {
+	if tok.Atom != 0 {
+		return tok.Atom
+	}
+	return htmlparse.Lookup(tok.Name)
 }
 
 // reset empties the normalizer for a new stream, keeping the stack's
@@ -79,35 +69,36 @@ func (n *normalizer) push(tok *htmlparse.Token, out tokenSink) error {
 		return out.emit(tok, false)
 
 	case htmlparse.StartTag:
+		atom := atomOf(tok)
 		if n.xml {
 			if !tok.SelfClosing {
-				n.stack = append(n.stack, tok.Name)
+				n.stack = append(n.stack, openTag{tok.Name, atom})
 			}
 			return out.emit(tok, tok.SelfClosing)
 		}
-		if htmlparse.IsVoid(tok.Name) {
+		if atom.Void() {
 			return out.emit(tok, true)
 		}
 		// Optional-end-tag rule: the arriving tag may implicitly close
 		// open elements (e.g. a new <li> closes the previous <li>).
-		for len(n.stack) > 0 && ImpliedClose(tok.Name, n.stack[len(n.stack)-1]) {
+		for len(n.stack) > 0 && htmlparse.ImpliedClose(atom, n.stack[len(n.stack)-1].atom) {
 			if err := n.pop(tok.Pos, out); err != nil {
 				return err
 			}
 		}
 		if !tok.SelfClosing {
-			n.stack = append(n.stack, tok.Name)
+			n.stack = append(n.stack, openTag{tok.Name, atom})
 		}
 		return out.emit(tok, tok.SelfClosing)
 
 	case htmlparse.EndTag:
-		if !n.xml && htmlparse.IsVoid(tok.Name) {
+		if !n.xml && atomOf(tok).Void() {
 			return nil // </br> and friends: orphan by definition.
 		}
 		// Find the matching open start-tag, if any.
 		match := -1
 		for i := len(n.stack) - 1; i >= 0; i-- {
-			if n.stack[i] == tok.Name {
+			if n.stack[i].name == tok.Name {
 				match = i
 				break
 			}
@@ -142,7 +133,7 @@ func (n *normalizer) finish(out tokenSink) error {
 func (n *normalizer) pop(pos int, out tokenSink) error {
 	top := n.stack[len(n.stack)-1]
 	n.stack = n.stack[:len(n.stack)-1]
-	n.synth = htmlparse.Token{Type: htmlparse.EndTag, Name: top, Pos: pos, End: pos, Synthetic: true}
+	n.synth = htmlparse.Token{Type: htmlparse.EndTag, Name: top.name, Atom: top.atom, Pos: pos, End: pos, Synthetic: true}
 	return out.emit(&n.synth, false)
 }
 

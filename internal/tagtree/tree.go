@@ -40,6 +40,10 @@ type Node struct {
 	// Name is the lowercased tag name; the synthetic document root is
 	// named "#document".
 	Name string
+	// Atom is Name's atom, numbered per parse (see htmlparse.Atom). The
+	// root and a node built by hand carry the zero Atom; Tally resolves
+	// those by name.
+	Atom htmlparse.Atom
 	// Attrs are the start-tag's attributes.
 	Attrs []htmlparse.Attr
 	// Parent is nil for the document root.
@@ -82,6 +86,10 @@ type Tree struct {
 	// whitespace-collapsed length (CollapsedLen of its Text), recorded as
 	// the tree was built; tag events hold zero.
 	textLens []int32
+
+	// scratch is the pooled arena's analysis scratch; nil for a tree with
+	// heap lifetime.
+	scratch *Scratch
 }
 
 // Parse tokenizes, normalizes (Appendix A step 2), and builds the tag tree

@@ -6,16 +6,15 @@ import (
 	"sync"
 
 	"repro/internal/htmlparse"
-	"repro/internal/tagtree"
 )
 
 // FingerprintDoc fingerprints a raw HTML document without building the tag
 // tree: a single tag-only pass that skips text, entity decoding, and
 // attribute materialization. The tag grammar comes from the htmlparse scan
 // core (the same primitives the arena tokenizer runs on), and the balancing
-// decisions call tagtree.Normalize's own predicates (htmlparse.IsVoid,
-// tagtree.ImpliedClose, htmlparse.IsRawText) — only the orphan-end-tag and
-// EOF bookkeeping is the scanner's. It returns exactly what
+// decisions read the tag-rule table tagtree's normalizer reads
+// (Atom.Void, Atom.RawText, htmlparse.ImpliedClose) — only the
+// orphan-end-tag and EOF bookkeeping is the scanner's. It returns exactly what
 // FingerprintTree(tagtree.Parse(doc)) returns, at a small fraction of the
 // cost — this is what lets a template hit undercut full discovery by ~50×.
 func FingerprintDoc(doc string) Fingerprint {
@@ -39,13 +38,13 @@ func scanDoc(doc string) (fp Fingerprint, depth, nodes int) {
 
 var scanPool = sync.Pool{New: func() any { return newDocScanner() }}
 
-// shapeEvent packs one structural event: nameID<<1 for an element opening,
+// shapeEvent packs one structural event: atom<<1 for an element opening,
 // the constant eventClose for a region closing.
 type shapeEvent int32
 
 const eventClose shapeEvent = 1
 
-func openEvent(id int32) shapeEvent { return shapeEvent(id << 1) }
+func openEvent(a htmlparse.Atom) shapeEvent { return shapeEvent(a << 1) }
 
 // elemRec is one completed element region: its event range (half-open) and
 // its fan-out, collected so the highest-fan-out winner can be picked after
@@ -57,9 +56,9 @@ type elemRec struct {
 
 type docScanner struct {
 	events  []shapeEvent
-	stack   []int32 // open element name IDs, innermost last
-	open    []int32 // enter-event index per open element
-	fan     []int32 // child count per open element
+	stack   []htmlparse.Atom // open elements, innermost last
+	open    []int32          // enter-event index per open element
+	fan     []int32          // child count per open element
 	elems   []elemRec
 	rootFan int32
 	depth   int // deepest len(stack) reached
@@ -67,15 +66,13 @@ type docScanner struct {
 	nbuf []byte // lowercased tag-name scratch
 	sbuf []byte // hash serialization scratch
 
-	// extra interns tag names outside the built-in table, per scan.
-	extra      map[string]int32
-	extraNames []string
+	atoms htmlparse.AtomTable // names outside the built-in table, per scan
 }
 
 func newDocScanner() *docScanner {
 	return &docScanner{
 		events: make([]shapeEvent, 0, 256),
-		stack:  make([]int32, 0, 32),
+		stack:  make([]htmlparse.Atom, 0, 32),
 		open:   make([]int32, 0, 32),
 		fan:    make([]int32, 0, 32),
 		elems:  make([]elemRec, 0, 128),
@@ -100,21 +97,17 @@ func (sc *docScanner) reset() {
 	sc.elems = sc.elems[:0]
 	sc.rootFan = 0
 	sc.depth = 0
-	if sc.extra != nil {
-		sc.extra = nil
-		sc.extraNames = sc.extraNames[:0]
-	}
+	sc.atoms.Reset()
 }
 
-func (sc *docScanner) name(id int32) string {
-	if int(id) < len(baseNames) {
-		return baseNames[id]
+// atom returns the atom of the raw tag name, lowercased as HTML does.
+// intern numbers a name outside the built-in table on first sight;
+// without it (an end-tag) such a name gets the zero Atom, which no open
+// element carries.
+func (sc *docScanner) atom(raw string, intern bool) htmlparse.Atom {
+	if a := htmlparse.LookupFold(raw); a != 0 {
+		return a
 	}
-	return sc.extraNames[int(id)-len(baseNames)]
-}
-
-// intern returns the ID of the lowercased tag name raw.
-func (sc *docScanner) intern(raw string) int32 {
 	sc.nbuf = sc.nbuf[:0]
 	for i := 0; i < len(raw); i++ {
 		c := raw[i]
@@ -123,20 +116,10 @@ func (sc *docScanner) intern(raw string) int32 {
 		}
 		sc.nbuf = append(sc.nbuf, c)
 	}
-	if id, ok := baseIDs[string(sc.nbuf)]; ok {
-		return id
+	if a := sc.atoms.Find(string(sc.nbuf)); a != 0 || !intern {
+		return a
 	}
-	if id, ok := sc.extra[string(sc.nbuf)]; ok {
-		return id
-	}
-	if sc.extra == nil {
-		sc.extra = make(map[string]int32, 4)
-	}
-	name := string(sc.nbuf)
-	id := int32(len(baseNames) + len(sc.extraNames))
-	sc.extraNames = append(sc.extraNames, name)
-	sc.extra[name] = id
-	return id
+	return sc.atoms.Intern(string(sc.nbuf))
 }
 
 // noteChild credits a new element to its parent's fan-out (or the synthetic
@@ -149,13 +132,13 @@ func (sc *docScanner) noteChild() {
 	}
 }
 
-func (sc *docScanner) push(id int32) {
+func (sc *docScanner) push(a htmlparse.Atom) {
 	sc.noteChild()
 	sc.open = append(sc.open, int32(len(sc.events)))
-	sc.stack = append(sc.stack, id)
+	sc.stack = append(sc.stack, a)
 	sc.depth = max(sc.depth, len(sc.stack))
 	sc.fan = append(sc.fan, 0)
-	sc.events = append(sc.events, openEvent(id))
+	sc.events = append(sc.events, openEvent(a))
 }
 
 // pop closes the innermost open element, recording its completed region.
@@ -173,10 +156,10 @@ func (sc *docScanner) pop() {
 }
 
 // leaf records a childless region (void element or self-closing tag).
-func (sc *docScanner) leaf(id int32) {
+func (sc *docScanner) leaf(a htmlparse.Atom) {
 	sc.noteChild()
 	enter := int32(len(sc.events))
-	sc.events = append(sc.events, openEvent(id), eventClose)
+	sc.events = append(sc.events, openEvent(a), eventClose)
 	sc.elems = append(sc.elems, elemRec{enter: enter, end: enter + 2})
 }
 
@@ -187,8 +170,8 @@ func (sc *docScanner) leaf(id int32) {
 // start tag is self-closing, and how raw-text content ends — is the
 // tokenizer's own, not a replica. The balancing decisions are
 // tagtree.Normalize's: voids and self-closing tags are leaves, arriving tags
-// imply closings per tagtree.ImpliedClose, orphan end-tags are dropped, and
-// EOF closes everything.
+// imply closings per htmlparse.ImpliedClose, orphan end-tags are dropped,
+// and EOF closes everything.
 func (sc *docScanner) scan(doc string) {
 	i, n := 0, len(doc)
 	for i < n {
@@ -232,14 +215,14 @@ func skipPast(s string, from int, b byte) int {
 func (sc *docScanner) endTag(s string, i int) int {
 	start := i + 2
 	j := htmlparse.NameEnd(s, start)
-	id := sc.intern(s[start:j])
+	a := sc.atom(s[start:j], false)
 	j = skipPast(s, j, '>')
-	if htmlparse.IsVoid(sc.name(id)) {
+	if a.Void() {
 		return j // </br> and friends: orphan by definition.
 	}
 	match := -1
-	for k := len(sc.stack) - 1; k >= 0; k-- {
-		if sc.stack[k] == id {
+	for k := len(sc.stack) - 1; k >= 0 && a != 0; k-- {
+		if sc.stack[k] == a {
 			match = k
 			break
 		}
@@ -256,29 +239,28 @@ func (sc *docScanner) endTag(s string, i int) int {
 func (sc *docScanner) startTag(s string, i int) int {
 	start := i + 1
 	j := htmlparse.NameEnd(s, start)
-	id := sc.intern(s[start:j])
-	name := sc.name(id)
+	a := sc.atom(s[start:j], true)
 	// nil visit: the fingerprint only needs structure, so attribute spans are
 	// scanned (for the quote-aware '>' rules) but never materialized.
 	j, selfClosing := htmlparse.ScanTagAttrs(s, j, nil)
 
-	if htmlparse.IsVoid(name) {
-		sc.leaf(id)
+	if a.Void() {
+		sc.leaf(a)
 		return j
 	}
-	for len(sc.stack) > 0 && tagtree.ImpliedClose(name, sc.name(sc.stack[len(sc.stack)-1])) {
+	for len(sc.stack) > 0 && htmlparse.ImpliedClose(a, sc.stack[len(sc.stack)-1]) {
 		sc.pop()
 	}
 	if selfClosing {
-		sc.leaf(id)
+		sc.leaf(a)
 		return j
 	}
-	sc.push(id)
-	if htmlparse.IsRawText(name) {
+	sc.push(a)
+	if a.RawText() {
 		// Raw-text content runs to the first case-insensitive "</name" (no
 		// delimiter check after the name, exactly like the tokenizer); the
 		// end-tag itself is then parsed by the main loop.
-		j = htmlparse.RawTextEnd(s, j, name)
+		j = htmlparse.RawTextEnd(s, j, a.String())
 	}
 	return j
 }
@@ -320,7 +302,7 @@ func (sc *docScanner) appendEvents(buf []byte, from, to int32) []byte {
 			continue
 		}
 		buf = append(buf, shapeOpen)
-		buf = append(buf, sc.name(int32(ev>>1))...)
+		buf = append(buf, sc.atoms.Name(htmlparse.Atom(ev>>1))...)
 		buf = append(buf, shapeSep)
 	}
 	return buf
@@ -328,36 +310,3 @@ func (sc *docScanner) appendEvents(buf []byte, from, to int32) []byte {
 
 // rootName matches the tagtree synthetic document root.
 const rootName = "#document"
-
-// The built-in name table: fixed IDs shared by every scan so the hot path
-// never allocates a tag name. It is purely an intern fast path — the
-// balancing predicates take names, so a tag outside it interns per scan and
-// normalizes the same way.
-var baseNames = []string{
-	// Voids (htmlparse.IsVoid).
-	"area", "base", "basefont", "bgsound", "br", "col", "embed", "frame",
-	"hr", "img", "input", "isindex", "keygen", "link", "meta", "param",
-	"source", "spacer", "track", "wbr",
-	// Raw-text elements (htmlparse.IsRawText).
-	"script", "style", "textarea", "title", "xmp", "plaintext",
-	// Optional-end-tag participants (tagtree.ImpliedClose).
-	"li", "p", "dt", "dd", "option", "tr", "td", "th", "thead", "tbody",
-	"tfoot", "colgroup", "table",
-	// Common structural names.
-	"html", "head", "body", "div", "span", "a", "b", "i", "u", "em",
-	"strong", "font", "center", "ul", "ol", "dl", "h1", "h2", "h3", "h4",
-	"h5", "h6", "form", "select", "blockquote", "pre", "tt", "small",
-	"big", "strike", "code", "address", "caption", "label", "fieldset",
-	"article", "section", "nav", "header", "footer", "main", "aside",
-}
-
-var baseIDs = func() map[string]int32 {
-	ids := make(map[string]int32, len(baseNames))
-	for i, n := range baseNames {
-		if _, dup := ids[n]; dup {
-			panic("template: duplicate base name " + n)
-		}
-		ids[n] = int32(i)
-	}
-	return ids
-}()
