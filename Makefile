@@ -23,11 +23,12 @@ race:
 
 # Repeated race runs put the metrics exposition, the pooled recognizer
 # scratch, the pooled parse arenas, the LRU, the fleet router and gossip
-# membership, the heuristics' lazily filled statistics and the result
-# cache's single flight through many interleavings before merge. CI runs
-# this.
+# membership, the heuristics' lazily filled statistics, the bulk engine's
+# recycled document buffers (passed between its source and emitter
+# goroutines) and the result cache's single flight through many
+# interleavings before merge. CI runs this.
 race-repeat:
-	$(GO) test -race -count=5 ./internal/obs/ ./internal/recognizer/ ./internal/tagtree/ ./internal/htmlparse/ ./internal/lru/ ./internal/cluster/ ./internal/membership/ ./internal/heuristic/
+	$(GO) test -race -count=5 ./internal/obs/ ./internal/recognizer/ ./internal/tagtree/ ./internal/htmlparse/ ./internal/lru/ ./internal/cluster/ ./internal/membership/ ./internal/heuristic/ ./internal/pipeline/
 	$(call go_test_run,-race -count=5,Cache|Singleflight,./internal/httpapi/)
 
 # Shuffled double run: catches inter-test ordering dependencies and

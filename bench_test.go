@@ -642,9 +642,11 @@ func benchCorpus() ([]*corpus.Document, int64) {
 
 // BenchmarkCorpusThroughput is the headline MB/s number for boundary
 // discovery over the 220-document corpus (no ontology — the pure structural
-// path every request pays). ByteArena is the serving hot path: []byte
-// input, one pooled arena reused across documents, zero parse-side
-// allocations. NilArena is core.Discover with zero Options — string input,
+// path every request pays). ByteArena is the bulk engine's hot path: a
+// zero-copy view of document bytes the caller owns (the engine's recycled
+// buffers), one pooled arena reused across documents, zero parse-side
+// allocations; /v1/discover runs the same arena path over a decoded
+// string. NilArena is core.Discover with zero Options — string input,
 // a fresh one-shot arena per document — kept as the in-run reference so
 // TestCorpusThroughputGate can assert the ratio without depending on the
 // machine. The MB/s this reports is what the CI throughput-gate job

@@ -220,7 +220,11 @@ func DiscoverContext(ctx context.Context, doc string, opts Options) (*Result, er
 // DiscoverBytes runs discovery directly over document bytes without copying
 // them into a string: the bytes are viewed zero-copy, so the caller must not
 // mutate doc until the result (and anything aliasing it) is dead. Pair it
-// with Options.Arena for the fully allocation-free hot path.
+// with Options.Arena for the fully allocation-free hot path. What outlives
+// the call never aliases doc: wrapper-store entries learned from it
+// (Options.Templates) own copies of their strings, and so do the tag names
+// in trace span attributes, so the caller may reuse doc once the result is
+// dead.
 func DiscoverBytes(doc []byte, opts Options) (*Result, error) {
 	return DiscoverBytesContext(context.Background(), doc, opts)
 }
@@ -313,7 +317,14 @@ func DiscoverTreeContext(ctx context.Context, tree *tagtree.Tree, opts Options) 
 	var onStage heuristic.StageFunc
 	if opts.observed() {
 		onStage = func(s heuristic.Stage) {
-			opts.recordStage(s.Name, s.Duration, func() []string { return s.Attrs })
+			opts.recordStage(s.Name, s.Duration, func() []string {
+				// Spans outlive the document, and a stage's tag name may
+				// view it (see DiscoverBytes): copy the attributes.
+				for i, a := range s.Attrs {
+					s.Attrs[i] = strings.Clone(a)
+				}
+				return s.Attrs
+			})
 		}
 	}
 	hctx, err := heuristic.NewContextCtx(ctx, tree, opts.threshold(), ont, onStage, opts.Faults)
@@ -397,7 +408,8 @@ func DiscoverTreeContext(ctx context.Context, tree *tagtree.Tree, opts Options) 
 	}
 	if opts.observed() {
 		opts.recordStage("combine", time.Since(start), func() []string {
-			return []string{"separator", res.Separator, "cf", fmt.Sprintf("%.4f", res.Scores[0].CF)}
+			// Spans outlive the document: copy the tag name.
+			return []string{"separator", strings.Clone(res.Separator), "cf", fmt.Sprintf("%.4f", res.Scores[0].CF)}
 		})
 	}
 	if res.Degraded {
@@ -470,34 +482,41 @@ func (o Options) templateLearn(key template.Key, spot *template.Entry, res *Resu
 // NewTemplateEntry snapshots a clean discovery result as a wrapper-store
 // entry under key. The entry holds every field needed to rebuild a Result
 // (and hence a wire response) byte-identical to res on any same-shaped tree.
+// Every string is copied: a result's tag names may be zero-copy views of the
+// document (names outside the HTML atom table, every XML name), and an entry
+// outlives the document — it must neither read the caller's bytes after
+// they are reused nor keep the whole document alive.
 func NewTemplateEntry(key template.Key, res *Result) *template.Entry {
 	e := &template.Entry{
 		Key:       key.String(),
-		Separator: res.Separator,
-		TopTags:   append([]string(nil), res.TopTags...),
-		Subtree:   res.Subtree.Name,
+		Separator: strings.Clone(res.Separator),
+		TopTags:   make([]string, len(res.TopTags)),
+		Subtree:   strings.Clone(res.Subtree.Name),
 		Certainty: res.Scores[0].CF,
 	}
+	for i, tag := range res.TopTags {
+		e.TopTags[i] = strings.Clone(tag)
+	}
 	for _, s := range res.Scores {
-		e.Scores = append(e.Scores, template.Score{Tag: s.Tag, CF: s.CF})
+		e.Scores = append(e.Scores, template.Score{Tag: strings.Clone(s.Tag), CF: s.CF})
 	}
 	if len(res.Rankings) > 0 {
 		e.Rankings = make(map[string][]template.RankEntry, len(res.Rankings))
 		for name, r := range res.Rankings {
 			rows := make([]template.RankEntry, len(r))
 			for i, row := range r {
-				rows[i] = template.RankEntry{Tag: row.Tag, Rank: row.Rank}
+				rows[i] = template.RankEntry{Tag: strings.Clone(row.Tag), Rank: row.Rank}
 			}
-			e.Rankings[name] = rows
+			e.Rankings[strings.Clone(name)] = rows
 		}
 	}
 	for _, c := range res.Candidates {
-		e.Candidates = append(e.Candidates, template.Candidate{Tag: c.Name, Count: c.Count})
+		e.Candidates = append(e.Candidates, template.Candidate{Tag: strings.Clone(c.Name), Count: c.Count})
 	}
 	if len(res.HeuristicReasons) > 0 {
 		e.Reasons = make(map[string]string, len(res.HeuristicReasons))
 		for k, v := range res.HeuristicReasons {
-			e.Reasons[k] = v
+			e.Reasons[strings.Clone(k)] = strings.Clone(v)
 		}
 	}
 	return e
@@ -625,7 +644,7 @@ func (o Options) observeHeuristic(a heuristicAnswer) {
 		case a.panicked:
 			return []string{"panicked", "true", "panic", a.panicMsg}
 		case a.ok && len(a.r) > 0:
-			return []string{"declined", "false", "rank1", a.r[0].Tag}
+			return []string{"declined", "false", "rank1", strings.Clone(a.r[0].Tag)}
 		}
 		return []string{"declined", "true", "reason", a.reason}
 	})

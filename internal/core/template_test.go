@@ -1,6 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -190,5 +194,50 @@ func TestDiscoverXMLTemplateFastPath(t *testing.T) {
 	key := template.MakeKey(fp, salt)
 	if !NewTemplateEntry(key, cold).Equal(NewTemplateEntry(key, warm)) {
 		t.Fatal("xml warm result diverged")
+	}
+}
+
+// TestTemplateEntryOwnsItsStrings: an entry learned from DiscoverBytes must
+// not alias the caller's bytes. Tag names outside the HTML atom table, and
+// every XML name, are zero-copy views of the document; overwriting the
+// document after discovery must leave the stored entry intact.
+func TestTemplateEntryOwnsItsStrings(t *testing.T) {
+	listing := "<div>" + strings.Repeat("<rec>Name: one record of the listing, phone 555-1234</rec>\n", 6) + "</div>"
+	for _, tc := range []struct {
+		mode     string
+		doc      string
+		discover func(context.Context, []byte, Options) (*Result, error)
+	}{
+		{"html", "<html><body>" + listing + "</body></html>", DiscoverBytesContext},
+		{"xml", "<feed>" + listing + "</feed>", DiscoverXMLBytesContext},
+	} {
+		t.Run(tc.mode, func(t *testing.T) {
+			store, _ := openTemplateStore(t, template.Config{})
+			salt := template.Salt(tc.mode, "", nil)
+			doc := []byte(tc.doc)
+			res, err := tc.discover(context.Background(), doc, Options{Templates: store, TemplateSalt: salt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Separator != "rec" {
+				t.Fatalf("separator %q, want rec", res.Separator)
+			}
+			fp, _ := template.FingerprintTree(res.Tree)
+			key := template.MakeKey(fp, salt)
+			for i := range doc {
+				doc[i] = '#'
+			}
+			e, ok := store.Lookup(key)
+			if !ok {
+				t.Fatal("nothing learned")
+			}
+			raw, err := json.Marshal(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.Separator != "rec" || e.Subtree != "div" || bytes.ContainsRune(raw, '#') {
+				t.Errorf("stored entry reads the reused document: %s", raw)
+			}
+		})
 	}
 }

@@ -14,6 +14,10 @@ type taskLine struct {
 	Ontology      string   `json:"ontology,omitempty"`
 	SeparatorList []string `json:"separator_list,omitempty"`
 	Shard         string   `json:"shard,omitempty"`
+
+	// docBuf is the recycled buffer HTML or XML views when the fast path
+	// decoded the document value into one (see EnvelopeDecoder.decode).
+	docBuf *[]byte
 }
 
 // envelopeField is one bit per taskLine field, recording which keys an
@@ -32,8 +36,9 @@ const (
 // EnvelopeDecoder is the fast path of the request-envelope decoder shared by
 // NDJSON lines and /v1/discover bodies. It makes one pass over the object and
 // unescapes each string value straight into its final string, one
-// allocation per field, and accepts only the shape encoding/json would
-// decode to the same fields:
+// allocation per field (an NDJSON line's document value goes to a recycled
+// buffer instead, see NDJSONSource), and accepts only the shape
+// encoding/json would decode to the same fields:
 //
 //   - the keys are exactly the lowercase field names (id, html, xml,
 //     ontology, separator_list, shard), unescaped, each at most once;
@@ -60,7 +65,7 @@ type EnvelopeDecoder struct {
 // the caller then decodes body with encoding/json.
 func (d *EnvelopeDecoder) Request(body []byte) (html, xml, ontology string, separatorList []string, ok bool) {
 	var tl taskLine
-	seen, ok := d.decode(body, &tl)
+	seen, ok := d.decode(body, &tl, false)
 	if !ok || seen&(fieldID|fieldShard) != 0 {
 		return "", "", "", nil, false
 	}
@@ -68,9 +73,11 @@ func (d *EnvelopeDecoder) Request(body []byte) (html, xml, ontology string, sepa
 }
 
 // decode fills tl from one JSON object on the fast path and reports which
-// keys it named. On ok=false tl may be partly filled and must be reset
-// before a fallback decode.
-func (d *EnvelopeDecoder) decode(data []byte, tl *taskLine) (seen envelopeField, ok bool) {
+// keys it named. With recycle set, a non-empty html or xml value is copied
+// into a buffer from the document pool and tl.HTML or tl.XML views it
+// (tl.docBuf); every other value is an owned string. On ok=false tl may be
+// partly filled and must be reset before a fallback decode.
+func (d *EnvelopeDecoder) decode(data []byte, tl *taskLine, recycle bool) (seen envelopeField, ok bool) {
 	i := skipSpace(data, 0)
 	if i >= len(data) || data[i] != '{' {
 		return 0, false
@@ -90,9 +97,19 @@ func (d *EnvelopeDecoder) decode(data []byte, tl *taskLine) (seen envelopeField,
 			return 0, false
 		}
 		i = skipSpace(data, i+1)
-		if field == fieldSeparatorList {
+		switch {
+		case field == fieldSeparatorList:
 			tl.SeparatorList, i, ok = d.stringArray(data, i)
-		} else {
+		case recycle && field&(fieldHTML|fieldXML) != 0:
+			var raw []byte
+			if raw, i, ok = d.strBytes(data, i); ok && len(raw) > 0 {
+				// A line naming both keys is invalid; the first buffer
+				// is simply left to the collector.
+				tl.docBuf = getDocBuf(len(raw))
+				copy(*tl.docBuf, raw)
+				*dst = docView(*tl.docBuf)
+			}
+		default:
 			*dst, i, ok = d.str(data, i)
 		}
 		if !ok {
@@ -180,8 +197,17 @@ func (d *EnvelopeDecoder) stringArray(data []byte, i int) ([]string, int, bool) 
 // past the closing quote. A string without escapes is copied once; one with
 // escapes is unescaped into the scratch buffer and copied once from there.
 func (d *EnvelopeDecoder) str(data []byte, i int) (string, int, bool) {
+	b, next, ok := d.strBytes(data, i)
+	return string(b), next, ok
+}
+
+// strBytes reads the JSON string at data[i] and returns its unescaped bytes
+// and the index past the closing quote. The bytes alias data when the
+// string has no escapes and the decoder's scratch buffer otherwise, so they
+// are valid only until the next call.
+func (d *EnvelopeDecoder) strBytes(data []byte, i int) ([]byte, int, bool) {
 	if i >= len(data) || data[i] != '"' {
-		return "", 0, false
+		return nil, 0, false
 	}
 	i++
 	start := i
@@ -193,24 +219,24 @@ func (d *EnvelopeDecoder) str(data []byte, i int) (string, int, bool) {
 		}
 		switch {
 		case c == '"':
-			return string(data[start:i]), i + 1, true
+			return data[start:i], i + 1, true
 		case c == '\\':
 			return d.unescape(data, start, i)
 		case c < utf8.RuneSelf:
-			return "", 0, false // a raw control character
+			return nil, 0, false // a raw control character
 		}
 		r, size := utf8.DecodeRune(data[i:])
 		if r == utf8.RuneError && size == 1 {
-			return "", 0, false
+			return nil, 0, false
 		}
 		i += size
 	}
-	return "", 0, false
+	return nil, 0, false
 }
 
 // unescape finishes a string whose first escape is at data[i]; data[start:i]
-// is its plain prefix.
-func (d *EnvelopeDecoder) unescape(data []byte, start, i int) (string, int, bool) {
+// is its plain prefix. The result is the decoder's scratch buffer.
+func (d *EnvelopeDecoder) unescape(data []byte, start, i int) ([]byte, int, bool) {
 	buf := append(d.scratch[:0], data[start:i]...)
 	for i < len(data) {
 		c := data[i]
@@ -226,10 +252,10 @@ func (d *EnvelopeDecoder) unescape(data []byte, start, i int) (string, int, bool
 		switch {
 		case c == '"':
 			d.scratch = buf
-			return string(buf), i + 1, true
+			return buf, i + 1, true
 		case c == '\\':
 			if i+1 >= len(data) {
-				return "", 0, false
+				return nil, 0, false
 			}
 			switch e := data[i+1]; e {
 			case '"', '\\', '/':
@@ -257,18 +283,18 @@ func (d *EnvelopeDecoder) unescape(data []byte, start, i int) (string, int, bool
 				}
 				r := hex4(data, i+2)
 				if r < 0 {
-					return "", 0, false
+					return nil, 0, false
 				}
 				i += 6
 				if utf16.IsSurrogate(r) {
 					// Only a high surrogate followed by a low one is a
 					// rune; encoding/json turns anything else into U+FFFD.
 					if r >= 0xDC00 || i+1 >= len(data) || data[i] != '\\' || data[i+1] != 'u' {
-						return "", 0, false
+						return nil, 0, false
 					}
 					lo := hex4(data, i+2)
 					if lo < 0xDC00 || lo > 0xDFFF {
-						return "", 0, false
+						return nil, 0, false
 					}
 					r = utf16.DecodeRune(r, lo)
 					i += 6
@@ -276,22 +302,22 @@ func (d *EnvelopeDecoder) unescape(data []byte, start, i int) (string, int, bool
 				buf = utf8.AppendRune(buf, r)
 				continue
 			default:
-				return "", 0, false
+				return nil, 0, false
 			}
 			i += 2
 		case c < utf8.RuneSelf:
-			return "", 0, false // a raw control character
+			return nil, 0, false // a raw control character
 		default:
 			r, size := utf8.DecodeRune(data[i:])
 			if r == utf8.RuneError && size == 1 {
-				return "", 0, false
+				return nil, 0, false
 			}
 			buf = append(buf, data[i:i+size]...)
 			i += size
 		}
 	}
 	d.scratch = buf
-	return "", 0, false
+	return nil, 0, false
 }
 
 // hex4 parses the four hex digits at data[i:i+4], or returns -1.

@@ -243,8 +243,11 @@ func (e *Engine) Run(ctx context.Context, src Source, sink Sink, jr *Journal) (S
 		go func() {
 			defer wg.Done()
 			// One arena per worker for the byte-level hot path: each attempt
-			// resets and reuses it, and NewResult copies everything an
-			// Outcome carries before the next task overwrites the tree.
+			// resets and reuses it. NewResult copies the answer's slices and
+			// maps out of the tree before the next task overwrites it, but
+			// its strings are headers only — tag names may still view the
+			// task's document — so an Outcome is valid only until the
+			// emitter has written it and handed the document back.
 			arena := tagtree.AcquireArena()
 			defer arena.Release()
 			for t := range work {
@@ -272,6 +275,7 @@ func (e *Engine) Run(ctx context.Context, src Source, sink Sink, jr *Journal) (S
 						e.countDocument("ok")
 					}
 				}
+				o.docBuf = t.docBuf
 				results <- o
 			}
 		}()
@@ -280,7 +284,10 @@ func (e *Engine) Run(ctx context.Context, src Source, sink Sink, jr *Journal) (S
 
 	// Emitter: restore input order, write, then checkpoint. After a cancel
 	// or write failure nothing further is written (or journaled), keeping
-	// the journal an exact description of the bytes on disk.
+	// the journal an exact description of the bytes on disk. Every outcome
+	// it passes — written, skipped or canceled — hands its document buffer
+	// back: the worker is done with the task, and the sink has encoded the
+	// outcome synchronously, so nothing views the document any longer.
 	pending := make(map[int]*Outcome)
 	next := 0
 	for o := range results {
@@ -304,6 +311,7 @@ func (e *Engine) Run(ctx context.Context, src Source, sink Sink, jr *Journal) (S
 					cancelRun()
 				}
 			}
+			putDocBuf(cur.docBuf)
 			next++
 			select {
 			case <-tokens:

@@ -30,13 +30,19 @@ const DefaultMaxLineBytes = 8 << 20
 // than ending the stream, so a single corrupt record cannot sink a corpus
 // run. Sequence numbers count every non-blank line (including invalid
 // ones), keeping Seq assignment stable across resumed runs.
+//
+// Each task's Doc views a recycled buffer that the engine hands back once
+// the task's outcome is written (see Task.Doc); the id, ontology, shard and
+// separator list are owned strings. A caller that never hands tasks back
+// simply leaves the buffers to the collector.
 type NDJSONSource struct {
 	r       *bufio.Reader
 	maxLine int
 	seq     int
 	done    bool
-	line    []byte // reused across lines; decoded strings never alias it
+	line    []byte // reused across lines; decoded values never alias it
 	dec     EnvelopeDecoder
+	tl      taskLine // reused decode target; its values move to the Task
 }
 
 // NewNDJSONSource wraps r; maxLine bounds one line's content bytes, not
@@ -71,15 +77,18 @@ func (s *NDJSONSource) Next() (*Task, error) {
 			t.invalid = fmt.Errorf("input line exceeds the %d-byte limit", s.maxLine)
 			return t, nil
 		}
-		var tl taskLine
-		if _, ok := s.dec.decode(line, &tl); !ok {
-			tl = taskLine{}
-			if err := json.Unmarshal(line, &tl); err != nil {
+		tl := &s.tl
+		*tl = taskLine{}
+		if _, ok := s.dec.decode(line, tl, true); !ok {
+			putDocBuf(tl.docBuf)
+			*tl = taskLine{}
+			if err := json.Unmarshal(line, tl); err != nil {
 				t.invalid = fmt.Errorf("bad input line: %w", err)
 				return t, nil
 			}
 		}
 		t.ID = tl.ID
+		t.docBuf = tl.docBuf
 		t.Ontology = tl.Ontology
 		t.SeparatorList = tl.SeparatorList
 		t.Shard = tl.Shard
@@ -136,7 +145,8 @@ func trimEOL(line []byte) []byte {
 // by name so sequence assignment is stable. Files ending in .xml are parsed
 // with XML semantics; everything else (.html, .htm, ...) as HTML. The file
 // name becomes the task ID; the constructor's ontology and shard apply to
-// every task (per-document shards need NDJSON input).
+// every task (per-document shards need NDJSON input). Each file is read
+// into a recycled buffer, under the same ownership rule as NDJSONSource.
 type DirSource struct {
 	dir      string
 	files    []string
@@ -172,17 +182,51 @@ func (s *DirSource) Next() (*Task, error) {
 	s.i++
 	t := &Task{Seq: s.seq, ID: name, Ontology: s.ontology, Shard: s.shard}
 	s.seq++
-	data, err := os.ReadFile(filepath.Join(s.dir, name))
+	buf, err := readDocFile(filepath.Join(s.dir, name))
 	if err != nil {
 		t.invalid = err
 		return t, nil
 	}
-	t.Doc = string(data)
+	t.docBuf = buf
+	t.Doc = docView(*buf)
 	t.Mode = "html"
 	if strings.EqualFold(filepath.Ext(name), ".xml") {
 		t.Mode = "xml"
 	}
 	return t, nil
+}
+
+// readDocFile reads the named file into a recycled buffer, as os.ReadFile
+// reads it into a fresh one.
+func readDocFile(name string) (*[]byte, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	size := 0
+	if info, err := f.Stat(); err == nil && int64(int(info.Size())) == info.Size() {
+		size = int(info.Size())
+	}
+	// One spare byte lets the read that reports EOF land without growing
+	// the buffer.
+	p := getDocBuf(size + 1)
+	b := (*p)[:0]
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := f.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err != nil {
+			*p = b
+			if errors.Is(err, io.EOF) {
+				return p, nil
+			}
+			putDocBuf(p)
+			return nil, err
+		}
+	}
 }
 
 // SliceSource yields pre-built tasks — the programmatic entry point used by

@@ -17,7 +17,10 @@ type Task struct {
 	ID string
 	// Mode is "html" or "xml".
 	Mode string
-	// Doc is the document source.
+	// Doc is the document source. A task from NDJSONSource or DirSource
+	// views a recycled buffer: Doc is valid until the engine has written
+	// this task's outcome, and nothing derived from it (tag names in a
+	// core.Result, an Outcome's fields) may be kept past that point.
 	Doc string
 	// Ontology is a built-in ontology name or full DSL source; empty
 	// disables OM, exactly as on the HTTP surface.
@@ -32,6 +35,9 @@ type Task struct {
 	// line, bad envelope). The engine emits it as an error outcome without
 	// running the pipeline, so one bad line cannot sink a corpus.
 	invalid error
+	// docBuf is the recycled buffer Doc views (nil for an owned Doc); it
+	// travels on to the Outcome and back to the pool.
+	docBuf *[]byte
 }
 
 // TaskID returns the task's label, defaulting to its sequence position
@@ -136,4 +142,7 @@ type Outcome struct {
 	// canceled marks a task abandoned because the run context ended; it is
 	// never written or journaled, so a resumed run re-processes it.
 	canceled bool
+	// docBuf is the task's recycled document buffer, which the emitter
+	// hands back once it has passed this outcome.
+	docBuf *[]byte
 }
