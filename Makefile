@@ -25,11 +25,13 @@ race:
 # scratch, the pooled parse arenas, the LRU, the fleet router and gossip
 # membership, the heuristics' lazily filled statistics, the bulk engine's
 # recycled document buffers (passed between its source and emitter
-# goroutines) and the result cache's single flight through many
-# interleavings before merge. CI runs this.
+# goroutines), the result cache's single flight, and the serving path's
+# recycled document buffers (handed back after each reply, single-flight
+# followers among them) through many interleavings before merge. CI runs
+# this.
 race-repeat:
 	$(GO) test -race -count=5 ./internal/obs/ ./internal/recognizer/ ./internal/tagtree/ ./internal/htmlparse/ ./internal/lru/ ./internal/cluster/ ./internal/membership/ ./internal/heuristic/ ./internal/pipeline/
-	$(call go_test_run,-race -count=5,Cache|Singleflight,./internal/httpapi/)
+	$(call go_test_run,-race -count=5,Cache|Singleflight|Recycled,./internal/httpapi/)
 
 # Shuffled double run: catches inter-test ordering dependencies and
 # leftover-state bugs that a fixed order hides. CI runs this on every push.

@@ -201,9 +201,11 @@ func (s *Server) DiscoverLocal(ctx context.Context, body []byte) (status int, re
 	buf := requestBuffers.Get().(*requestBuffer)
 	req, apiErr := decodeEnvelope(&buf.dec, body, nil)
 	requestBuffers.Put(buf)
-	if apiErr == nil {
-		resp, apiErr = s.local.discoverOne(ctx, req, nil, false)
+	if apiErr != nil {
+		return apiErr.status, errorJSON(apiErr.err)
 	}
+	resp, apiErr = s.local.discoverOne(ctx, req, nil, false)
+	req.release() // resp is encoded bytes: nothing views the document now
 	if apiErr != nil {
 		return apiErr.status, errorJSON(apiErr.err)
 	}
@@ -252,9 +254,9 @@ func newMux(s server) *http.ServeMux {
 	mux.HandleFunc("POST /v1/discover", s.handleDiscover)
 	mux.HandleFunc("POST /v1/discover/batch", s.handleDiscoverBatch)
 	mux.HandleFunc("POST /v1/discover/stream", s.handleDiscoverStream)
-	mux.HandleFunc("POST /v1/records", s.handleRecords)
-	mux.HandleFunc("POST /v1/extract", s.handleExtract)
-	mux.HandleFunc("POST /v1/classify", s.handleClassify)
+	mux.HandleFunc("POST /v1/records", withRequest(s.handleRecords))
+	mux.HandleFunc("POST /v1/extract", withRequest(s.handleExtract))
+	mux.HandleFunc("POST /v1/classify", withRequest(s.handleClassify))
 	mux.HandleFunc("GET /v1/ontologies", s.handleOntologies)
 	registerTemplateRoutes(mux, s)
 	registerClusterRoutes(mux, s)
@@ -291,6 +293,21 @@ type request struct {
 	Ontology string `json:"ontology,omitempty"`
 	// SeparatorList optionally overrides IT's identifiable-separator list.
 	SeparatorList []string `json:"separator_list,omitempty"`
+
+	// doc is the pooled buffer HTML or XML views when the envelope
+	// decoder's fast path decoded the body; nil otherwise.
+	doc *[]byte
+}
+
+// release hands the document's buffer back to the pool once the reply is
+// written: HTML and XML must not be read after it. Nothing a request leaves
+// behind views the document — the result cache and single-flight calls
+// hold encoded bodies, store entries and trace attributes are copies, and
+// a forwarded envelope is a copy of the body. A handler that panics never
+// reaches its release, and the buffer is left to the collector (see lead).
+func (req *request) release() {
+	pipeline.PutDocBuf(req.doc)
+	req.doc = nil
 }
 
 // errorBody is the uniform error response.
@@ -360,20 +377,20 @@ type requestBuffer struct {
 	dec  pipeline.EnvelopeDecoder
 }
 
+// requestBuffers pools body buffers up to pipeline.MaxPooledBytes, the
+// bound the document pool keeps too, so one large body does not pin its
+// size class for every later request.
 var requestBuffers = sync.Pool{New: func() any { return new(requestBuffer) }}
-
-// maxPooledBody caps the body buffer a requestBuffer keeps in the pool, so
-// one large document does not pin its size class for every later request.
-const maxPooledBody = 1 << 20
 
 // decode parses the shared request envelope. It reads the body, under the
 // MaxBodyBytes limit, into a pooled buffer and decodes it with
-// decodeEnvelope. keep returns a copy of the body as well: the pooled
-// buffer is reused as soon as decode returns.
+// decodeEnvelope; the body buffer goes back to its pool as soon as decode
+// returns, so keep returns a copy of the body as well. The caller calls
+// req.release once its reply is written.
 func decode(w http.ResponseWriter, r *http.Request, keep bool) (req *request, body []byte, ok bool) {
 	buf := requestBuffers.Get().(*requestBuffer)
 	defer func() {
-		if buf.body.Cap() <= maxPooledBody {
+		if buf.body.Cap() <= pipeline.MaxPooledBytes {
 			requestBuffers.Put(buf)
 		}
 	}()
@@ -395,15 +412,16 @@ func decode(w http.ResponseWriter, r *http.Request, keep bool) (req *request, bo
 
 // decodeEnvelope decodes a request envelope from a body read whole; readErr
 // is the error the read stopped on, if any. It tries the envelope decoder's
-// fast path. Anything the fast path does not take goes to encoding/json
-// over the same bytes, followed by readErr (an oversized body's
-// *http.MaxBytesError included), so the reply is what decodeJSON gives: a
-// first object that ends inside the limit still decodes, trailing bytes are
-// ignored, and an overflow inside the object answers 413.
+// fast path, whose document views a pooled buffer (req.doc). Anything the
+// fast path does not take goes to encoding/json over the same bytes,
+// followed by readErr (an oversized body's *http.MaxBytesError included),
+// so the reply is what decodeJSON gives: a first object that ends inside
+// the limit still decodes, trailing bytes are ignored, and an overflow
+// inside the object answers 413.
 func decodeEnvelope(dec *pipeline.EnvelopeDecoder, body []byte, readErr error) (*request, *apiError) {
 	if readErr == nil {
-		if html, xml, ont, seps, ok := dec.Request(body); ok {
-			return &request{HTML: html, XML: xml, Ontology: ont, SeparatorList: seps}, nil
+		if html, xml, ont, seps, doc, ok := dec.Request(body); ok {
+			return &request{HTML: html, XML: xml, Ontology: ont, SeparatorList: seps, doc: doc}, nil
 		}
 	}
 	replay := io.Reader(bytes.NewReader(body))
@@ -573,7 +591,12 @@ func (s server) forward(ctx context.Context, key [sha256.Size]byte, envelope []b
 // 500 that is never cached — before the panic goes on to the connection's
 // recover: otherwise the in-flight entry would outlive the leader, and every
 // later identical request would wait on it until its own deadline, or for
-// good without one.
+// good without one. The re-panic does not hand doc's buffer back; it is
+// left to the collector. The panic value may view the document (a tag
+// name), and net/http's recover logs it only after every deferred call has
+// run, so a buffer handed back on the way out could already hold another
+// request's document by then. Followers never see doc: they get the
+// call's 500.
 func (s server) lead(ctx context.Context, key [sha256.Size]byte, call *inflightCall, mode, doc string, req *request) ([]byte, *apiError) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -708,14 +731,12 @@ func (s server) handleDiscover(w http.ResponseWriter, r *http.Request) {
 	}
 	if r.URL.Query().Get("explain") == "1" {
 		s.handleDiscoverExplain(w, r, req)
-		return
-	}
-	body, apiErr := s.discoverOne(r.Context(), req, envelope, false)
-	if apiErr != nil {
+	} else if body, apiErr := s.discoverOne(r.Context(), req, envelope, false); apiErr != nil {
 		writeErr(w, apiErr.status, apiErr.err)
-		return
+	} else {
+		writeBody(w, body)
 	}
-	writeBody(w, body)
+	req.release()
 }
 
 // handleDiscoverExplain is /v1/discover?explain=1: the same discovery, with
@@ -765,6 +786,19 @@ func (s server) handleDiscoverExplain(w http.ResponseWriter, r *http.Request, re
 	writeBody(w, body)
 }
 
+// withRequest adapts a single-document handler: it decodes the request
+// envelope, runs h, and releases the document once h has written its reply.
+func withRequest(h func(http.ResponseWriter, *http.Request, *request)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		req, _, ok := decode(w, r, false)
+		if !ok {
+			return
+		}
+		h(w, r, req)
+		req.release()
+	}
+}
+
 // recordBody is one split record on the wire.
 type recordBody struct {
 	Text  string `json:"text"`
@@ -772,11 +806,7 @@ type recordBody struct {
 	End   int    `json:"end"`
 }
 
-func (s server) handleRecords(w http.ResponseWriter, r *http.Request) {
-	req, _, ok := decode(w, r, false)
-	if !ok {
-		return
-	}
+func (s server) handleRecords(w http.ResponseWriter, r *http.Request, req *request) {
 	if req.HTML == "" {
 		writeErr(w, http.StatusBadRequest, errors.New("html is required"))
 		return
@@ -807,11 +837,7 @@ func (s server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s server) handleExtract(w http.ResponseWriter, r *http.Request) {
-	req, _, ok := decode(w, r, false)
-	if !ok {
-		return
-	}
+func (s server) handleExtract(w http.ResponseWriter, r *http.Request, req *request) {
 	if req.HTML == "" {
 		writeErr(w, http.StatusBadRequest, errors.New("html is required"))
 		return
@@ -847,11 +873,7 @@ func (s server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	req, _, ok := decode(w, r, false)
-	if !ok {
-		return
-	}
+func (s server) handleClassify(w http.ResponseWriter, r *http.Request, req *request) {
 	if req.HTML == "" || req.Ontology == "" {
 		writeErr(w, http.StatusBadRequest, errors.New("html and ontology are required"))
 		return

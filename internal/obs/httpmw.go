@@ -86,9 +86,12 @@ func Middleware(next http.Handler, logger *slog.Logger, reg *Registry, route fun
 			id = NewRequestID()
 		}
 		w.Header().Set(RequestIDHeader, id)
-		r = r.WithContext(WithRequestID(r.Context(), id))
+		// The request is copied once, with the request ID and the trace
+		// both on its context.
+		ctx := WithRequestID(r.Context(), id)
 
 		var tr *Trace
+		traceID := ""
 		if tracing != nil {
 			if sc, ok := ParseTraceparent(r.Header.Get(TraceparentHeader)); ok {
 				tr = NewTraceFrom(sc)
@@ -107,9 +110,11 @@ func Middleware(next http.Handler, logger *slog.Logger, reg *Registry, route fun
 			}
 			tr.SetRoot(service, name)
 			tr.RootAttr("request_id", id)
-			w.Header().Set(TraceIDHeader, tr.ID().String())
-			r = r.WithContext(WithTrace(r.Context(), tr))
+			traceID = tr.ID().String()
+			w.Header().Set(TraceIDHeader, traceID)
+			ctx = WithTrace(ctx, tr)
 		}
+		r = r.WithContext(ctx)
 
 		inFlight := reg.Gauge("http_requests_in_flight",
 			"Requests currently being served.")
@@ -154,10 +159,6 @@ func Middleware(next http.Handler, logger *slog.Logger, reg *Registry, route fun
 		}
 
 		if logger != nil {
-			traceID := ""
-			if tr != nil {
-				traceID = tr.ID().String()
-			}
 			logger.LogAttrs(r.Context(), slog.LevelInfo, "request",
 				slog.String("request_id", id),
 				slog.String("trace_id", traceID),

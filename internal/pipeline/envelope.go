@@ -35,10 +35,11 @@ const (
 
 // EnvelopeDecoder is the fast path of the request-envelope decoder shared by
 // NDJSON lines and /v1/discover bodies. It makes one pass over the object and
-// unescapes each string value straight into its final string, one
-// allocation per field (an NDJSON line's document value goes to a recycled
-// buffer instead, see NDJSONSource), and accepts only the shape
-// encoding/json would decode to the same fields:
+// unescapes each string value: the html or xml value into a buffer from the
+// document pool, which the decoded document views until its caller hands
+// the buffer back with PutDocBuf, and every other value into an owned
+// string, one allocation per field. It accepts only the shape encoding/json
+// would decode to the same fields:
 //
 //   - the keys are exactly the lowercase field names (id, html, xml,
 //     ontology, separator_list, shard), unescaped, each at most once;
@@ -53,31 +54,35 @@ const (
 // stay exactly what encoding/json gives. FuzzEnvelope holds the two equal.
 //
 // The zero value is ready to use. A decoder keeps a scratch buffer between
-// calls and is not safe for concurrent use; decoded strings never alias the
+// calls and is not safe for concurrent use; no decoded value aliases the
 // input or the scratch buffer.
 type EnvelopeDecoder struct {
 	scratch []byte
 }
 
 // Request decodes a /v1/discover request body: the envelope less the bulk id
-// and shard, which the HTTP request type does not have. ok is false whenever
-// the fast path does not apply, including a body that names id or shard;
-// the caller then decodes body with encoding/json.
-func (d *EnvelopeDecoder) Request(body []byte) (html, xml, ontology string, separatorList []string, ok bool) {
+// and shard, which the HTTP request type does not have. A non-empty html or
+// xml value views doc, a buffer from the document pool, which the caller
+// hands back with PutDocBuf once nothing reads the document any more; doc
+// is nil when both are empty. ok is false whenever the fast path does not
+// apply, including a body that names id or shard; the caller then decodes
+// body with encoding/json.
+func (d *EnvelopeDecoder) Request(body []byte) (html, xml, ontology string, separatorList []string, doc *[]byte, ok bool) {
 	var tl taskLine
-	seen, ok := d.decode(body, &tl, false)
+	seen, ok := d.decode(body, &tl)
 	if !ok || seen&(fieldID|fieldShard) != 0 {
-		return "", "", "", nil, false
+		PutDocBuf(tl.docBuf)
+		return "", "", "", nil, nil, false
 	}
-	return tl.HTML, tl.XML, tl.Ontology, tl.SeparatorList, true
+	return tl.HTML, tl.XML, tl.Ontology, tl.SeparatorList, tl.docBuf, true
 }
 
 // decode fills tl from one JSON object on the fast path and reports which
-// keys it named. With recycle set, a non-empty html or xml value is copied
-// into a buffer from the document pool and tl.HTML or tl.XML views it
-// (tl.docBuf); every other value is an owned string. On ok=false tl may be
-// partly filled and must be reset before a fallback decode.
-func (d *EnvelopeDecoder) decode(data []byte, tl *taskLine, recycle bool) (seen envelopeField, ok bool) {
+// keys it named. A non-empty html or xml value is copied into a buffer from
+// the document pool and tl.HTML or tl.XML views it (tl.docBuf); every other
+// value is an owned string. On ok=false tl may be partly filled, its buffer
+// included, and must be reset before a fallback decode.
+func (d *EnvelopeDecoder) decode(data []byte, tl *taskLine) (seen envelopeField, ok bool) {
 	i := skipSpace(data, 0)
 	if i >= len(data) || data[i] != '{' {
 		return 0, false
@@ -100,11 +105,11 @@ func (d *EnvelopeDecoder) decode(data []byte, tl *taskLine, recycle bool) (seen 
 		switch {
 		case field == fieldSeparatorList:
 			tl.SeparatorList, i, ok = d.stringArray(data, i)
-		case recycle && field&(fieldHTML|fieldXML) != 0:
+		case field&(fieldHTML|fieldXML) != 0:
 			var raw []byte
 			if raw, i, ok = d.strBytes(data, i); ok && len(raw) > 0 {
-				// A line naming both keys is invalid; the first buffer
-				// is simply left to the collector.
+				// An envelope naming both keys is rejected later; the
+				// first buffer is simply left to the collector.
 				tl.docBuf = getDocBuf(len(raw))
 				copy(*tl.docBuf, raw)
 				*dst = docView(*tl.docBuf)

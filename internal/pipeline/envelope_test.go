@@ -84,23 +84,21 @@ func FuzzEnvelope(f *testing.F) {
 	}
 	var d EnvelopeDecoder // shared, so the scratch buffer carries over
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, recycle := range []bool{false, true} {
-			var got taskLine
-			_, ok := d.decode(data, &got, recycle)
-			buf := got.docBuf
-			got.docBuf = nil
-			if ok {
-				var want taskLine
-				if err := json.Unmarshal(data, &want); err != nil {
-					t.Fatalf("fast path accepted %q; encoding/json: %v", data, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%q (recycle %v):\nfast path     %#v\nencoding/json %#v", data, recycle, got, want)
-				}
+		var got taskLine
+		_, ok := d.decode(data, &got)
+		buf := got.docBuf
+		got.docBuf = nil
+		if ok {
+			var want taskLine
+			if err := json.Unmarshal(data, &want); err != nil {
+				t.Fatalf("fast path accepted %q; encoding/json: %v", data, err)
 			}
-			putDocBuf(buf)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%q:\nfast path     %#v\nencoding/json %#v", data, got, want)
+			}
 		}
-		if html, xml, ont, seps, ok := d.Request(data); ok {
+		PutDocBuf(buf)
+		if html, xml, ont, seps, doc, ok := d.Request(data); ok {
 			got := discoverRequest{HTML: html, XML: xml, Ontology: ont, SeparatorList: seps}
 			var want discoverRequest
 			dec := json.NewDecoder(bytes.NewReader(data))
@@ -111,6 +109,10 @@ func FuzzEnvelope(f *testing.F) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("request %q:\nfast path     %#v\nencoding/json %#v", data, got, want)
 			}
+			if (doc == nil) != (html == "" && xml == "") {
+				t.Fatalf("request %q: document buffer %v for html %q, xml %q", data, doc, html, xml)
+			}
+			PutDocBuf(doc)
 		}
 	})
 }
@@ -121,16 +123,16 @@ func FuzzEnvelope(f *testing.F) {
 func TestEnvelopeFastPathTakesMarshaledLines(t *testing.T) {
 	var d EnvelopeDecoder
 	for _, s := range fastEnvelopes {
-		if _, ok := d.decode([]byte(s), new(taskLine), true); !ok {
+		if _, ok := d.decode([]byte(s), new(taskLine)); !ok {
 			t.Errorf("fast path declined %q", s)
 		}
 	}
 	for _, s := range fallbackEnvelopes {
-		if _, ok := d.decode([]byte(s), new(taskLine), true); ok {
+		if _, ok := d.decode([]byte(s), new(taskLine)); ok {
 			t.Errorf("fast path took %q; it belongs to encoding/json", s)
 		}
 	}
-	if _, _, _, _, ok := d.Request([]byte(`{"html":"x","id":""}`)); ok {
+	if _, _, _, _, _, ok := d.Request([]byte(`{"html":"x","id":""}`)); ok {
 		t.Error("Request took a body naming id; the HTTP request type has no such field")
 	}
 }
@@ -275,7 +277,7 @@ func TestNDJSONSourceAllocsNearDocumentSize(t *testing.T) {
 				t.Fatalf("Next = %v, %v", tk.invalid, err)
 			}
 			if handBack {
-				putDocBuf(tk.docBuf)
+				PutDocBuf(tk.docBuf)
 			}
 		}
 		for i := 0; i < warm; i++ {

@@ -311,7 +311,7 @@ func (e *Engine) Run(ctx context.Context, src Source, sink Sink, jr *Journal) (S
 					cancelRun()
 				}
 			}
-			putDocBuf(cur.docBuf)
+			PutDocBuf(cur.docBuf)
 			next++
 			select {
 			case <-tokens:

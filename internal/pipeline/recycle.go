@@ -5,16 +5,26 @@ import (
 	"unsafe"
 )
 
-// docBufs recycles the byte buffers bulk documents are decoded into. A
+// docBufs recycles the byte buffers documents are decoded into. A bulk
 // source takes one per document (getDocBuf) and the task carries it; the
-// engine's emitter hands it back (putDocBuf) once the task's outcome is
+// engine's emitter hands it back (PutDocBuf) once the task's outcome is
 // written, so a long run reuses a window's worth of buffers instead of
-// allocating one copy of every document.
+// allocating one copy of every document. A /v1/discover body's document
+// comes from the same pool (EnvelopeDecoder.Request) and its handler hands
+// it back once the reply is written.
 var docBufs sync.Pool // of *[]byte
 
+// MaxPooledBytes bounds the buffers a pool keeps: docBufs and the HTTP
+// request-body pool drop anything larger when it is handed back, so one
+// large document does not pin its size for every later request.
+const MaxPooledBytes = 1 << 20
+
 // recycleHook, when set (tests only), sees every buffer handed back before
-// it returns to the pool — the poisoned-recycle test overwrites it, so any
-// reader still holding a view of the document reads junk.
+// it returns to the pool — the poisoned-recycle tests overwrite it, so any
+// reader still holding a view of the document reads junk. httpapi's tests
+// reach it through go:linkname, so it needs no exported setter.
+//
+//go:linkname recycleHook
 var recycleHook func(buf []byte)
 
 // getDocBuf returns a buffer of length n: a recycled one when the pool holds
@@ -30,21 +40,24 @@ func getDocBuf(n int) *[]byte {
 	return &b
 }
 
-// putDocBuf hands a document buffer back to the pool; nil is a no-op. The
-// caller must hold no view of it any longer.
-func putDocBuf(p *[]byte) {
+// PutDocBuf hands a document buffer back to the pool; nil is a no-op, and a
+// buffer larger than MaxPooledBytes is left to the collector. The caller
+// must hold no view of it any longer.
+func PutDocBuf(p *[]byte) {
 	if p == nil {
 		return
 	}
 	if recycleHook != nil {
 		recycleHook(*p)
 	}
-	docBufs.Put(p)
+	if cap(*p) <= MaxPooledBytes {
+		docBufs.Put(p)
+	}
 }
 
 // docView returns a string view sharing b's backing array — the same
 // zero-copy conversion as core's bytesView, and the pipeline's only one.
-// The view is valid until b is handed back with putDocBuf.
+// The view is valid until b is handed back with PutDocBuf.
 func docView(b []byte) string {
 	if len(b) == 0 {
 		return ""

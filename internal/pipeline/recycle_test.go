@@ -228,3 +228,25 @@ func TestRecycledDocumentsCannotChangeAnAnswer(t *testing.T) {
 		checkRecycledRun(t, src, files)
 	})
 }
+
+// TestDocBufsDropOversizedBuffers: a buffer over MaxPooledBytes handed back
+// is left to the collector, so one large document cannot pin its size in
+// the pool, while a buffer at the bound is pooled as before. sync.Pool
+// promises nothing, so the pooled buffer only has to come back in one of a
+// few rounds (never under -race, whose pool drops puts at random).
+func TestDocBufsDropOversizedBuffers(t *testing.T) {
+	returned := false
+	for range 5 {
+		big := getDocBuf(MaxPooledBytes + 1)
+		PutDocBuf(big)
+		if getDocBuf(1) == big {
+			t.Fatalf("a %d-byte buffer came back from the pool; the bound is %d", cap(*big), MaxPooledBytes)
+		}
+		atBound := getDocBuf(MaxPooledBytes)
+		PutDocBuf(atBound)
+		returned = returned || getDocBuf(1) == atBound
+	}
+	if !returned && !raceEnabled {
+		t.Errorf("a %d-byte buffer never came back from the pool", MaxPooledBytes)
+	}
+}

@@ -79,8 +79,8 @@ func (s *NDJSONSource) Next() (*Task, error) {
 		}
 		tl := &s.tl
 		*tl = taskLine{}
-		if _, ok := s.dec.decode(line, tl, true); !ok {
-			putDocBuf(tl.docBuf)
+		if _, ok := s.dec.decode(line, tl); !ok {
+			PutDocBuf(tl.docBuf)
 			*tl = taskLine{}
 			if err := json.Unmarshal(line, tl); err != nil {
 				t.invalid = fmt.Errorf("bad input line: %w", err)
@@ -223,7 +223,7 @@ func readDocFile(name string) (*[]byte, error) {
 			if errors.Is(err, io.EOF) {
 				return p, nil
 			}
-			putDocBuf(p)
+			PutDocBuf(p)
 			return nil, err
 		}
 	}
